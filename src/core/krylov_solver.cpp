@@ -252,20 +252,36 @@ SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
   AlignedVector<double>& step_tmp = workspace.next(n);
   AlignedVector<double>& scratch = workspace.scratch(n);
 
-  ThreadPool* const pool =
-      workspace.pooled_spmv(dtmc_.transition_transposed().nnz());
+  // Live-prefix stepping (markov/dtmc.hpp): every vector of the pass is
+  // zero from `live` on, and every write, norm and dot covers [0, live)
+  // only. One prefix serves the whole pass — it grows before each matvec
+  // and never shrinks, so everything written earlier lies inside it and
+  // the fresh basis vectors stay zero past it. step_tmp and scratch are
+  // only ever read inside the prefix after being written there.
+  index_t live = leading_support(initial_);
+  std::size_t len = static_cast<std::size_t>(live);
+  const auto prefix = [&](const AlignedVector<double>& v) {
+    return std::span<const double>(v.data(), len);
+  };
+
   std::int64_t matvecs = 0;
   auto apply_a = [&](const double* in, double* out) {
+    live = std::max(live, dtmc_.reach(live));
+    len = static_cast<std::size_t>(live);
     const std::span<const double> in_span(in, n);
+    ThreadPool* const pool = workspace.pooled_spmv(dtmc_.leading_nnz(live));
     if (pool != nullptr) {
-      dtmc_.step(in_span, step_tmp, *pool);
+      dtmc_.step(in_span, step_tmp, live, *pool);
     } else {
-      dtmc_.step(in_span, step_tmp);
+      dtmc_.step(in_span, step_tmp, live);
     }
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < len; ++i) {
       out[i] = lambda * (step_tmp[i] - in[i]);
     }
     ++matvecs;
+  };
+  const auto reward_dot = [&](const AlignedVector<double>& v) {
+    return sparse_reward_dot(indices_below(reward_idx_, live), rewards_, v);
   };
 
   std::vector<AlignedVector<double>> basis(static_cast<std::size_t>(m + 1));
@@ -282,9 +298,8 @@ SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
 
   auto record = [&](std::size_t original, double t, bool point_capped) {
     TransientValue& p = report.points[original];
-    p.value = request.measure == MeasureKind::kTrr
-                  ? sparse_reward_dot(reward_idx_, rewards_, w)
-                  : integral.value() / t;
+    p.value = request.measure == MeasureKind::kTrr ? reward_dot(w)
+                                                   : integral.value() / t;
     p.stats.dtmc_steps = matvecs;
     p.stats.capped = point_capped || tolerance_missed;
   };
@@ -307,7 +322,7 @@ SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
     }
 
     // ---- One adaptive substep from t_now toward t_target ----
-    const double beta = norm2(w);
+    const double beta = norm2(prefix(w));
     if (beta == 0.0) {  // zero vector is a fixed point
       t_now = t_target;
       continue;
@@ -317,7 +332,7 @@ SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
     std::fill(hess.begin(), hess.end(), 0.0);
     {
       const double inv_beta = 1.0 / beta;
-      for (std::size_t i = 0; i < n; ++i) basis[0][i] = w[i] * inv_beta;
+      for (std::size_t i = 0; i < len; ++i) basis[0][i] = w[i] * inv_beta;
     }
     const double breakdown_tol = 1e-14 * anorm;
     int dim = m;
@@ -328,11 +343,11 @@ SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
       AlignedVector<double>& cand = basis[static_cast<std::size_t>(j + 1)];
       for (int i = 0; i <= j; ++i) {
         const AlignedVector<double>& vi = basis[static_cast<std::size_t>(i)];
-        const double h = dot(vi, cand);
+        const double h = dot(prefix(vi), prefix(cand));
         hess[static_cast<std::size_t>(i * ld + j)] = h;
-        for (std::size_t x = 0; x < n; ++x) cand[x] -= h * vi[x];
+        for (std::size_t x = 0; x < len; ++x) cand[x] -= h * vi[x];
       }
-      const double h_next = norm2(cand);
+      const double h_next = norm2(prefix(cand));
       if (h_next <= breakdown_tol) {
         dim = j + 1;
         breakdown = true;
@@ -340,14 +355,14 @@ SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
       }
       hess[static_cast<std::size_t>((j + 1) * ld + j)] = h_next;
       const double inv = 1.0 / h_next;
-      for (std::size_t x = 0; x < n; ++x) cand[x] *= inv;
+      for (std::size_t x = 0; x < len; ++x) cand[x] *= inv;
     }
 
     double avnorm = 0.0;
     if (!breakdown) {
       // ||A v_{m+1}||, the weight of the second-order error term.
       apply_a(basis[static_cast<std::size_t>(m)].data(), scratch.data());
-      avnorm = norm2(scratch);
+      avnorm = norm2(prefix(scratch));
       hess[static_cast<std::size_t>((m + 1) * ld + m)] = 1.0;
     }
 
@@ -438,21 +453,20 @@ SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
       for (int j = 0; j < mk; ++j) {
         const double weight = phi[static_cast<std::size_t>(j * md + mk)];
         if (weight == 0.0) continue;
-        inc.add(weight * sparse_reward_dot(reward_idx_, rewards_,
-                                           basis[static_cast<std::size_t>(j)]));
+        inc.add(weight * reward_dot(basis[static_cast<std::size_t>(j)]));
       }
       integral.add(beta * inc.value());
     }
 
     // w <- beta * V_{1..mk} * exp(tau H)(:, 1)
-    std::fill(scratch.begin(), scratch.end(), 0.0);
+    std::fill_n(scratch.begin(), len, 0.0);
     for (int j = 0; j < mk; ++j) {
       const double f = beta * small[static_cast<std::size_t>(j * mx)];
       if (f == 0.0) continue;
       const AlignedVector<double>& vj = basis[static_cast<std::size_t>(j)];
-      for (std::size_t i = 0; i < n; ++i) scratch[i] += f * vj[i];
+      for (std::size_t i = 0; i < len; ++i) scratch[i] += f * vj[i];
     }
-    std::copy(scratch.begin(), scratch.end(), w.begin());
+    std::copy_n(scratch.begin(), len, w.begin());
 
     t_now = tau >= t_target - t_now ? t_target : t_now + tau;
   }

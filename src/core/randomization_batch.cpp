@@ -51,7 +51,7 @@ void build_ops(const DenseBlock& x, DenseBlock& y,
 }
 
 // The pooled-product gate of SolveWorkspace::pooled_spmv, for a borrowed
-// pool: real workers, a matrix past the nnz floor, and no nested
+// pool: real workers, a product past the nnz floor, and no nested
 // parallelism.
 ThreadPool* pooled(ThreadPool* pool, std::int64_t nnz) {
   return (pool != nullptr && pool->num_threads() > 1 &&
@@ -148,18 +148,24 @@ void run_sr_group(const StandardRandomization& solver,
         x.fill_column(j, view.initial);
       }
 
-      const CsrMatrix& pt = view.dtmc->transition_transposed();
-      ThreadPool* const prod_pool = pooled(pool, pt.nnz());
+      // Every column starts from the solver's initial vector, so the
+      // block shares one live prefix (markov/dtmc.hpp); block_y arrives
+      // zero-filled, as live-prefix stepping requires.
+      const RandomizedDtmc& dtmc = *view.dtmc;
+      const CsrMatrix& pt = dtmc.transition_transposed();
+      index_t live_rows = leading_support(view.initial);
       std::vector<std::uint8_t> live(cols.size(), 1);
       std::vector<SpmmOperand> ops;
       std::size_t reading = cols.size();
       for (std::int64_t n = 0;; ++n) {
         while (reading > 0 && cols[reading - 1].pass < n) --reading;
+        const std::span<const index_t> reward_idx =
+            indices_below(view.reward_idx, live_rows);
         for (std::size_t j = 0; j < reading; ++j) {
           const ColumnRef c = column_ref(x, static_cast<index_t>(j));
           cols[j].sweep.accumulate(
-              n, sparse_reward_dot_strided(view.reward_idx, view.rewards,
-                                           c.data, c.stride));
+              n, sparse_reward_dot_strided(reward_idx, view.rewards, c.data,
+                                           c.stride));
         }
         std::size_t stepping = reading;
         while (stepping > 0 && cols[stepping - 1].pass <= n) {
@@ -167,10 +173,13 @@ void run_sr_group(const StandardRandomization& solver,
         }
         if (stepping == 0) break;
         build_ops(x, y, live, ops);
+        live_rows = std::max(live_rows, dtmc.reach(live_rows));
+        ThreadPool* const prod_pool =
+            pooled(pool, dtmc.leading_nnz(live_rows));
         if (prod_pool != nullptr) {
-          pt.mul_block(ops, n_states, *prod_pool);
+          pt.mul_block(ops, live_rows, *prod_pool);
         } else {
-          pt.mul_block(ops, n_states);
+          pt.mul_block(ops, live_rows);
         }
         x.swap(y);
       }

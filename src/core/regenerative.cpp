@@ -1,5 +1,6 @@
 #include "core/regenerative.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "markov/poisson.hpp"
@@ -42,11 +43,19 @@ ExcursionSeries run_excursion(const RandomizedDtmc& dtmc,
   series.va.resize(absorbing.size());
   const std::size_t n = mu.size();
   std::vector<double> next(n, 0.0);
+  // The pass starts from a point mass or a sparse initial vector, so it
+  // steps, sums and dots only its live prefix (markov/dtmc.hpp).
+  index_t live = leading_support(mu);
+  const auto live_sum = [&] {
+    return sum(std::span<const double>(mu).first(
+        static_cast<std::size_t>(live)));
+  };
 
-  double mass = sum(mu);
+  double mass = live_sum();
   for (std::int64_t k = 0;; ++k) {
     series.a.push_back(mass);
-    series.c.push_back(sparse_reward_dot(reward_idx, rewards, mu));
+    series.c.push_back(
+        sparse_reward_dot(indices_below(reward_idx, live), rewards, mu));
 
     // Truncation bound: r_max * a(k) * E[(N(Lambda t) - k)^+]. r_max == 0
     // means every reward is zero and the measure is trivially exact.
@@ -61,7 +70,8 @@ ExcursionSeries run_excursion(const RandomizedDtmc& dtmc,
       break;
     }
 
-    dtmc.step(mu, next);
+    live = std::max(live, dtmc.reach(live));
+    dtmc.step(mu, next, live);
     mu.swap(next);
     // Collect regeneration and absorption mass, then mask those states so
     // mu keeps tracking only the surviving excursion.
@@ -77,7 +87,7 @@ ExcursionSeries run_excursion(const RandomizedDtmc& dtmc,
     // incrementally (mass -= returned - absorbed) leaves a constant rounding
     // residue ~1e-17 that would put a floor under a(k) and stall the
     // truncation criterion for large t.
-    mass = sum(mu);
+    mass = live_sum();
   }
   return series;
 }

@@ -125,10 +125,12 @@ void SchemaCache::seed(double t, double eps, RegenerativeSchema schema,
 
 std::vector<SchemaCache::Entry> SchemaCache::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
+  // Key order, not recency: recency follows the order concurrent workers
+  // happened to call get() in, and the export must not.
   std::vector<Slot> ordered = slots_;
   std::sort(ordered.begin(), ordered.end(),
             [](const Slot& a, const Slot& b) {
-              return a.last_used < b.last_used;
+              return a.t != b.t ? a.t < b.t : a.eps < b.eps;
             });
   std::vector<Entry> out;
   out.reserve(ordered.size());

@@ -96,9 +96,10 @@ class SchemaCache {
     double eps = 0.0;
     std::shared_ptr<const CompiledSchema> compiled;
   };
-  /// The current entries in least-recently-used-first order (the order is
-  /// deterministic given the call history, so exported artifacts are
-  /// stable across identical runs).
+  /// The current entries in increasing (t, eps) order: which entries a
+  /// cache holds depends on its call history, but the order they are
+  /// exported in does not, so equal contents write byte-identical
+  /// artifacts however concurrent workers interleaved their calls.
   [[nodiscard]] std::vector<Entry> snapshot() const;
 
   [[nodiscard]] SchemaCacheStats stats() const;

@@ -87,6 +87,17 @@ inline void check_distribution(std::span<const double> dist, index_t n) {
   return idx;
 }
 
+/// The entries of a sorted index list below `live`: the only terms of a
+/// sparse reward dot that can be non-zero while the iterate is zero from
+/// `live` on (the live prefix of markov/dtmc.hpp). Dropping the others
+/// leaves the dot's bits unchanged — each would add +0.0 to an
+/// accumulator that started at +0.0 and so can never be -0.0.
+[[nodiscard]] inline std::span<const index_t> indices_below(
+    std::span<const index_t> idx, index_t live) {
+  const auto end = std::lower_bound(idx.begin(), idx.end(), live);
+  return idx.first(static_cast<std::size_t>(end - idx.begin()));
+}
+
 /// Sparse reward dot product over the precomputed index list.
 [[nodiscard]] inline double sparse_reward_dot(
     std::span<const index_t> idx, std::span<const double> rewards,

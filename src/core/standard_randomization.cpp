@@ -114,18 +114,24 @@ SolveReport StandardRandomization::solve_grid(
   AlignedVector<double>& pi = workspace.pi(n_states);
   AlignedVector<double>& next = workspace.next(n_states);
   std::copy(initial_.begin(), initial_.end(), pi.begin());
+  // Live-prefix stepping (markov/dtmc.hpp): both buffers must read zero
+  // past the prefix, and a workspace buffer arrives with stale contents.
+  std::fill(next.begin(), next.end(), 0.0);
+  index_t live = leading_support(initial_);
 
-  // Row-partitioned stepping when the caller lent us a pool (small batches
-  // on big models; bit-identical to the serial kernel).
-  ThreadPool* const pool =
-      workspace.pooled_spmv(dtmc_.transition_transposed().nnz());
   for (std::int64_t n = 0;; ++n) {
-    sweep.accumulate(n, sparse_reward_dot(reward_idx_, rewards_, pi));
+    sweep.accumulate(n, sparse_reward_dot(indices_below(reward_idx_, live),
+                                          rewards_, pi));
     if (n == sweep.pass_steps()) break;
+    live = std::max(live, dtmc_.reach(live));
+    // Row-partitioned stepping when the caller lent us a pool (small
+    // batches on big models; bit-identical to the serial kernel) and the
+    // live prefix is large enough to pay for it.
+    ThreadPool* const pool = workspace.pooled_spmv(dtmc_.leading_nnz(live));
     if (pool != nullptr) {
-      dtmc_.step(pi, next, *pool);
+      dtmc_.step(pi, next, live, *pool);
     } else {
-      dtmc_.step(pi, next);
+      dtmc_.step(pi, next, live);
     }
     pi.swap(next);
   }

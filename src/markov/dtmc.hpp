@@ -4,6 +4,18 @@
 // DTMC X^ with transition matrix P = I + Q/Lambda subordinated to a Poisson
 // process of rate Lambda. This class materializes P transposed in CSR form so
 // that distribution stepping pi' = pi * P is a gather-style SpMV.
+//
+// Live-prefix stepping. A forward pass that starts from a sparse vector
+// (the regenerative state, a point initial distribution) can only have
+// reached states within k transitions after k steps, and the generator's
+// breadth-first numbering (markov/builder.hpp) makes those states a
+// leading prefix of the indices. reach() bounds where one step's product
+// can be non-zero, so a pass steps only its live prefix [0, live) with
+// the leading-rows product, growing live = max(live, reach(live)) before
+// every step. The result is bit-identical to full-length stepping: P^T's
+// entries are finite and >= 0, so a row past reach(live) gathers only
+// +0.0 terms, and a live prefix that never shrinks keeps both ping-pong
+// buffers zero past it. A dense iterate simply runs at live = n.
 #pragma once
 
 #include <span>
@@ -43,11 +55,32 @@ class RandomizedDtmc {
     pt_.mul_vec(in, out);
   }
 
-  /// out = in * P with the gather rows partitioned across `pool`
-  /// (bit-identical to the serial step — see CsrMatrix::mul_vec).
+  /// out[0, live) = (in * P)[0, live), rows past `live` untouched — the
+  /// live-prefix step (header comment). Preconditions as step(), plus
+  /// 0 <= live <= num_states().
   void step(std::span<const double> in, std::span<double> out,
+            index_t live) const {
+    pt_.mul_vec_leading(in, out, live);
+  }
+
+  /// Live-prefix step with the gather rows partitioned across `pool`
+  /// (bit-identical to the serial step — see CsrMatrix::mul_vec).
+  void step(std::span<const double> in, std::span<double> out, index_t live,
             ThreadPool& pool) const {
-    pt_.mul_vec(in, out, pool);
+    pt_.mul_vec_leading(in, out, live, pool);
+  }
+
+  /// First row from which one step's product is +0.0 when the input is
+  /// zero from `live` on: every row >= reach(live) stores columns >= live
+  /// only. reach(0) == 0, monotone in live, at most num_states(); it may
+  /// be below `live` (a pass grows its prefix to max(live, reach(live))).
+  /// Precondition: 0 <= live <= num_states().
+  [[nodiscard]] index_t reach(index_t live) const;
+
+  /// Stored entries of the leading `live` rows of P^T — the work of one
+  /// live-prefix step (what a pooled-product size floor should count).
+  [[nodiscard]] std::int64_t leading_nnz(index_t live) const {
+    return pt_.row_ptr()[static_cast<std::size_t>(live)];
   }
 
   /// P transposed, row j = incoming probabilities of state j.
@@ -68,9 +101,19 @@ class RandomizedDtmc {
  private:
   RandomizedDtmc() = default;  // for from_parts
 
+  /// Derive first_col_min_ from pt_ (the constructor and from_parts).
+  void build_reach();
+
   CsrMatrix pt_;
   std::vector<double> self_loop_;
   double lambda_ = 0.0;
+  /// first_col_min_[j] = smallest column stored in P^T rows j..n-1 (n when
+  /// they are all empty), size n + 1 — the suffix minimum reach() searches.
+  std::vector<index_t> first_col_min_;
 };
+
+/// One past the last non-zero entry of x (0 for an all-zero x): the live
+/// prefix a pass starting from x begins with.
+[[nodiscard]] index_t leading_support(std::span<const double> x) noexcept;
 
 }  // namespace rrl

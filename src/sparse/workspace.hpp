@@ -22,8 +22,9 @@
 // model-sized matrix-vector products. Solvers consult pooled_spmv(), which
 // applies the nested-parallelism guard (never partition from inside a
 // parallel region — the scenario axis already owns the cores) and a
-// matrix-size floor (the per-step pool synchronization only pays for
-// itself on large models).
+// product-size floor (the per-step pool synchronization only pays for
+// itself on large products; a live-prefix pass, markov/dtmc.hpp, counts
+// only its prefix's entries).
 // Buffers are allocated cache-line aligned (sparse/aligned_alloc.hpp): the
 // vector operands of the vectorized SpMV kernels then start on a 64-byte
 // boundary, so the kernels' (unaligned-instruction) loads and stores never
@@ -70,7 +71,7 @@ class SolveWorkspace {
 
   /// Stored-entry floor below which the pooled SpMV path is skipped: one
   /// pooled product costs a pool wake-up + join (microseconds), which only
-  /// amortizes against models whose serial SpMV is at least comparable.
+  /// amortizes against products whose serial SpMV is at least comparable.
   static constexpr std::int64_t kMinPooledNnz = 32768;
 
   /// Borrowed pool for row-partitioned SpMV in solver hot loops; nullptr
@@ -80,12 +81,12 @@ class SolveWorkspace {
   ThreadPool* spmv_pool = nullptr;
 
   /// The pool to row-partition a product over, or nullptr to stay serial:
-  /// requires a pool with real workers, a matrix of at least kMinPooledNnz
-  /// stored entries, and — the nested-parallelism guard — a calling thread
-  /// that is not already inside a parallel_for region (there the cores
-  /// belong to the scenario axis, and a nested pooled call would run
-  /// inline anyway). The pooled kernel is bit-identical to the serial one,
-  /// so consulting this is purely a scheduling decision.
+  /// requires a pool with real workers, a product over at least
+  /// kMinPooledNnz stored entries, and — the nested-parallelism guard — a
+  /// calling thread that is not already inside a parallel_for region
+  /// (there the cores belong to the scenario axis, and a nested pooled
+  /// call would run inline anyway). The pooled kernel is bit-identical to
+  /// the serial one, so consulting this is purely a scheduling decision.
   [[nodiscard]] ThreadPool* pooled_spmv(std::int64_t nnz) const noexcept {
     return (spmv_pool != nullptr && spmv_pool->num_threads() > 1 &&
             nnz >= kMinPooledNnz && !ThreadPool::in_parallel_region())

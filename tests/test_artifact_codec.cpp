@@ -215,5 +215,32 @@ TEST(ArtifactCodec, ImportIgnoresForeignSchemas) {
   EXPECT_EQ(rrl_warm->schema_cache_stats().seeded, 0u);
 }
 
+TEST(ArtifactCodec, RegenerativeArtifactIgnoresCallOrder) {
+  // Concurrent workers fill one solver's schema memo in whatever order
+  // they reach it; two memos holding the same (t, eps) keys must export
+  // the same bytes.
+  const Model model = multiproc_model();
+  SolverConfig config;
+  config.epsilon = kEps;
+  config.regenerative = model.regenerative;
+  const std::vector<SolveRequest> requests = {
+      SolveRequest::trr({10.0}), SolveRequest::mrr({1.0, 100.0}, 1e-10),
+      SolveRequest::trr({5.0, 10.0}, 1e-10), SolveRequest::mrr({100.0})};
+  for (const std::string name : {"rr", "rrl"}) {
+    const auto forward = make_solver(name, model.chain, model.rewards,
+                                     model.initial, config);
+    const auto backward = make_solver(name, model.chain, model.rewards,
+                                      model.initial, config);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      (void)forward->solve_grid(requests[i]);
+      (void)backward->solve_grid(requests[requests.size() - 1 - i]);
+    }
+    const CompiledArtifact a = export_artifact(*forward, 1, config);
+    const CompiledArtifact b = export_artifact(*backward, 1, config);
+    ASSERT_EQ(a.schemas.size(), 4u) << name;
+    EXPECT_EQ(serialized(a), serialized(b)) << name;
+  }
+}
+
 }  // namespace
 }  // namespace rrl
