@@ -35,8 +35,9 @@ int main() {
                      r.stats.inversion_converged ? "yes" : "NO"});
     }
     table.print();
-    std::printf("(model re-derived from prose; see EXPERIMENTS.md for why\n"
-                "~1%% deviation is the expected fidelity)\n\n");
+    std::printf("(model re-derived from the paper's prose, which does not\n"
+                "pin down every transition: ~1%% deviation is the expected\n"
+                "fidelity)\n\n");
   }
 
   std::printf("--- RRL vs baselines at affordable t ---\n");

@@ -86,6 +86,6 @@ int main() {
       "the compromise the paper adopts. At t >= 1e4 the UR reference (RR)\n"
       "itself carries ~steps*1e-15 of accumulated SpMV round-off, which is\n"
       "what the flat ~1e-9 deviation at t = 1e5 shows (all multipliers\n"
-      "agree with each other to ~1e-12; see EXPERIMENTS.md).\n");
+      "agree with each other to ~1e-12).\n");
   return 0;
 }

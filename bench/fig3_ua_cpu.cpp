@@ -8,9 +8,11 @@
 // is a crosspoint between RR/RRL and RSD at small-to-moderate t.
 // RRL_BENCH_QUICK=1 restricts t <= 1e3 (see bench_common.hpp).
 //
-// Solvers are constructed through the registry, and a second table reports
-// the amortized solve_grid() sweep: the whole time grid in one call costs
-// about as much as the single largest point for every method.
+// Solvers are constructed through the registry, a fresh one for every timed
+// call so each time includes the method's whole compile (the RR/RRL
+// schema), and a second table reports the amortized solve_grid() sweep: the
+// whole time grid in one call costs about as much as the single largest
+// point for every method.
 #include "bench_common.hpp"
 
 #include <memory>
@@ -38,11 +40,12 @@ int main() {
     // In quick mode this caps RSD's randomization pass, RR's V-solve and
     // the RR/RRL schemas; capped results are marked '*' below.
     config.step_cap = sr_step_cap();
-    std::vector<std::unique_ptr<TransientSolver>> solvers;
-    for (const std::string& name : names) {
-      solvers.push_back(make_solver(name, model.chain, rewards, alpha,
-                                    config));
-    }
+    // Every timed call gets a solver of its own: a reused RR/RRL solver
+    // would answer later calls from its schema memo (a hit, or a prefix
+    // cut from a longer schema) and time none of the K model-sized steps.
+    const auto fresh_solver = [&](std::size_t j) {
+      return make_solver(names[j], model.chain, rewards, alpha, config);
+    };
 
     const std::vector<double> ts = time_sweep();
     std::vector<double> summed_seconds(names.size(), 0.0);
@@ -51,8 +54,9 @@ int main() {
                      "RRL inv. %", "UA(t) via RRL"});
     for (const double t : ts) {
       std::vector<TransientValue> results;
-      for (std::size_t j = 0; j < solvers.size(); ++j) {
-        results.push_back(solvers[j]->solve_point(t, MeasureKind::kTrr));
+      for (std::size_t j = 0; j < names.size(); ++j) {
+        results.push_back(
+            fresh_solver(j)->solve_point(t, MeasureKind::kTrr));
         summed_seconds[j] += results.back().stats.seconds;
       }
       const TransientValue& rrl_result = results[0];
@@ -74,7 +78,7 @@ int main() {
       // Cross-check the three methods on the fly. RR's V-solve performs
       // ~Lambda*t sequential SpMV steps whose round-off accumulates to
       // ~steps*1e-15 — the tolerance must scale accordingly (RRL itself
-      // stays at eps; see EXPERIMENTS.md "round-off note").
+      // stays at eps: it sums schema-sized series, not ~Lambda*t products).
       const double tol = 1e-10 + 1e-14 * static_cast<double>(
                                       rr_result.stats.vmodel_steps);
       if (!rr_result.stats.capped &&
@@ -92,9 +96,9 @@ int main() {
     // The same sweep as ONE amortized solve_grid() call per method.
     TextTable grid_table({"solver", "per-point sum (s)", "grid sweep (s)",
                           "grid steps", "grid V-steps"});
-    for (std::size_t j = 0; j < solvers.size(); ++j) {
+    for (std::size_t j = 0; j < names.size(); ++j) {
       const SolveReport report =
-          solvers[j]->solve_grid(SolveRequest::trr(ts));
+          fresh_solver(j)->solve_grid(SolveRequest::trr(ts));
       grid_table.add_row(
           {names[j], fmt_sig(summed_seconds[j], 4),
            fmt_sig(report.total.seconds, 4),

@@ -7,9 +7,11 @@
 // ~4.4e6 at t = 1e5 for G = 40); RR beats SR there, and RRL beats RR
 // significantly. RRL_BENCH_QUICK=1 restricts t <= 1e3 and caps SR.
 //
-// Solvers are constructed through the registry, and a second table reports
-// the amortized solve_grid() sweep: even SR then pays its ~Lambda*t_max
-// randomization pass only once for the whole grid.
+// Solvers are constructed through the registry, a fresh one for every timed
+// call so each time includes the method's whole compile (the RR/RRL
+// schema), and a second table reports the amortized solve_grid() sweep:
+// even SR then pays its ~Lambda*t_max randomization pass only once for the
+// whole grid.
 #include "bench_common.hpp"
 
 #include <memory>
@@ -37,11 +39,12 @@ int main() {
     // In quick mode this caps SR's randomization pass, RR's V-solve and
     // the RR/RRL schemas; capped results are marked '*' below.
     config.step_cap = sr_step_cap();
-    std::vector<std::unique_ptr<TransientSolver>> solvers;
-    for (const std::string& name : names) {
-      solvers.push_back(make_solver(name, model.chain, rewards, alpha,
-                                    config));
-    }
+    // Every timed call gets a solver of its own: a reused RR/RRL solver
+    // would answer later calls from its schema memo (a hit, or a prefix
+    // cut from a longer schema) and time none of the K model-sized steps.
+    const auto fresh_solver = [&](std::size_t j) {
+      return make_solver(names[j], model.chain, rewards, alpha, config);
+    };
 
     const std::vector<double> ts = time_sweep();
     std::vector<double> summed_seconds(names.size(), 0.0);
@@ -50,8 +53,9 @@ int main() {
                      "UR(t) via RRL"});
     for (const double t : ts) {
       std::vector<TransientValue> results;
-      for (std::size_t j = 0; j < solvers.size(); ++j) {
-        results.push_back(solvers[j]->solve_point(t, MeasureKind::kTrr));
+      for (std::size_t j = 0; j < names.size(); ++j) {
+        results.push_back(
+            fresh_solver(j)->solve_point(t, MeasureKind::kTrr));
         summed_seconds[j] += results.back().stats.seconds;
       }
       const TransientValue& rrl_result = results[0];
@@ -68,7 +72,7 @@ int main() {
                      fmt_sci(rrl_result.value, 5)});
       // SR performs ~Lambda*t sequential SpMV steps whose round-off
       // accumulates to ~steps*1e-15; the cross-check tolerance must scale
-      // accordingly (see EXPERIMENTS.md "round-off note").
+      // accordingly.
       const double tol = 1e-10 + 1e-14 * static_cast<double>(
                                       sr_result.stats.dtmc_steps);
       if (!sr_result.stats.capped && !rr_result.stats.capped &&
@@ -87,9 +91,9 @@ int main() {
     // The same sweep as ONE amortized solve_grid() call per method.
     TextTable grid_table({"solver", "per-point sum (s)", "grid sweep (s)",
                           "grid steps", "grid V-steps"});
-    for (std::size_t j = 0; j < solvers.size(); ++j) {
+    for (std::size_t j = 0; j < names.size(); ++j) {
       const SolveReport report =
-          solvers[j]->solve_grid(SolveRequest::trr(ts));
+          fresh_solver(j)->solve_grid(SolveRequest::trr(ts));
       grid_table.add_row(
           {names[j], fmt_sig(summed_seconds[j], 4),
            fmt_sig(report.total.seconds, 4),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "markov/poisson.hpp"
 #include "sparse/vector_ops.hpp"
@@ -27,10 +28,27 @@ double ExcursionSeries::va_rewarded(std::size_t k,
 
 namespace {
 
-/// Step one excursion chain until the truncation bound drops below
-/// `eps_budget`. `mu` is the initial sub-distribution (mass at r for the
-/// main chain, the initial distribution restricted to S \ {r} for the primed
-/// chain).
+/// Where an excursion series ends at index k.
+enum class ExcursionStop { kContinue, kWithinBudget, kCapped };
+
+/// The truncation rule, shared by a fresh build and a cut so the two stop
+/// at the same index: stop once r_max * a(k) * E[(N(Lambda t) - k)^+] is
+/// within `eps_budget` (r_max == 0 means every reward is zero and the
+/// measure is trivially exact), else once k reaches the step cap.
+ExcursionStop excursion_stop(std::int64_t k, double mass,
+                             const PoissonDistribution& poisson,
+                             double r_max, double eps_budget,
+                             std::int64_t step_cap) {
+  const double bound =
+      r_max == 0.0 ? 0.0 : r_max * mass * poisson.expected_excess(k);
+  if (bound <= eps_budget) return ExcursionStop::kWithinBudget;
+  if (step_cap >= 0 && k >= step_cap) return ExcursionStop::kCapped;
+  return ExcursionStop::kContinue;
+}
+
+/// Step one excursion chain until the truncation rule stops it. `mu` is
+/// the initial sub-distribution (mass at r for the main chain, the initial
+/// distribution restricted to S \ {r} for the primed chain).
 ExcursionSeries run_excursion(const RandomizedDtmc& dtmc,
                               std::span<const double> rewards,
                               std::span<const index_t> reward_idx,
@@ -57,15 +75,13 @@ ExcursionSeries run_excursion(const RandomizedDtmc& dtmc,
     series.c.push_back(
         sparse_reward_dot(indices_below(reward_idx, live), rewards, mu));
 
-    // Truncation bound: r_max * a(k) * E[(N(Lambda t) - k)^+]. r_max == 0
-    // means every reward is zero and the measure is trivially exact.
-    const double bound =
-        r_max == 0.0 ? 0.0 : r_max * mass * poisson.expected_excess(k);
-    if (bound <= eps_budget) {
+    const ExcursionStop stop =
+        excursion_stop(k, mass, poisson, r_max, eps_budget, step_cap);
+    if (stop == ExcursionStop::kWithinBudget) {
       series.exact = (mass == 0.0);
       break;
     }
-    if (step_cap >= 0 && k >= step_cap) {
+    if (stop == ExcursionStop::kCapped) {
       capped = true;
       break;
     }
@@ -90,6 +106,37 @@ ExcursionSeries run_excursion(const RandomizedDtmc& dtmc,
     mass = live_sum();
   }
   return series;
+}
+
+/// The series a fresh run_excursion() with this Poisson distribution,
+/// budget and cap would produce, cut from `longer`: the same rule walked
+/// over longer's a(k). nullopt if `longer` ends before the rule stops.
+std::optional<ExcursionSeries> cut_excursion(
+    const ExcursionSeries& longer, const PoissonDistribution& poisson,
+    double r_max, double eps_budget, std::int64_t step_cap, bool& capped) {
+  for (std::int64_t k = 0; k <= longer.truncation(); ++k) {
+    const auto uk = static_cast<std::size_t>(k);
+    const ExcursionStop stop = excursion_stop(k, longer.a[uk], poisson,
+                                              r_max, eps_budget, step_cap);
+    if (stop == ExcursionStop::kContinue) continue;
+    const auto prefix = [](const std::vector<double>& v, std::size_t n) {
+      return std::vector<double>(v.begin(),
+                                 v.begin() + static_cast<std::ptrdiff_t>(n));
+    };
+    ExcursionSeries series;
+    series.a = prefix(longer.a, uk + 1);
+    series.c = prefix(longer.c, uk + 1);
+    series.qa = prefix(longer.qa, uk);
+    series.va.reserve(longer.va.size());
+    for (const std::vector<double>& v : longer.va) {
+      series.va.push_back(prefix(v, uk));
+    }
+    series.exact =
+        stop == ExcursionStop::kWithinBudget && longer.a[uk] == 0.0;
+    if (stop == ExcursionStop::kCapped) capped = true;
+    return series;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -143,6 +190,42 @@ RegenerativeSchema compute_regenerative_schema(
                                   regenerative_state, std::move(mu), poisson,
                                   schema.r_max, eps_model, options.step_cap,
                                   schema.capped);
+  }
+  return schema;
+}
+
+std::optional<RegenerativeSchema> truncate_regenerative_schema(
+    const RegenerativeSchema& longer, double t,
+    const RegenerativeOptions& options) {
+  RRL_EXPECTS(t >= 0.0);
+  RRL_EXPECTS(options.epsilon > 0.0);
+  RRL_EXPECTS(!longer.main.a.empty());
+
+  RegenerativeSchema schema;
+  schema.t = t;
+  schema.lambda = longer.lambda;
+  schema.alpha_r = longer.alpha_r;
+  schema.r_max = longer.r_max;
+  schema.regenerative = longer.regenerative;
+  schema.absorbing = longer.absorbing;
+  schema.f_rewards = longer.f_rewards;
+  schema.has_primed = longer.has_primed;
+
+  // The same Poisson distribution and budget split as a fresh build.
+  const PoissonDistribution poisson(longer.lambda * t);
+  const double eps_model =
+      options.epsilon / (schema.has_primed ? 4.0 : 2.0);
+  std::optional<ExcursionSeries> main =
+      cut_excursion(longer.main, poisson, schema.r_max, eps_model,
+                    options.step_cap, schema.capped);
+  if (!main) return std::nullopt;
+  schema.main = std::move(*main);
+  if (schema.has_primed) {
+    std::optional<ExcursionSeries> primed =
+        cut_excursion(longer.primed, poisson, schema.r_max, eps_model,
+                      options.step_cap, schema.capped);
+    if (!primed) return std::nullopt;
+    schema.primed = std::move(*primed);
   }
   return schema;
 }

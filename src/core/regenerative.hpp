@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -104,6 +105,18 @@ struct RegenerativeSchema {
 [[nodiscard]] RegenerativeSchema compute_regenerative_schema(
     const Ctmc& chain, std::span<const double> rewards,
     std::span<const double> initial, index_t regenerative_state, double t,
+    const RegenerativeOptions& options = {});
+
+/// The schema compute_regenerative_schema() would build for horizon t and
+/// `options`, cut from `longer` — a schema of the same chain, rewards,
+/// initial distribution, regenerative state and rate factor built for
+/// another (t, eps). The series do not depend on t or eps, only where they
+/// stop does, so the result is the fresh build's prefix bit for bit: the
+/// same truncation rule walks longer's a(k), and `exact` and `capped` are
+/// set as the fresh build sets them. nullopt if `longer` stops first (a
+/// tighter key than it was built for). O(K + L) plus one Poisson window.
+[[nodiscard]] std::optional<RegenerativeSchema> truncate_regenerative_schema(
+    const RegenerativeSchema& longer, double t,
     const RegenerativeOptions& options = {});
 
 /// Heuristic choice of the regenerative state: the method "will be good

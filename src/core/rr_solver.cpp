@@ -36,24 +36,32 @@ RegenerativeRandomization::RegenerativeRandomization(
 }
 
 RegenerativeSchema RegenerativeRandomization::schema(double t) const {
-  return schema_with(t, options_.epsilon);
+  return compute_regenerative_schema(chain_, rewards_, initial_,
+                                     regenerative_, t,
+                                     schema_options(options_.epsilon));
 }
 
-RegenerativeSchema RegenerativeRandomization::schema_with(double t,
-                                                          double eps) const {
+RegenerativeOptions RegenerativeRandomization::schema_options(
+    double eps) const {
   RegenerativeOptions opts;
   opts.epsilon = eps;
   opts.rate_factor = options_.rate_factor;
   opts.step_cap = options_.schema_step_cap;
-  return compute_regenerative_schema(chain_, rewards_, initial_,
-                                     regenerative_, t, opts);
+  return opts;
 }
 
 std::shared_ptr<const CompiledSchema> RegenerativeRandomization::compiled_for(
     double t, double eps) const {
-  return schema_cache_.get(t, eps, /*want_transform=*/false,
-                           /*want_vmodel=*/true,
-                           [&] { return schema_with(t, eps); });
+  const RegenerativeOptions opts = schema_options(eps);
+  return schema_cache_.get(
+      t, eps, /*want_transform=*/false, /*want_vmodel=*/true,
+      [&] {
+        return compute_regenerative_schema(chain_, rewards_, initial_,
+                                           regenerative_, t, opts);
+      },
+      [&](const RegenerativeSchema& longer) {
+        return truncate_regenerative_schema(longer, t, opts);
+      });
 }
 
 void RegenerativeRandomization::export_compiled(
@@ -78,6 +86,13 @@ void RegenerativeRandomization::import_compiled(
   }
 }
 
+void RegenerativeRandomization::precompile(
+    const SolveRequest& request) const {
+  const double eps = validated_epsilon(request, options_.epsilon);
+  (void)compiled_for(
+      *std::max_element(request.times.begin(), request.times.end()), eps);
+}
+
 TransientValue RegenerativeRandomization::trr(double t) const {
   RRL_EXPECTS(t >= 0.0);
   return solve_point(t, MeasureKind::kTrr);
@@ -98,10 +113,10 @@ SolveReport RegenerativeRandomization::solve_grid(
   // t < t_max the truncation bound at K(t_max) is only smaller
   // (E[(N(Lambda t) - K)^+] decreases in K), so the longer series stays
   // within budget at every requested time. The compiled artifact (schema +
-  // materialized V_{K,L}) is memoized per exact (t_max, eps) — repeated
-  // sweeps over the same horizon (the other measure, another grid
-  // resolution, the study subsystem's shared solvers) pay the K model-sized
-  // steps and the V-model assembly once.
+  // materialized V_{K,L}) is memoized per (t_max, eps), and a new key is
+  // cut from the longest memoized series when it fits — repeated sweeps
+  // (the other measure, another grid resolution or eps, the study
+  // subsystem's shared solvers) pay the K model-sized steps once.
   const double t_max =
       *std::max_element(request.times.begin(), request.times.end());
   const auto compiled = compiled_for(t_max, eps);
@@ -209,11 +224,11 @@ void solve_rr_batch(std::span<const RrBatchItem> items, ThreadPool* pool) {
   // schema another sweep already built pays nothing) and build the
   // members' Poisson-mixture sweeps with the inner pass's exact truncation
   // rule. A compile failure fails every member of the group — identical to
-  // what each per-scenario solve would have reported. Distinct groups
-  // compile concurrently on the pool (the schema memo builds outside its
-  // lock for exactly this; groups touch disjoint member slots), so a cold
-  // multi-schema batch keeps the compile-phase parallelism the scenario
-  // axis used to provide.
+  // what each per-scenario solve would have reported. Groups compile
+  // concurrently on the pool (they touch disjoint member slots), leaders
+  // first (LeaderSchedule): each solver's most demanding group steps its
+  // schema while that solver's other groups wait to cut theirs from it,
+  // and different solvers' leaders build side by side.
   const auto compile_group = [&items](VGroup& g) {
     const Stopwatch compile_watch;
     try {
@@ -248,12 +263,22 @@ void solve_rr_batch(std::span<const RrBatchItem> items, ThreadPool* pool) {
     }
     g.compile_seconds = compile_watch.seconds();
   };
+  std::vector<CompileDemand> demands;
+  demands.reserve(groups.size());
+  for (const VGroup& g : groups) {
+    demands.push_back(CompileDemand{g.solver, g.eps, g.t_max,
+                                    g.solver->chain().num_states()});
+  }
+  const LeaderSchedule schedule(demands);
   if (pool_usable && groups.size() > 1) {
-    pool->parallel_for(groups.size(), [&](std::size_t b, std::size_t) {
-      compile_group(groups[b]);
+    pool->parallel_for(schedule.size(), [&](std::size_t k, std::size_t) {
+      const std::size_t b = schedule[k];
+      schedule.run(b, [&] { compile_group(groups[b]); });
     });
   } else {
-    for (VGroup& g : groups) compile_group(g);
+    for (std::size_t k = 0; k < schedule.size(); ++k) {
+      compile_group(groups[schedule[k]]);
+    }
   }
 
   // Drop groups with nothing to step (compile failures, zero-reward

@@ -60,6 +60,8 @@ class RegenerativeRandomization : public TransientSolver {
   using TransientSolver::solve_grid;
   [[nodiscard]] SolveReport solve_grid(
       const SolveRequest& request, SolveWorkspace& workspace) const override;
+  /// Memoizes the schema and V-model solve_grid(request) runs on.
+  void precompile(const SolveRequest& request) const override;
 
   /// Compile → execute split: RR's compiled state is the memoized
   /// (t, eps)-keyed schemas; the V_{K,L} model is re-derived
@@ -82,6 +84,7 @@ class RegenerativeRandomization : public TransientSolver {
   [[nodiscard]] const RrOptions& options() const noexcept {
     return options_;
   }
+  [[nodiscard]] const Ctmc& chain() const noexcept { return chain_; }
 
   /// Hit/miss accounting of the memoized schema artifact (see
   /// core/schema_cache.hpp).
@@ -90,7 +93,7 @@ class RegenerativeRandomization : public TransientSolver {
   }
 
  private:
-  [[nodiscard]] RegenerativeSchema schema_with(double t, double eps) const;
+  [[nodiscard]] RegenerativeOptions schema_options(double eps) const;
 
   const Ctmc& chain_;
   std::vector<double> rewards_;

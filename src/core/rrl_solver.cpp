@@ -27,24 +27,32 @@ RegenerativeRandomizationLaplace::RegenerativeRandomizationLaplace(
 }
 
 RegenerativeSchema RegenerativeRandomizationLaplace::schema(double t) const {
-  return schema_with(t, options_.epsilon);
+  return compute_regenerative_schema(chain_, rewards_, initial_,
+                                     regenerative_, t,
+                                     schema_options(options_.epsilon));
 }
 
-RegenerativeSchema RegenerativeRandomizationLaplace::schema_with(
-    double t, double eps) const {
+RegenerativeOptions RegenerativeRandomizationLaplace::schema_options(
+    double eps) const {
   RegenerativeOptions opts;
   opts.epsilon = eps;
   opts.rate_factor = options_.rate_factor;
   opts.step_cap = options_.schema_step_cap;
-  return compute_regenerative_schema(chain_, rewards_, initial_,
-                                     regenerative_, t, opts);
+  return opts;
 }
 
 std::shared_ptr<const CompiledSchema>
 RegenerativeRandomizationLaplace::compiled_schema(double t, double eps) const {
-  return schema_cache_.get(t, eps, /*want_transform=*/true,
-                           /*want_vmodel=*/false,
-                           [&] { return schema_with(t, eps); });
+  const RegenerativeOptions opts = schema_options(eps);
+  return schema_cache_.get(
+      t, eps, /*want_transform=*/true, /*want_vmodel=*/false,
+      [&] {
+        return compute_regenerative_schema(chain_, rewards_, initial_,
+                                           regenerative_, t, opts);
+      },
+      [&](const RegenerativeSchema& longer) {
+        return truncate_regenerative_schema(longer, t, opts);
+      });
 }
 
 void RegenerativeRandomizationLaplace::export_compiled(
@@ -64,6 +72,17 @@ void RegenerativeRandomizationLaplace::import_compiled(
     schema_cache_.seed(e.t, e.eps, e.schema, /*want_transform=*/true,
                        /*want_vmodel=*/false);
   }
+}
+
+void RegenerativeRandomizationLaplace::precompile(
+    const SolveRequest& request) const {
+  const double eps = validated_epsilon(request, options_.epsilon);
+  const double t_max =
+      *std::max_element(request.times.begin(), request.times.end());
+  // The same early outs as solve_grid: all-zero rewards and t = 0 alone
+  // need no schema.
+  if (r_max_ == 0.0 || t_max == 0.0) return;
+  (void)compiled_schema(t_max, eps);
 }
 
 TransientValue RegenerativeRandomizationLaplace::trr(double t) const {
@@ -207,10 +226,10 @@ SolveReport RegenerativeRandomizationLaplace::solve_grid(
   // t < t_max the truncation bound at K(t_max) is only smaller
   // (E[(N(Lambda t) - K)^+] decreases in K), so the longer series remains
   // within budget at every requested time. The compiled artifact (schema +
-  // transform evaluator) is memoized per exact (t_max, eps), so repeated
-  // sweeps over the same horizon — the other measure, a different grid
-  // resolution, the study subsystem's shared solvers — pay the K model
-  // steps once.
+  // transform evaluator) is memoized per (t_max, eps), and a new key is
+  // cut from the longest memoized series when it fits, so repeated sweeps
+  // — the other measure, a different grid resolution or eps, the study
+  // subsystem's shared solvers — pay the K model steps once.
   const auto compiled = compiled_schema(t_max, eps);
   const RegenerativeSchema& sch = compiled->schema;
   const TrrTransform& transform = *compiled->transform;

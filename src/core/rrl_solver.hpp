@@ -74,6 +74,8 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
   using TransientSolver::solve_grid;
   [[nodiscard]] SolveReport solve_grid(
       const SolveRequest& request, SolveWorkspace& workspace) const override;
+  /// Memoizes the schema and transform solve_grid(request) runs on.
+  void precompile(const SolveRequest& request) const override;
 
   /// Compile → execute split: RRL's compiled state is the memoized
   /// (t, eps)-keyed schemas; the transform evaluator is re-derived
@@ -122,7 +124,7 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
   }
 
  private:
-  [[nodiscard]] RegenerativeSchema schema_with(double t, double eps) const;
+  [[nodiscard]] RegenerativeOptions schema_options(double eps) const;
   [[nodiscard]] std::shared_ptr<const CompiledSchema> compiled_schema(
       double t, double eps) const;
   [[nodiscard]] TransientValue invert(const TrrTransform& transform, double t,

@@ -1,6 +1,8 @@
 #include "core/schema_cache.hpp"
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <utility>
 
 #include "support/metrics.hpp"
@@ -13,6 +15,7 @@ struct SchemaCounters {
   metrics::Counter& hits = metrics::counter("rrl_cache_schema_hits_total");
   metrics::Counter& builds =
       metrics::counter("rrl_cache_schema_builds_total");
+  metrics::Counter& cuts = metrics::counter("rrl_cache_schema_cuts_total");
   metrics::Counter& seeded =
       metrics::counter("rrl_cache_schema_seeded_total");
 };
@@ -48,6 +51,13 @@ bool SchemaCache::satisfies(const CompiledSchema& compiled,
 void SchemaCache::insert(
     double t, double eps,
     std::shared_ptr<const CompiledSchema> compiled) const {
+  for (Slot& s : slots_) {
+    if (s.t == t && s.eps == eps) {
+      s.compiled = std::move(compiled);
+      s.last_used = ++clock_;
+      return;
+    }
+  }
   if (slots_.size() >= capacity_) {
     const auto oldest = std::min_element(
         slots_.begin(), slots_.end(),
@@ -59,13 +69,14 @@ void SchemaCache::insert(
 
 std::shared_ptr<const CompiledSchema> SchemaCache::get(
     double t, double eps, bool want_transform, bool want_vmodel,
-    const std::function<RegenerativeSchema()>& build) const {
+    const Builder& build, const Cutter& cut) const {
+  std::unique_lock<std::mutex> lock(mutex_);
   // Every caller of one cache passes the same wants (RR wants the V-model,
   // RRL wants the transform), so a hit's derived objects match the
-  // request; the satisfies() guard below merely rebuilds if that ever
-  // changed.
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
+  // request; the satisfies() guard merely rebuilds if that ever changed.
+  // A miss behind an in-flight build waits for it to land, then looks
+  // again: the key may be there now, or cuttable from what landed.
+  for (;;) {
     for (Slot& s : slots_) {
       if (s.t == t && s.eps == eps &&
           satisfies(*s.compiled, want_transform, want_vmodel)) {
@@ -75,35 +86,53 @@ std::shared_ptr<const CompiledSchema> SchemaCache::get(
         return s.compiled;
       }
     }
+    if (!building_ || capacity_ == 0) break;
+    landed_.wait(lock);
   }
 
-  // Miss: compute outside the lock so concurrent misses on different keys
-  // proceed in parallel.
-  std::shared_ptr<CompiledSchema> fresh;
-  {
-    const trace::Span span("schema.build");
-    fresh = compile(build(), want_transform, want_vmodel);
-  }
-  schema_counters().builds.add(1);
-
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  for (Slot& s : slots_) {
-    if (s.t == t && s.eps == eps) {
-      // A racing worker inserted the same key first; both artifacts are
-      // bit-identical by determinism of the builder, so adopt whichever
-      // satisfies the request.
-      if (satisfies(*s.compiled, want_transform, want_vmodel)) {
-        s.last_used = ++clock_;
-        return s.compiled;
+  // This miss owns the flight (a capacity-0 cache retains nothing to wait
+  // for or cut from, so its misses just build). The longest retained
+  // entry is the one most likely to contain the key.
+  building_ = capacity_ > 0;
+  std::shared_ptr<const CompiledSchema> longest;
+  if (cut) {
+    for (const Slot& s : slots_) {
+      const RegenerativeSchema& sch = s.compiled->schema;
+      if (longest == nullptr ||
+          std::make_pair(sch.K(), sch.L()) >
+              std::make_pair(longest->schema.K(), longest->schema.L())) {
+        longest = s.compiled;
       }
-      s.compiled = fresh;
-      s.last_used = ++clock_;
-      return fresh;
     }
   }
-  if (capacity_ == 0) return fresh;  // degenerate cache: never retain
-  insert(t, eps, fresh);
+  lock.unlock();
+
+  std::shared_ptr<CompiledSchema> fresh;
+  bool was_cut = false;
+  try {
+    const trace::Span span("schema.build");
+    std::optional<RegenerativeSchema> schema;
+    if (longest != nullptr) schema = cut(longest->schema);
+    was_cut = schema.has_value();
+    if (!was_cut) schema = build();
+    fresh = compile(std::move(*schema), want_transform, want_vmodel);
+  } catch (...) {
+    lock.lock();
+    building_ = false;
+    lock.unlock();
+    landed_.notify_all();  // a waiter takes the flight and tries itself
+    throw;
+  }
+  schema_counters().builds.add(1);
+  if (was_cut) schema_counters().cuts.add(1);
+
+  lock.lock();
+  ++stats_.misses;
+  if (was_cut) ++stats_.cuts;
+  if (capacity_ > 0) insert(t, eps, fresh);
+  building_ = false;
+  lock.unlock();
+  landed_.notify_all();
   return fresh;
 }
 
@@ -148,6 +177,56 @@ SchemaCacheStats SchemaCache::stats() const {
 std::size_t SchemaCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return slots_.size();
+}
+
+LeaderSchedule::LeaderSchedule(std::span<const CompileDemand> demands)
+    : leader_(demands.size(), kNoLeader),
+      is_leader_(demands.size(), 0),
+      ran_(demands.size(), 0) {
+  // Scanning in index order and replacing only on a strictly more
+  // demanding request leaves the lowest index on ties.
+  std::map<const void*, std::size_t> leader_of;
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    const CompileDemand& d = demands[i];
+    if (d.solver == nullptr) continue;
+    const auto [it, inserted] = leader_of.emplace(d.solver, i);
+    const CompileDemand& leader = demands[it->second];
+    if (!inserted && (d.eps < leader.eps ||
+                      (d.eps == leader.eps && d.t_max > leader.t_max))) {
+      it->second = i;
+    }
+  }
+  order_.reserve(demands.size());
+  for (const auto& entry : leader_of) order_.push_back(entry.second);
+  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+    return demands[a].states != demands[b].states
+               ? demands[a].states > demands[b].states
+               : a < b;
+  });
+  for (const std::size_t i : order_) is_leader_[i] = 1;
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    if (is_leader_[i] != 0) continue;
+    order_.push_back(i);
+    if (demands[i].solver != nullptr) {
+      leader_[i] = leader_of.at(demands[i].solver);
+    }
+  }
+}
+
+void LeaderSchedule::wait_for_leader(std::size_t i) const {
+  const std::size_t leader = leader_[i];
+  if (leader == kNoLeader) return;
+  std::unique_lock<std::mutex> lock(mutex_);
+  released_.wait(lock, [&] { return ran_[leader] != 0; });
+}
+
+void LeaderSchedule::release_followers(std::size_t i) const {
+  if (is_leader_[i] == 0) return;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ran_[i] = 1;
+  }
+  released_.notify_all();
 }
 
 }  // namespace rrl

@@ -9,31 +9,42 @@
 // measure or grid resolution, the study subsystem's shared solvers)
 // recomputes an identical artifact per request. SchemaCache memoizes it.
 //
-// Correctness contract: entries are keyed by the EXACT (t, eps) pair the
-// schema was computed for, never by dominance (a schema for a larger t
-// over-covers smaller horizons but is not the artifact a fresh solve would
-// build, and results must stay bit-identical to fresh-solver runs). The
-// builder is deterministic, so a hit returns bit-identical series, and the
-// derived V-model/transform are pure functions of the schema — which is
-// also why seed() can re-materialize them from a deserialized schema
-// (io/artifact_codec) without breaking bit-identity: warm-starting a
-// solver is pre-populating this memo.
+// One series per solver. Entries are keyed by the exact (t, eps) pair a
+// schema was requested for, and a hit returns that key's artifact. The
+// excursion series themselves depend on neither t nor eps — only the index
+// the truncation rule stops them at does — so a looser key's schema is a
+// prefix of a tighter key's, bit for bit. An exact-key miss therefore first
+// tries to CUT the key from the longest retained entry (the caller's cut
+// function, truncate_regenerative_schema for RR/RRL) and steps the chain
+// only when that entry stops too early. Either way the stored artifact is
+// the one a fresh solver would build, so results and exported artifacts
+// stay bit-identical to fresh-solver runs. The derived V-model/transform
+// are pure functions of the schema — which is also why seed() can
+// re-materialize them from a deserialized schema (io/artifact_codec)
+// without breaking bit-identity: warm-starting a solver is pre-populating
+// this memo.
 //
 // Threading: the cache is the only mutable state inside RR/RRL solvers and
 // is internally synchronized, preserving the solver layer's share-one-
-// instance-across-workers contract. A miss computes OUTSIDE the lock (two
-// workers missing the same key may both compute; the first insert wins and
-// the loser adopts it — identical by determinism), so concurrent misses on
-// different keys never serialize. The store is a small clock-stamped pool
-// (capacity entries, least recently used evicted) to bound memory: schemas
-// are O(K) series and only a handful of horizons are live in any real
-// sweep.
+// instance-across-workers contract. Materializing is single-flight per
+// cache: one miss at a time builds or cuts, outside the lock, and a miss
+// arriving meanwhile waits for it to land and then looks again for a hit
+// or a cut. N workers missing one key step it once, and a worker behind a
+// longer build cuts from it instead of stepping its own. Different solvers'
+// caches never wait on each other; callers hand out each solver's most
+// demanding request first (LeaderSchedule) so the others cut. The store is
+// a small clock-stamped pool (capacity entries, least recently used
+// evicted) to bound memory: schemas are O(K) series and only a handful of
+// horizons are live in any real sweep.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/regenerative.hpp"
@@ -52,35 +63,47 @@ struct CompiledSchema {
 };
 
 /// Hit/miss accounting (monotone; read under the cache's own lock).
-/// `seeded` counts entries imported from a previously exported artifact
-/// (the disk tier's warm-start path) rather than computed here.
+/// `misses` counts every key materialized here, stepped or cut; `cuts`
+/// the misses served by cutting a longer retained schema. `seeded` counts
+/// entries imported from a previously exported artifact (the disk tier's
+/// warm-start path) rather than computed here.
 struct SchemaCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
+  std::size_t cuts = 0;
   std::size_t seeded = 0;
 };
 
 class SchemaCache {
  public:
+  /// Steps the chain for the requested key.
+  using Builder = std::function<RegenerativeSchema()>;
+  /// Cuts the requested key from a longer schema; nullopt if it stops
+  /// first.
+  using Cutter = std::function<std::optional<RegenerativeSchema>(
+      const RegenerativeSchema& longer)>;
+
   /// Default number of entries retained; the least recently used entry is
   /// evicted beyond the capacity.
   static constexpr std::size_t kDefaultCapacity = 8;
 
   /// A cache holding at most `capacity` entries. Capacity 0 is legal and
   /// degenerates to "always compute": get() builds and returns without
-  /// retaining anything (every call a miss), seed() is a no-op.
+  /// retaining or waiting on anything (every call a miss), seed() is a
+  /// no-op.
   explicit SchemaCache(std::size_t capacity = kDefaultCapacity)
       : capacity_(capacity) {}
 
   /// The artifact for exactly (t, eps): a memoized copy when one exists,
-  /// otherwise build(t, eps) — invoked without the lock held — inserted
-  /// under the key. `want_transform` / `want_vmodel` additionally
-  /// guarantee the respective derived object is non-null on the returned
-  /// artifact (callers of one cache always pass the same values: RR wants
-  /// the V-model, RRL wants the transform).
+  /// otherwise cut(longest retained schema) or, when that is nullopt or
+  /// `cut` is empty, build() — invoked without the lock held, one miss at
+  /// a time — inserted under the key. `want_transform` / `want_vmodel`
+  /// additionally guarantee the respective derived object is non-null on
+  /// the returned artifact (callers of one cache always pass the same
+  /// values: RR wants the V-model, RRL wants the transform).
   [[nodiscard]] std::shared_ptr<const CompiledSchema> get(
       double t, double eps, bool want_transform, bool want_vmodel,
-      const std::function<RegenerativeSchema()>& build) const;
+      const Builder& build, const Cutter& cut = {}) const;
 
   /// Pre-populate the (t, eps) entry from an already computed schema (the
   /// artifact import path); the requested derived objects are
@@ -120,16 +143,80 @@ class SchemaCache {
       RegenerativeSchema schema, bool want_transform, bool want_vmodel);
   [[nodiscard]] static bool satisfies(const CompiledSchema& compiled,
                                       bool want_transform, bool want_vmodel);
-  /// Insert under the lock, evicting the least recently used slot when at
-  /// capacity. Caller must hold mutex_.
+  /// Insert under the lock, replacing an entry with the same key or else
+  /// evicting the least recently used slot when at capacity. Caller must
+  /// hold mutex_.
   void insert(double t, double eps,
               std::shared_ptr<const CompiledSchema> compiled) const;
 
   std::size_t capacity_ = kDefaultCapacity;
   mutable std::mutex mutex_;
+  /// Signalled when an in-flight build lands (or fails).
+  mutable std::condition_variable landed_;
+  mutable bool building_ = false;
   mutable std::vector<Slot> slots_;
   mutable std::uint64_t clock_ = 0;
   mutable SchemaCacheStats stats_;
+};
+
+/// One iteration of a parallel loop that compiles through shared solvers:
+/// the solver it compiles on (null when it shares none), its request's
+/// effective eps and largest time, and the solver's chain size.
+struct CompileDemand {
+  const void* solver = nullptr;
+  double eps = 0.0;
+  double t_max = 0.0;
+  index_t states = 0;
+};
+
+/// Leaders-first hand-out for such a loop. Each shared solver's most
+/// demanding iteration — its leader: smallest eps, then largest t_max, then
+/// lowest index — is handed out first, the leaders of larger chains first;
+/// everything else follows in index order. A follower runs its compile
+/// step only once its solver's leader has run, so the leader steps the
+/// longest series and the followers cut theirs from it (SchemaCache::get)
+/// instead of racing it to the memo. Different solvers' leaders compile
+/// side by side. No wait can deadlock: every leader is handed out before
+/// its followers and never waits itself.
+class LeaderSchedule {
+ public:
+  explicit LeaderSchedule(std::span<const CompileDemand> demands);
+
+  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+  /// The iteration handed out k-th.
+  [[nodiscard]] std::size_t operator[](std::size_t k) const {
+    return order_[k];
+  }
+
+  /// Run iteration i's compile step: a follower first waits for its
+  /// leader; a leader releases its followers once `step` returns or
+  /// throws.
+  template <typename Step>
+  void run(std::size_t i, Step&& step) const {
+    wait_for_leader(i);
+    try {
+      step();
+    } catch (...) {
+      release_followers(i);
+      throw;
+    }
+    release_followers(i);
+  }
+
+ private:
+  static constexpr std::size_t kNoLeader = static_cast<std::size_t>(-1);
+
+  void wait_for_leader(std::size_t i) const;
+  void release_followers(std::size_t i) const;
+
+  std::vector<std::size_t> order_;
+  /// Per iteration: the leader it waits for; kNoLeader for leaders and
+  /// for iterations without a shared solver.
+  std::vector<std::size_t> leader_;
+  std::vector<std::uint8_t> is_leader_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable released_;
+  mutable std::vector<std::uint8_t> ran_;  ///< per leader, under mutex_
 };
 
 }  // namespace rrl

@@ -7,6 +7,7 @@
 
 #include "core/randomization_batch.hpp"
 #include "core/rr_solver.hpp"
+#include "core/schema_cache.hpp"
 #include "sparse/spmv_kernels.hpp"
 #include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
@@ -54,12 +55,23 @@ void note_result(const ScenarioResult& slot) {
   c.truncation.observe(static_cast<double>(total.dtmc_steps));
 }
 
+/// Solve one scenario, compiling in its `turn` of `schedule` first.
 void solve_one(const SweepScenario& scenario, ScenarioResult& slot,
-               SolveWorkspace& workspace) {
+               SolveWorkspace& workspace, const LeaderSchedule& schedule,
+               std::size_t turn) {
   const trace::Span span("scenario.solve");
   const Stopwatch watch;
   try {
     if (scenario.shared_solver != nullptr) {
+      // A follower waits here until its solver's leader has compiled, then
+      // hits or cuts its schema. A compile error is left for solve_grid to
+      // report.
+      schedule.run(turn, [&] {
+        try {
+          scenario.shared_solver->precompile(scenario.request);
+        } catch (const std::exception&) {
+        }
+      });
       slot.report =
           scenario.shared_solver->solve_grid(scenario.request, workspace);
     } else {
@@ -198,6 +210,32 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
     return out;
   }
 
+  // Hand-out order. Scenarios sharing an RR/RRL solver compile through its
+  // schema memo, which cuts each new key from the longest series it holds
+  // (core/schema_cache.hpp). Handed out in plan order, every worker would
+  // land on the first solver and step its keys in turn; instead each shared
+  // solver's most demanding scenario compiles first and its other
+  // scenarios wait for that compile, then cut (LeaderSchedule). Only the
+  // order changes, never a slot's value.
+  std::vector<CompileDemand> demands;
+  demands.reserve(rest.size());
+  for (const std::size_t i : rest) {
+    const SweepScenario& scenario = batch.scenarios[i];
+    const SolveRequest& request = scenario.request;
+    CompileDemand demand;
+    demand.solver = scenario.shared_solver.get();
+    demand.eps =
+        request.epsilon > 0.0 ? request.epsilon : scenario.config.epsilon;
+    if (!request.times.empty()) {
+      demand.t_max =
+          *std::max_element(request.times.begin(), request.times.end());
+    }
+    demand.states =
+        scenario.chain != nullptr ? scenario.chain->num_states() : 0;
+    demands.push_back(demand);
+  }
+  const LeaderSchedule schedule(demands);
+
   // A batch too small to occupy the pool on the scenario axis (fewer
   // scenarios than workers, with at least 2x slack so the switch is
   // clearly a win) runs the scenarios serially and lends the pool to the
@@ -241,17 +279,20 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
     SolveWorkspace& workspace = workspaces.front();
     ThreadPool* const saved_pool = workspace.spmv_pool;
     workspace.spmv_pool = &pool;
-    for (const std::size_t i : rest) {
-      solve_one(batch.scenarios[i], out.results[i], workspace);
+    for (std::size_t k = 0; k < schedule.size(); ++k) {
+      const std::size_t i = rest[schedule[k]];
+      solve_one(batch.scenarios[i], out.results[i], workspace, schedule,
+                schedule[k]);
     }
     workspace.spmv_pool = saved_pool;
     out.seconds = watch.seconds();
     return out;
   }
 
-  pool.parallel_for(rest.size(), [&](std::size_t k, std::size_t worker) {
-    const std::size_t i = rest[k];
-    solve_one(batch.scenarios[i], out.results[i], workspaces[worker]);
+  pool.parallel_for(schedule.size(), [&](std::size_t k, std::size_t worker) {
+    const std::size_t i = rest[schedule[k]];
+    solve_one(batch.scenarios[i], out.results[i], workspaces[worker],
+              schedule, schedule[k]);
   });
 
   out.seconds = watch.seconds();

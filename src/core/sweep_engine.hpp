@@ -19,8 +19,12 @@
 // RRL_KERNEL overrides can change a report.
 // Scenarios may carry pre-built solvers (shared_solver) so one compiled
 // solver serves every scenario with the same (model, solver, config); the
-// study subsystem's solver cache builds on exactly this. Scenarios sharing
-// RR solvers are additionally routed through the batched V-solve
+// study subsystem's solver cache builds on exactly this. A shared solver's
+// most demanding scenario is handed out first and its other scenarios wait
+// for its compile (TransientSolver::precompile), so an RR/RRL solver steps
+// one schema and cuts the others' from it (core/schema_cache.hpp's
+// LeaderSchedule). Scenarios
+// sharing RR solvers are additionally routed through the batched V-solve
 // (rr_solver.hpp's solve_rr_batch): items with the same compiled schema
 // share one ~Lambda*t V-pass, and the distinct small V-models advance
 // jointly through one pooled block-concatenated stepping loop — again

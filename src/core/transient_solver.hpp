@@ -122,6 +122,16 @@ class TransientSolver {
     return solve_grid(request, workspace);
   }
 
+  /// The compile half of solve_grid(request), run ahead of it: the
+  /// per-request compiled state solve_grid would build (the RR/RRL schema
+  /// for the request's largest time and eps) is built and memoized now, so
+  /// solve_grid finds it. This lets a caller choose which of a shared
+  /// solver's requests compiles first (the sweep engine's leaders-first
+  /// hand-out, core/schema_cache.hpp). The default does nothing: the
+  /// method has no per-request compiled state. Throws what solve_grid
+  /// would throw for the request.
+  virtual void precompile(const SolveRequest& /*request*/) const {}
+
   /// Compile → execute split (core/compiled_artifact.hpp). Append this
   /// solver's compiled state — the deterministic model-derived part of the
   /// work, re-usable across processes — to `artifact` (identity fields are

@@ -2,7 +2,8 @@
 // as computed by this library (cross-validated between independent solvers
 // when first recorded). These protect the numerical pipeline against silent
 // behavioural drift; the paper's own spot values are compared in
-// bench/ablation_accuracy and EXPERIMENTS.md.
+// bench/ablation_accuracy (to ~1%: the model is re-derived from the
+// paper's prose).
 #include <gtest/gtest.h>
 
 #include "core/rrl_solver.hpp"

@@ -137,6 +137,8 @@ std::shared_ptr<ArtifactStore> attach_disk_tier(const CliArgs& args,
 struct CacheStatsView {
   std::uint64_t memory_hits = 0;
   std::uint64_t memory_misses = 0;  ///< == solver-cache "compiled"
+  std::uint64_t schema_builds = 0;  ///< schemas materialized, cuts included
+  std::uint64_t schema_cuts = 0;    ///< ... of which cut from a longer one
   std::uint64_t disk_hits = 0;
   std::uint64_t disk_misses = 0;
   std::uint64_t disk_stores = 0;
@@ -148,6 +150,8 @@ CacheStatsView cache_stats_view() {
   CacheStatsView v;
   v.memory_hits = snap.value("rrl_cache_memory_hits_total");
   v.memory_misses = snap.value("rrl_cache_memory_misses_total");
+  v.schema_builds = snap.value("rrl_cache_schema_builds_total");
+  v.schema_cuts = snap.value("rrl_cache_schema_cuts_total");
   v.disk_hits = snap.value("rrl_cache_disk_hits_total");
   v.disk_misses = snap.value("rrl_cache_disk_misses_total");
   v.disk_stores = snap.value("rrl_cache_disk_stores_total");
@@ -155,14 +159,19 @@ CacheStatsView cache_stats_view() {
   return v;
 }
 
-// --cache-stats: hit/miss/load/store counters for both tiers. The disk
+// --cache-stats: hit/miss/load/store counters for both tiers, plus the
+// regenerative schemas materialized in memory (stepped or cut). The disk
 // numbers are the CACHE's view (solver warm-starts), matching the --json
 // output.
 void print_cache_stats(std::FILE* out, bool disk_tier) {
   const CacheStatsView v = cache_stats_view();
-  std::fprintf(out, "cache stats: memory %llu hits / %llu misses",
+  std::fprintf(out,
+               "cache stats: memory %llu hits / %llu misses; schemas: %llu "
+               "built (%llu cut)",
                static_cast<unsigned long long>(v.memory_hits),
-               static_cast<unsigned long long>(v.memory_misses));
+               static_cast<unsigned long long>(v.memory_misses),
+               static_cast<unsigned long long>(v.schema_builds),
+               static_cast<unsigned long long>(v.schema_cuts));
   if (!disk_tier) {
     std::fprintf(out, "; disk tier off\n");
     return;
