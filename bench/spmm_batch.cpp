@@ -1,22 +1,23 @@
-// Shared-pass batched randomization throughput: scenarios/sec of a warm
-// shared-model epsilon sweep, per-scenario solves vs the SpMM batch.
+// Shared-pass randomization throughput: scenarios/sec of a warm
+// shared-model epsilon sweep, per-scenario solves vs one shared pass.
 //
 // The workload is the study subsystem's hot shape: ONE compiled SR solver
 // over a banded synthetic CTMC, driven by a family of scenarios that vary
-// only the request (epsilon x TRR/MRR). Per-scenario, each solve streams
-// the full randomized matrix once per step; the shared-pass batch
-// (core/randomization_batch.hpp) makes the scenarios columns of one dense
-// block, so every step is a single multi-RHS product and the matrix is
-// streamed ONCE for all of them. This harness runs the identical batch
-// both ways (BatchRequest::spmm off/on, same pool, same workspaces),
-// byte-compares every report value, and asserts the throughput ratio:
+// only the request (epsilon x TRR/MRR). Per-scenario, each solve steps its
+// own randomization pass; with sharing the sweep engine hands the
+// scenarios out as one unit, and the solver's solve_shared steps ONE
+// iterate pi_0 P^n for all of them — each step's reward dot feeds every
+// scenario still inside its truncation point (TransientSolver::
+// solve_shared). This harness runs the identical batch both ways
+// (BatchRequest::spmm off/on, same pool, same workspaces), byte-compares
+// every report value, and asserts the throughput ratio:
 //
-//   scenarios/sec (spmm on) / scenarios/sec (spmm off)  >=  --min-speedup
+//   scenarios/sec (shared) / scenarios/sec (per-scenario)  >=  --min-speedup
 //
-// The bound (default 1.8x) is enforced when the runtime-selected kernel is
-// vectorized; under RRL_KERNEL=scalar or RRL_SPMM=off the run still
-// byte-compares but reports the bound as skipped — a determinism smoke,
-// not a perf result (printed honestly as such).
+// The shared pass runs the same SpMV kernel as the per-scenario path, so
+// the bound (default 1.8x) is enforced under every kernel, RRL_KERNEL=scalar
+// included; under RRL_SPMM=off both runs are per-scenario and the run is a
+// determinism smoke whose bound is reported as skipped.
 //
 // Usage:
 //   spmm_batch [--states 20000] [--cols 8] [--tmax 100] [--eps 1e-9]
@@ -25,7 +26,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -57,8 +57,8 @@ Ctmc banded_chain(index_t n) {
   return Ctmc::from_transitions(n, std::move(rates));
 }
 
-// Sparse rewards (every 13th state) — exercises the batched sparse reward
-// dot exactly like a dependability measure with few "down" states.
+// Sparse rewards (every 13th state) — exercises the sparse reward dot
+// exactly like a dependability measure with few "down" states.
 std::vector<double> sparse_rewards(index_t n) {
   std::vector<double> r(static_cast<std::size_t>(n), 0.0);
   for (index_t i = 0; i < n; i += 13) {
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   std::vector<double> initial(static_cast<std::size_t>(n), 0.0);
   initial[0] = 1.0;
 
-  // ONE shared compiled solver — the batch groups by instance identity.
+  // ONE shared compiled solver — the engine groups by instance identity.
   SrOptions options;
   options.epsilon = eps;
   const auto solver = std::make_shared<StandardRandomization>(
@@ -98,8 +98,7 @@ int main(int argc, char** argv) {
   batch.jobs = 1;  // single worker: measure the kernel, not threading
   for (int c = 0; c < cols; ++c) {
     // Epsilons spread over three decades above the compiled floor; the
-    // columns then retire at different truncation points, exercising the
-    // batch's shrinking-prefix stepping.
+    // readers then stop at different truncation points of the one pass.
     const double col_eps = eps * std::pow(10.0, 3.0 * c / std::max(1, cols));
     for (const MeasureKind measure :
          {MeasureKind::kTrr, MeasureKind::kMrr}) {
@@ -116,9 +115,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "shared-pass SpMM batch: %d scenarios (1 shared SR solver, %d epsilons"
+      "shared pass: %d scenarios (1 shared SR solver, %d epsilons"
       " x trr/mrr), %lld states, %lld transitions, t<=%g, eps floor %g\n"
-      "kernel: %s, spmm: %s, best of %d reps\n\n",
+      "kernel: %s, sharing: %s, best of %d reps\n\n",
       static_cast<int>(batch.scenarios.size()), cols,
       static_cast<long long>(chain.num_states()),
       static_cast<long long>(chain.num_transitions()), tmax, eps,
@@ -152,7 +151,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Byte-identity: the batch must be invisible in every report value.
+  // Byte-identity: sharing must be invisible in every report value.
   bool identical = ref.results.size() == spmm.results.size();
   for (std::size_t i = 0; identical && i < ref.results.size(); ++i) {
     const std::vector<double> a = ref.results[i].report.values();
@@ -169,15 +168,14 @@ int main(int argc, char** argv) {
   TextTable table({"path", "seconds", "scenarios/sec", "speedup"});
   table.add_row({"per-scenario", fmt_sig(ref.seconds, 4),
                  fmt_sig(ref_rate, 4), "1.00"});
-  table.add_row({"spmm batch", fmt_sig(spmm.seconds, 4),
+  table.add_row({"shared pass", fmt_sig(spmm.seconds, 4),
                  fmt_sig(spmm_rate, 4), fmt_sig(speedup, 3)});
   table.print();
   std::printf("\nreports byte-identical: %s\n", identical ? "yes" : "NO");
 
-  // The perf bound is only meaningful when the batch actually ran on a
-  // vectorized kernel; otherwise this invocation is a determinism smoke.
-  const bool bound_enforced =
-      spmm_enabled() && std::string(active_kernels().name) != "scalar";
+  // The perf bound is only meaningful when sharing actually ran; under
+  // RRL_SPMM=off this invocation is a determinism smoke.
+  const bool bound_enforced = spmm_enabled();
 
   {
     bench::BenchJson json(args, "spmm_batch", "BENCH_spmm.json");
@@ -200,14 +198,12 @@ int main(int argc, char** argv) {
 
   if (!identical) {
     std::fprintf(stderr,
-                 "FAIL: spmm batch changed report values (determinism "
+                 "FAIL: the shared pass changed report values (determinism "
                  "contract broken)\n");
     return 1;
   }
   if (!bound_enforced) {
-    std::printf(
-        "PASS (speedup bound skipped: %s)\n",
-        spmm_enabled() ? "scalar kernel active" : "RRL_SPMM=off");
+    std::printf("PASS (speedup bound skipped: RRL_SPMM=off)\n");
     return 0;
   }
   if (speedup < min_speedup) {

@@ -46,6 +46,13 @@ void GridSweep::accumulate(std::int64_t n, double d) {
   }
 }
 
+void GridSweep::accumulate_all(std::span<GridSweep> sweeps, std::int64_t n,
+                               double d) {
+  for (GridSweep& sweep : sweeps) {
+    if (n <= sweep.pass_steps_) sweep.accumulate(n, d);
+  }
+}
+
 void GridSweep::fold_steady_state(
     std::int64_t n, double d_ss,
     const std::function<void(std::size_t)>& on_folded) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -204,20 +205,71 @@ void KrylovSolver::import_compiled(const CompiledArtifact& artifact) {
                                      artifact.lambda);
 }
 
-SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
-                                     SolveWorkspace& workspace) const {
-  const Stopwatch watch;
-  const double eps = validated_epsilon(request, options_.epsilon);
-  const std::size_t num_points = request.times.size();
+bool KrylovSolver::shares_pass(const SolveRequest& a,
+                               const SolveRequest& b) const {
+  const auto effective_eps = [this](const SolveRequest& r) {
+    return r.epsilon > 0.0 ? r.epsilon : options_.epsilon;
+  };
+  return effective_eps(a) == effective_eps(b) && a.times == b.times;
+}
 
-  SolveReport report;
-  report.points.resize(num_points);
-  for (TransientValue& p : report.points) p.stats.lambda = dtmc_.lambda();
-  report.total.lambda = dtmc_.lambda();
+std::vector<SharedResult> KrylovSolver::solve_shared(
+    std::span<const SolveRequest* const> requests,
+    SolveWorkspace& workspace) const {
+  std::vector<SharedResult> results(requests.size());
+  std::vector<std::uint8_t> grouped(requests.size(), 0);
+  std::vector<std::size_t> readers;
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    if (grouped[k] != 0) continue;
+    // One pass for request k and every later request sharing it; each is
+    // validated on its own.
+    readers.clear();
+    double eps = 0.0;
+    for (std::size_t j = k; j < requests.size(); ++j) {
+      if (grouped[j] != 0 ||
+          (j != k && !shares_pass(*requests[k], *requests[j]))) {
+        continue;
+      }
+      grouped[j] = 1;
+      try {
+        eps = validated_epsilon(*requests[j], options_.epsilon);
+        readers.push_back(j);
+      } catch (...) {
+        results[j].error = std::current_exception();
+      }
+    }
+    if (readers.empty()) continue;
+    try {
+      run_pass(requests, readers, eps, results, workspace);
+    } catch (...) {
+      for (const std::size_t j : readers) {
+        results[j].error = std::current_exception();
+      }
+    }
+  }
+  return results;
+}
+
+void KrylovSolver::run_pass(std::span<const SolveRequest* const> requests,
+                            std::span<const std::size_t> readers, double eps,
+                            std::span<SharedResult> results,
+                            SolveWorkspace& workspace) const {
+  const Stopwatch watch;
+  // The readers ask for one grid; the first one's stands for all.
+  const std::vector<double>& times = requests[readers.front()]->times;
+  const std::size_t num_points = times.size();
+  bool any_mrr = false;
+  for (const std::size_t k : readers) {
+    results[k].report = SolveReport::blank(num_points, dtmc_.lambda());
+    any_mrr = any_mrr || requests[k]->measure == MeasureKind::kMrr;
+  }
 
   if (r_max_ == 0.0) {
-    report.total.seconds = watch.seconds();
-    return report;
+    const double seconds = watch.seconds();
+    for (const std::size_t k : readers) {
+      results[k].report.total.seconds = seconds;
+    }
+    return;
   }
 
   // Grid times in ascending order (original order restored through the
@@ -226,9 +278,9 @@ SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return request.times[a] < request.times[b];
+                     return times[a] < times[b];
                    });
-  const double t_end = request.times[order.back()];
+  const double t_end = times[order.back()];
 
   const std::size_t n = static_cast<std::size_t>(chain_.num_states());
   const double lambda = dtmc_.lambda();
@@ -296,17 +348,21 @@ SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
   bool budget_spent = false;  // step cap fired
   bool tolerance_missed = false;
 
+  // Every reader reads grid point `original` off the same pass state.
   auto record = [&](std::size_t original, double t, bool point_capped) {
-    TransientValue& p = report.points[original];
-    p.value = request.measure == MeasureKind::kTrr ? reward_dot(w)
-                                                   : integral.value() / t;
-    p.stats.dtmc_steps = matvecs;
-    p.stats.capped = point_capped || tolerance_missed;
+    for (const std::size_t k : readers) {
+      TransientValue& p = results[k].report.points[original];
+      p.value = requests[k]->measure == MeasureKind::kTrr
+                    ? reward_dot(w)
+                    : integral.value() / t;
+      p.stats.dtmc_steps = matvecs;
+      p.stats.capped = point_capped || tolerance_missed;
+    }
   };
 
   std::size_t next_target = 0;
   while (next_target < num_points) {
-    const double t_target = request.times[order[next_target]];
+    const double t_target = times[order[next_target]];
     if (t_target <= t_now) {
       record(order[next_target], t_target, false);
       ++next_target;
@@ -437,8 +493,9 @@ SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
     const int mk = breakdown ? dim : m + 1;  // basis vectors in the update
     // MRR: accumulate Int_{t_now}^{t_now+tau} r . w(s) ds BEFORE w is
     // overwritten, via the phi_1 block-matrix identity on the projected
-    // operator (header comment).
-    if (request.measure == MeasureKind::kMrr) {
+    // operator (header comment). Nothing else reads phi or the integral,
+    // so a TRR reader of the same pass sees the steps it would alone.
+    if (any_mrr) {
       const int md = mk + 1;
       phi.assign(static_cast<std::size_t>(md * md), 0.0);
       for (int r = 0; r < mk; ++r) {
@@ -471,10 +528,13 @@ SolveReport KrylovSolver::solve_grid(const SolveRequest& request,
     t_now = tau >= t_target - t_now ? t_target : t_now + tau;
   }
 
-  report.total.dtmc_steps = matvecs;
-  report.total.capped = budget_spent || tolerance_missed;
-  report.total.seconds = watch.seconds();
-  return report;
+  const double seconds = watch.seconds();
+  for (const std::size_t k : readers) {
+    SolveReport& report = results[k].report;
+    report.total.dtmc_steps = matvecs;
+    report.total.capped = budget_spent || tolerance_missed;
+    report.total.seconds = seconds;
+  }
 }
 
 }  // namespace rrl

@@ -33,6 +33,11 @@
 // beta * (r^T V) Int_0^tau exp(s H) e_1 ds — one more small dense
 // exponential per substep, no extra matvecs.
 //
+// Nothing the pass steps depends on the measure, so a TRR and an MRR
+// request with the same eps and grid read ONE pass (shares_pass,
+// solve_shared): the sweep engine hands such a pair out as one unit and
+// the Arnoldi work is paid once.
+//
 // Error control: the local estimate err_loc is held below
 // tau/t * (eps / max(r_max, 1)) per substep. Because exp(Q^T s) is an
 // L1-contraction on the probability simplex, local vector errors
@@ -44,6 +49,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -87,10 +93,27 @@ class KrylovSolver : public TransientSolver {
 
   /// One adaptive pass from t = 0 to the largest grid time; every grid
   /// point is evaluated exactly when the pass crosses it, so the whole
-  /// grid costs one sweep (same amortization contract as SR/RSD).
+  /// grid costs one sweep (same amortization contract as SR/RSD). This is
+  /// solve_shared with one request.
   using TransientSolver::solve_grid;
   [[nodiscard]] SolveReport solve_grid(
-      const SolveRequest& request, SolveWorkspace& workspace) const override;
+      const SolveRequest& request, SolveWorkspace& workspace) const override {
+    return solve_alone(request, workspace);
+  }
+
+  /// The iterate, substeps, rejections and step cap depend on eps and the
+  /// grid but not on the measure: requests with the same effective eps
+  /// and an equal `times` vector share one pass.
+  [[nodiscard]] bool shares_pass(const SolveRequest& a,
+                                 const SolveRequest& b) const override;
+
+  /// One Arnoldi pass per group of requests that share it: TRR reads
+  /// r . w and MRR the phi_1 integral at each grid time (the phi_1
+  /// exponential runs when any reader is MRR). Each report is bitwise its
+  /// solve_grid report.
+  [[nodiscard]] std::vector<SharedResult> solve_shared(
+      std::span<const SolveRequest* const> requests,
+      SolveWorkspace& workspace) const override;
 
   /// Compile -> execute split: the compiled state is the randomized DTMC,
   /// exactly as for SR/RSD (distinct solver name keys the cache).
@@ -100,6 +123,13 @@ class KrylovSolver : public TransientSolver {
   [[nodiscard]] double lambda() const noexcept { return dtmc_.lambda(); }
 
  private:
+  /// The adaptive pass answering requests[k] for every k in `readers`
+  /// (validated, sharing a pass at effective eps `eps`).
+  void run_pass(std::span<const SolveRequest* const> requests,
+                std::span<const std::size_t> readers, double eps,
+                std::span<SharedResult> results,
+                SolveWorkspace& workspace) const;
+
   const Ctmc& chain_;
   std::vector<double> rewards_;
   std::vector<double> initial_;

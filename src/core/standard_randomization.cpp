@@ -79,71 +79,97 @@ TransientValue StandardRandomization::mrr(double t) const {
   return solve_point(t, MeasureKind::kMrr);
 }
 
-SolveReport StandardRandomization::solve_grid(
-    const SolveRequest& request, SolveWorkspace& workspace) const {
+std::vector<SharedResult> StandardRandomization::solve_shared(
+    std::span<const SolveRequest* const> requests,
+    SolveWorkspace& workspace) const {
   const Stopwatch watch;
-  const double eps = validated_epsilon(request, options_.epsilon);
-  const std::size_t m = request.times.size();
+  std::vector<SharedResult> results(requests.size());
 
-  SolveReport report;
-  report.points.resize(m);
-  for (TransientValue& p : report.points) p.stats.lambda = dtmc_.lambda();
-  report.total.lambda = dtmc_.lambda();
-
-  if (r_max_ == 0.0) {
-    // All rewards zero: both measures are identically zero.
-    report.total.seconds = watch.seconds();
-    return report;
-  }
-
-  // Per-point Poisson mixtures with active-set retirement (shared with
-  // RSD); the single pass runs to the largest truncation point, each point
-  // simply stops accumulating at its own.
-  GridSweep sweep(
-      dtmc_.lambda(), request.times, request.measure,
-      [&](const PoissonDistribution& poisson) {
-        return sr_truncation_point(poisson, request.measure, eps / r_max_);
-      },
-      options_.step_cap);
-  for (std::size_t i = 0; i < m; ++i) {
-    report.points[i].stats.capped = sweep.point_capped(i);
-  }
-  report.total.capped = sweep.any_capped();
-
-  const std::size_t n_states = static_cast<std::size_t>(chain_.num_states());
-  AlignedVector<double>& pi = workspace.pi(n_states);
-  AlignedVector<double>& next = workspace.next(n_states);
-  std::copy(initial_.begin(), initial_.end(), pi.begin());
-  // Live-prefix stepping (markov/dtmc.hpp): both buffers must read zero
-  // past the prefix, and a workspace buffer arrives with stale contents.
-  std::fill(next.begin(), next.end(), 0.0);
-  index_t live = leading_support(initial_);
-
-  for (std::int64_t n = 0;; ++n) {
-    sweep.accumulate(n, sparse_reward_dot(indices_below(reward_idx_, live),
-                                          rewards_, pi));
-    if (n == sweep.pass_steps()) break;
-    live = std::max(live, dtmc_.reach(live));
-    // Row-partitioned stepping when the caller lent us a pool (small
-    // batches on big models; bit-identical to the serial kernel) and the
-    // live prefix is large enough to pay for it.
-    ThreadPool* const pool = workspace.pooled_spmv(dtmc_.leading_nnz(live));
-    if (pool != nullptr) {
-      dtmc_.step(pi, next, live, *pool);
-    } else {
-      dtmc_.step(pi, next, live);
+  // One reader per request that has a pass to read: its per-point Poisson
+  // mixtures with active-set retirement (shared with RSD), fed until its
+  // own truncation point. sweeps[j] reads for request readers[j].
+  std::vector<std::size_t> readers;
+  std::vector<GridSweep> sweeps;
+  std::int64_t pass = 0;  // the longest reader's truncation point
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    const SolveRequest& request = *requests[k];
+    SolveReport& report = results[k].report;
+    try {
+      const double eps = validated_epsilon(request, options_.epsilon);
+      report = SolveReport::blank(request.times.size(), dtmc_.lambda());
+      // All rewards zero: both measures are identically zero.
+      if (r_max_ == 0.0) continue;
+      GridSweep sweep(
+          dtmc_.lambda(), request.times, request.measure,
+          [&](const PoissonDistribution& poisson) {
+            return sr_truncation_point(poisson, request.measure,
+                                       eps / r_max_);
+          },
+          options_.step_cap);
+      for (std::size_t i = 0; i < sweep.size(); ++i) {
+        report.points[i].stats.capped = sweep.point_capped(i);
+      }
+      report.total.capped = sweep.any_capped();
+      pass = std::max(pass, sweep.pass_steps());
+      readers.push_back(k);
+      sweeps.push_back(std::move(sweep));
+    } catch (...) {
+      results[k].error = std::current_exception();
     }
-    pi.swap(next);
   }
 
-  for (std::size_t i = 0; i < m; ++i) {
-    TransientValue& p = report.points[i];
-    p.value = sweep.value(i);
-    p.stats.dtmc_steps = sweep.n_max(i);  // what this point alone would need
+  try {
+    if (!readers.empty()) {
+      const std::size_t n_states =
+          static_cast<std::size_t>(chain_.num_states());
+      AlignedVector<double>& pi = workspace.pi(n_states);
+      AlignedVector<double>& next = workspace.next(n_states);
+      std::copy(initial_.begin(), initial_.end(), pi.begin());
+      // Live-prefix stepping (markov/dtmc.hpp): both buffers must read
+      // zero past the prefix, and a workspace buffer arrives with stale
+      // contents.
+      std::fill(next.begin(), next.end(), 0.0);
+      index_t live = leading_support(initial_);
+
+      for (std::int64_t n = 0;; ++n) {
+        GridSweep::accumulate_all(
+            sweeps, n,
+            sparse_reward_dot(indices_below(reward_idx_, live), rewards_, pi));
+        if (n == pass) break;
+        live = std::max(live, dtmc_.reach(live));
+        // Row-partitioned stepping when the caller lent us a pool (small
+        // batches on big models; bit-identical to the serial kernel) and
+        // the live prefix is large enough to pay for it.
+        ThreadPool* const pool =
+            workspace.pooled_spmv(dtmc_.leading_nnz(live));
+        if (pool != nullptr) {
+          dtmc_.step(pi, next, live, *pool);
+        } else {
+          dtmc_.step(pi, next, live);
+        }
+        pi.swap(next);
+      }
+    }
+  } catch (...) {
+    for (const std::size_t k : readers) {
+      results[k].error = std::current_exception();
+    }
   }
-  report.total.dtmc_steps = sweep.pass_steps();
-  report.total.seconds = watch.seconds();
-  return report;
+
+  for (std::size_t j = 0; j < readers.size(); ++j) {
+    const GridSweep& sweep = sweeps[j];
+    SolveReport& report = results[readers[j]].report;
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      TransientValue& p = report.points[i];
+      p.value = sweep.value(i);
+      // What this point alone would need.
+      p.stats.dtmc_steps = sweep.n_max(i);
+    }
+    report.total.dtmc_steps = sweep.pass_steps();
+  }
+  const double seconds = watch.seconds();
+  for (SharedResult& result : results) result.report.total.seconds = seconds;
+  return results;
 }
 
 }  // namespace rrl

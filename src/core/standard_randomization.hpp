@@ -64,10 +64,28 @@ class StandardRandomization : public TransientSolver {
   /// Amortized sweep: ONE randomization pass over the Pi-vector; at every
   /// step the reward coefficient d(n) feeds each grid point's Poisson
   /// mixture, so the whole grid costs the truncation point of the largest
-  /// time instead of the sum over points.
+  /// time instead of the sum over points. This is solve_shared with one
+  /// request.
   using TransientSolver::solve_grid;
   [[nodiscard]] SolveReport solve_grid(
-      const SolveRequest& request, SolveWorkspace& workspace) const override;
+      const SolveRequest& request, SolveWorkspace& workspace) const override {
+    return solve_alone(request, workspace);
+  }
+
+  /// The iterate pi_0 P^n is the same for every request, so one pass
+  /// answers any set of them.
+  [[nodiscard]] bool shares_pass(const SolveRequest& /*a*/,
+                                 const SolveRequest& /*b*/) const override {
+    return true;
+  }
+
+  /// One iterate, many readers: each step's d(n) feeds every request's
+  /// GridSweep still inside its truncation point, and the pass ends at
+  /// the longest one. Every reader sees the products and dots its solo
+  /// pass would, so each report is bitwise its solve_grid report.
+  [[nodiscard]] std::vector<SharedResult> solve_shared(
+      std::span<const SolveRequest* const> requests,
+      SolveWorkspace& workspace) const override;
 
   /// Compile → execute split: SR's compiled state is the randomized DTMC
   /// (P transposed in CSR gather form, self-loops, Lambda).
@@ -81,25 +99,6 @@ class StandardRandomization : public TransientSolver {
   [[nodiscard]] TransientValue mrr(double t) const;
 
   [[nodiscard]] double lambda() const noexcept { return dtmc_.lambda(); }
-
-  /// Read-only view of the compiled pass state for the shared-pass batch
-  /// engine (core/randomization_batch.hpp), which must replicate
-  /// solve_grid's loop bit-for-bit per column and therefore needs the same
-  /// inputs solve_grid itself consumes. Spans borrow from this solver —
-  /// the view must not outlive it (or a subsequent import_compiled()).
-  struct BatchView {
-    const RandomizedDtmc* dtmc = nullptr;
-    std::span<const double> rewards;
-    std::span<const double> initial;
-    std::span<const index_t> reward_idx;
-    double r_max = 0.0;
-    double epsilon = 0.0;
-    std::int64_t step_cap = -1;
-  };
-  [[nodiscard]] BatchView batch_view() const noexcept {
-    return BatchView{&dtmc_,  rewards_,         initial_,          reward_idx_,
-                     r_max_,  options_.epsilon, options_.step_cap};
-  }
 
  private:
   const Ctmc& chain_;

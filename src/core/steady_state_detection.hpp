@@ -65,10 +65,28 @@ class RandomizationSteadyStateDetection : public TransientSolver {
   /// Amortized sweep: ONE backward pass w_n = P^n r shared by every grid
   /// point (the coefficients d(n) = alpha . w_n are time-independent), and
   /// a single span-seminorm detection folds the remaining Poisson mass of
-  /// every still-active point at once.
+  /// every still-active point at once. This is solve_shared with one
+  /// request.
   using TransientSolver::solve_grid;
   [[nodiscard]] SolveReport solve_grid(
-      const SolveRequest& request, SolveWorkspace& workspace) const override;
+      const SolveRequest& request, SolveWorkspace& workspace) const override {
+    return solve_alone(request, workspace);
+  }
+
+  /// The iterate P^n r is the same for every request, so one pass answers
+  /// any set of them.
+  [[nodiscard]] bool shares_pass(const SolveRequest& /*a*/,
+                                 const SolveRequest& /*b*/) const override {
+    return true;
+  }
+
+  /// One iterate, many readers: each step's d(n) = alpha . w_n and
+  /// span(w_n) are computed once; every request keeps its own truncation,
+  /// detection tolerance, fold step and exit step, and the pass ends when
+  /// the last request exits. Each report is bitwise its solve_grid report.
+  [[nodiscard]] std::vector<SharedResult> solve_shared(
+      std::span<const SolveRequest* const> requests,
+      SolveWorkspace& workspace) const override;
 
   /// Compile → execute split: RSD's compiled state is the randomized DTMC;
   /// the row-form P for the backward pass is re-derived by exact
@@ -80,32 +98,6 @@ class RandomizationSteadyStateDetection : public TransientSolver {
   [[nodiscard]] TransientValue mrr(double t) const;
 
   [[nodiscard]] double lambda() const noexcept { return dtmc_.lambda(); }
-
-  /// Read-only view of the compiled pass state for the shared-pass batch
-  /// engine (core/randomization_batch.hpp) — same contract as
-  /// StandardRandomization::batch_view(): the batch loop replays
-  /// solve_grid bit-for-bit per column from exactly these inputs. Spans
-  /// borrow from this solver.
-  struct BatchView {
-    const RandomizedDtmc* dtmc = nullptr;
-    const CsrMatrix* p = nullptr;  ///< row-form P, the backward operator
-    std::span<const double> rewards;
-    std::span<const double> initial;
-    double r_max = 0.0;
-    double epsilon = 0.0;
-    double detection_tol = -1.0;
-    std::int64_t step_cap = -1;
-  };
-  [[nodiscard]] BatchView batch_view() const noexcept {
-    return BatchView{&dtmc_,
-                     &p_,
-                     rewards_,
-                     initial_,
-                     r_max_,
-                     options_.epsilon,
-                     options_.detection_tol,
-                     options_.step_cap};
-  }
 
  private:
   const Ctmc& chain_;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <exception>
+#include <map>
 #include <string_view>
+#include <utility>
+#include <vector>
 
-#include "core/randomization_batch.hpp"
 #include "core/rr_solver.hpp"
 #include "core/schema_cache.hpp"
 #include "sparse/spmv_kernels.hpp"
@@ -55,38 +57,79 @@ void note_result(const ScenarioResult& slot) {
   c.truncation.observe(static_cast<double>(total.dtmc_steps));
 }
 
-/// Solve one scenario, compiling in its `turn` of `schedule` first.
-void solve_one(const SweepScenario& scenario, ScenarioResult& slot,
-               SolveWorkspace& workspace, const LeaderSchedule& schedule,
-               std::size_t turn) {
-  const trace::Span span("scenario.solve");
+void fail(ScenarioResult& slot, const std::exception& e) {
+  slot.error = e.what();
+  if (slot.error.empty()) slot.error = "unknown error";
+}
+
+/// One hand-out unit: the scenarios one pass answers (members of one
+/// shared solver whose requests pairwise shares_pass), or one scenario.
+struct Unit {
+  std::vector<std::size_t> members;  ///< scenario indices, ascending
+  /// The most demanding member: its compile demand and its precompile
+  /// request stand for the unit's.
+  std::size_t lead = 0;
+};
+
+/// Solve one unit, compiling in its `turn` of `schedule` first. A unit of
+/// several members runs one shared pass inside a
+/// scenario.solve_rand_batch span whose argument is its member count; a
+/// unit of one runs inside scenario.solve. Each member reports the unit's
+/// wall-clock divided by its member count.
+void solve_unit(const std::vector<SweepScenario>& scenarios,
+                const Unit& unit, std::vector<ScenarioResult>& results,
+                SolveWorkspace& workspace, const LeaderSchedule& schedule,
+                std::size_t turn) {
+  const std::size_t size = unit.members.size();
+  const trace::Span span(size > 1 ? "scenario.solve_rand_batch"
+                                  : "scenario.solve",
+                         size > 1 ? size : 0);
   const Stopwatch watch;
+  const SweepScenario& lead = scenarios[unit.lead];
   try {
-    if (scenario.shared_solver != nullptr) {
+    if (lead.shared_solver != nullptr) {
       // A follower waits here until its solver's leader has compiled, then
-      // hits or cuts its schema. A compile error is left for solve_grid to
+      // hits or cuts its schema. A compile error is left for the solve to
       // report.
       schedule.run(turn, [&] {
         try {
-          scenario.shared_solver->precompile(scenario.request);
+          lead.shared_solver->precompile(lead.request);
         } catch (const std::exception&) {
         }
       });
-      slot.report =
-          scenario.shared_solver->solve_grid(scenario.request, workspace);
+      std::vector<const SolveRequest*> requests;
+      requests.reserve(size);
+      for (const std::size_t i : unit.members) {
+        requests.push_back(&scenarios[i].request);
+      }
+      std::vector<SharedResult> answers =
+          lead.shared_solver->solve_shared(requests, workspace);
+      for (std::size_t k = 0; k < size; ++k) {
+        ScenarioResult& slot = results[unit.members[k]];
+        if (answers[k].error == nullptr) {
+          slot.report = std::move(answers[k].report);
+          continue;
+        }
+        try {
+          std::rethrow_exception(answers[k].error);
+        } catch (const std::exception& e) {
+          fail(slot, e);
+        }
+      }
     } else {
-      RRL_EXPECTS(scenario.chain != nullptr);
-      const auto solver =
-          make_solver(scenario.solver, *scenario.chain, scenario.rewards,
-                      scenario.initial, scenario.config);
-      slot.report = solver->solve_grid(scenario.request, workspace);
+      RRL_EXPECTS(lead.chain != nullptr);
+      const auto solver = make_solver(lead.solver, *lead.chain, lead.rewards,
+                                      lead.initial, lead.config);
+      results[unit.lead].report = solver->solve_grid(lead.request, workspace);
     }
   } catch (const std::exception& e) {
-    slot.error = e.what();
-    if (slot.error.empty()) slot.error = "unknown error";
+    for (const std::size_t i : unit.members) fail(results[i], e);
   }
-  slot.seconds = watch.seconds();
-  note_result(slot);
+  const double each = watch.seconds() / static_cast<double>(size);
+  for (const std::size_t i : unit.members) {
+    results[i].seconds = each;
+    note_result(results[i]);
+  }
 }
 
 }  // namespace
@@ -145,62 +188,6 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
     }
   }
 
-  // Shared-pass SR/RSD batching (core/randomization_batch.hpp): scenarios
-  // driving the SAME shared SR/RSD solver instance become columns of one
-  // SpMM block, so each randomization step streams the shared matrix once
-  // instead of once per scenario. Only instances with >= 2 scenarios are
-  // routed — a singleton gains nothing from a one-column block and would
-  // lose its worker-level parallelism. Bit-identical to per-scenario
-  // solve_grid() (the engine's determinism contract), so BatchRequest::spmm
-  // and RRL_SPMM=off only ever change timings, never values.
-  if (batch.spmm && spmm_enabled()) {
-    std::vector<std::size_t> rand_batched;
-    for (std::size_t i = 0; i < batch.scenarios.size(); ++i) {
-      const SweepScenario& scenario = batch.scenarios[i];
-      if (taken[i] == 0 && scenario.shared_solver != nullptr &&
-          randomization_batchable(*scenario.shared_solver)) {
-        rand_batched.push_back(i);
-      }
-    }
-    // Keep only instances shared by >= 2 scenarios.
-    const auto shared_twice = [&](std::size_t i) {
-      const TransientSolver* s = batch.scenarios[i].shared_solver.get();
-      std::size_t n = 0;
-      for (const std::size_t j : rand_batched) {
-        n += batch.scenarios[j].shared_solver.get() == s ? 1 : 0;
-      }
-      return n >= 2;
-    };
-    std::erase_if(rand_batched,
-                  [&](std::size_t i) { return !shared_twice(i); });
-    if (!rand_batched.empty()) {
-      if (workspaces.empty()) workspaces.resize(1);
-      std::vector<RandBatchItem> items;
-      items.reserve(rand_batched.size());
-      for (const std::size_t i : rand_batched) {
-        RandBatchItem item;
-        item.solver = batch.scenarios[i].shared_solver.get();
-        item.request = &batch.scenarios[i].request;
-        item.report = &out.results[i].report;
-        item.error = &out.results[i].error;
-        items.push_back(item);
-        taken[i] = 1;
-      }
-      const Stopwatch batch_watch;
-      {
-        const trace::Span span("scenario.solve_rand_batch",
-                               rand_batched.size());
-        solve_randomization_batch(items, &pool, &workspaces.front());
-      }
-      const double each =
-          batch_watch.seconds() / static_cast<double>(rand_batched.size());
-      for (const std::size_t i : rand_batched) {
-        out.results[i].seconds = each;
-        note_result(out.results[i]);
-      }
-    }
-  }
-
   std::vector<std::size_t> rest;
   for (std::size_t i = 0; i < batch.scenarios.size(); ++i) {
     if (taken[i] == 0) rest.push_back(i);
@@ -210,19 +197,12 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
     return out;
   }
 
-  // Hand-out order. Scenarios sharing an RR/RRL solver compile through its
-  // schema memo, which cuts each new key from the longest series it holds
-  // (core/schema_cache.hpp). Handed out in plan order, every worker would
-  // land on the first solver and step its keys in turn; instead each shared
-  // solver's most demanding scenario compiles first and its other
-  // scenarios wait for that compile, then cut (LeaderSchedule). Only the
-  // order changes, never a slot's value.
-  std::vector<CompileDemand> demands;
-  demands.reserve(rest.size());
+  // Compile demand of every remaining scenario (LeaderSchedule's order).
+  std::vector<CompileDemand> demands(batch.scenarios.size());
   for (const std::size_t i : rest) {
     const SweepScenario& scenario = batch.scenarios[i];
     const SolveRequest& request = scenario.request;
-    CompileDemand demand;
+    CompileDemand& demand = demands[i];
     demand.solver = scenario.shared_solver.get();
     demand.eps =
         request.epsilon > 0.0 ? request.epsilon : scenario.config.epsilon;
@@ -232,17 +212,67 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
     }
     demand.states =
         scenario.chain != nullptr ? scenario.chain->num_states() : 0;
-    demands.push_back(demand);
   }
-  const LeaderSchedule schedule(demands);
 
-  // A batch too small to occupy the pool on the scenario axis (fewer
-  // scenarios than workers, with at least 2x slack so the switch is
-  // clearly a win) runs the scenarios serially and lends the pool to the
-  // solvers' SpMV layer instead: the idle workers go to row-partitioned
-  // model-sized products (SolveWorkspace::pooled_spmv applies the
-  // nested-parallelism guard and a matrix-size floor). Only worth it when
-  // some scenario would actually drive the pooled kernel — a model above
+  // Hand-out units. Scenarios on one shared solver whose requests pairwise
+  // share a pass (TransientSolver::shares_pass: every SR/RSD request of a
+  // solver, Krylov requests with one eps and grid) form one unit, answered
+  // by one solve_shared; every other scenario is a unit of its own.
+  // BatchRequest::spmm = false or RRL_SPMM=off makes every scenario its
+  // own unit. The answers are bitwise the per-scenario solves either way.
+  std::vector<Unit> units;
+  const bool share = batch.spmm && spmm_enabled();
+  std::map<const TransientSolver*, std::vector<std::size_t>> units_of;
+  for (const std::size_t i : rest) {
+    const SweepScenario& scenario = batch.scenarios[i];
+    const TransientSolver* const solver = scenario.shared_solver.get();
+    if (share && solver != nullptr) {
+      std::vector<std::size_t>& mine = units_of[solver];
+      const auto joins = [&](std::size_t u) {
+        return std::all_of(units[u].members.begin(), units[u].members.end(),
+                           [&](std::size_t j) {
+                             return solver->shares_pass(
+                                 batch.scenarios[j].request,
+                                 scenario.request);
+                           });
+      };
+      const auto it = std::find_if(mine.begin(), mine.end(), joins);
+      if (it != mine.end()) {
+        Unit& unit = units[*it];
+        unit.members.push_back(i);
+        // The lead is the LeaderSchedule's leader rule within the unit:
+        // smallest eps, then largest t_max, then lowest index.
+        const CompileDemand& d = demands[i];
+        const CompileDemand& l = demands[unit.lead];
+        if (d.eps < l.eps || (d.eps == l.eps && d.t_max > l.t_max)) {
+          unit.lead = i;
+        }
+        continue;
+      }
+      mine.push_back(units.size());
+    }
+    units.push_back(Unit{{i}, i});
+  }
+
+  // Hand-out order. Units sharing an RR/RRL solver compile through its
+  // schema memo, which cuts each new key from the longest series it holds
+  // (core/schema_cache.hpp). Handed out in plan order, every worker would
+  // land on the first solver and step its keys in turn; instead each shared
+  // solver's most demanding unit compiles first and its other units wait
+  // for that compile, then cut (LeaderSchedule). Only the order changes,
+  // never a slot's value.
+  std::vector<CompileDemand> unit_demands;
+  unit_demands.reserve(units.size());
+  for (const Unit& unit : units) unit_demands.push_back(demands[unit.lead]);
+  const LeaderSchedule schedule(unit_demands);
+
+  // A batch too small to occupy the pool on the unit axis (fewer units
+  // than workers, with at least 2x slack so the switch is clearly a win)
+  // runs the units serially and lends the pool to the solvers' SpMV layer
+  // instead: the idle workers go to row-partitioned model-sized products
+  // (SolveWorkspace::pooled_spmv applies the nested-parallelism guard and
+  // a matrix-size floor). Only worth it when some unit would actually
+  // drive the pooled kernel — a model above
   // the size floor AND a solver whose hot loop steps the full model (the
   // single-pass randomization methods; rr's V-solve and rrl's inversions
   // never touch model-sized SpMVs) — otherwise serializing the scenarios
@@ -262,9 +292,9 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
   };
   const bool model_parallel =
       pool.num_threads() > 1 &&
-      rest.size() * 2 <= static_cast<std::size_t>(pool.num_threads()) &&
-      std::any_of(rest.begin(), rest.end(), [&](std::size_t i) {
-        return drives_pooled_spmv(batch.scenarios[i]);
+      units.size() * 2 <= static_cast<std::size_t>(pool.num_threads()) &&
+      std::any_of(units.begin(), units.end(), [&](const Unit& unit) {
+        return drives_pooled_spmv(batch.scenarios[unit.lead]);
       });
   // One workspace per worker slot: the solvers' mutable per-solve state.
   // Everything else a worker touches is either immutable shared input
@@ -280,9 +310,8 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
     ThreadPool* const saved_pool = workspace.spmv_pool;
     workspace.spmv_pool = &pool;
     for (std::size_t k = 0; k < schedule.size(); ++k) {
-      const std::size_t i = rest[schedule[k]];
-      solve_one(batch.scenarios[i], out.results[i], workspace, schedule,
-                schedule[k]);
+      solve_unit(batch.scenarios, units[schedule[k]], out.results, workspace,
+                 schedule, schedule[k]);
     }
     workspace.spmv_pool = saved_pool;
     out.seconds = watch.seconds();
@@ -290,9 +319,8 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
   }
 
   pool.parallel_for(schedule.size(), [&](std::size_t k, std::size_t worker) {
-    const std::size_t i = rest[schedule[k]];
-    solve_one(batch.scenarios[i], out.results[i], workspaces[worker],
-              schedule, schedule[k]);
+    solve_unit(batch.scenarios, units[schedule[k]], out.results,
+               workspaces[worker], schedule, schedule[k]);
   });
 
   out.seconds = watch.seconds();

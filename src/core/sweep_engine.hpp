@@ -5,35 +5,34 @@
 // The paper's whole evaluation is a sweep — the same rewarded CTMC pushed
 // through SR/RSD/RR/RRL over grids of times and error targets — and batch
 // performability studies multiply that by families of parameterized models.
-// The engine turns such a batch into data-parallel work: each scenario is
-// solved entirely by one worker (solvers are immutable after construction;
-// each worker owns a SolveWorkspace for the mutable vector iterates), and
-// scenarios are scheduled dynamically so an expensive SR pass next to a
-// cheap RRL inversion still load-balances. A batch with (2x) fewer
-// scenarios than workers flips to the orthogonal axis instead: scenarios
-// run serially and the pool row-partitions the solvers' model-sized SpMVs
-// (see SolveWorkspace::pooled_spmv) — both paths produce identical values.
-// Either way every product dispatches through the runtime-selected
-// vectorized kernels (sparse/spmv_kernels.hpp), which are bit-identical
-// to the scalar reference, so neither the host's SIMD level nor
-// RRL_KERNEL overrides can change a report.
+// The engine turns such a batch into data-parallel work in three routes.
+// Scenarios sharing an RR solver go first, through the batched V-solve
+// (rr_solver.hpp's solve_rr_batch): items with the same compiled schema
+// share one ~Lambda*t V-pass, and the distinct small V-models advance
+// jointly through one pooled block-concatenated stepping loop. Every
+// other scenario joins a hand-out UNIT: the scenarios of one shared
+// solver whose requests pairwise share a pass (TransientSolver::
+// shares_pass — every SR/RSD request of a solver reads one iterate, a
+// Krylov TRR/MRR pair with one eps and grid reads one Arnoldi pass) form
+// one unit answered by one solve_shared; any other scenario is a unit of
+// one (disable sharing with BatchRequest::spmm = false or RRL_SPMM=off).
+// Units are scheduled dynamically, one per worker at a time (solvers are
+// immutable after construction; each worker owns a SolveWorkspace for the
+// mutable vector iterates), so an expensive SR pass next to a cheap RRL
+// inversion still load-balances. A batch with (2x) fewer units than
+// workers flips to the orthogonal axis instead: units run serially and
+// the pool row-partitions the solvers' model-sized SpMVs (see
+// SolveWorkspace::pooled_spmv). Every product dispatches through the
+// runtime-selected vectorized kernels (sparse/spmv_kernels.hpp), which
+// are bit-identical to the scalar reference, so neither the route, the
+// host's SIMD level nor RRL_KERNEL overrides can change a report.
 // Scenarios may carry pre-built solvers (shared_solver) so one compiled
 // solver serves every scenario with the same (model, solver, config); the
 // study subsystem's solver cache builds on exactly this. A shared solver's
-// most demanding scenario is handed out first and its other scenarios wait
-// for its compile (TransientSolver::precompile), so an RR/RRL solver steps
+// most demanding unit is handed out first and its other units wait for
+// its compile (TransientSolver::precompile), so an RR/RRL solver steps
 // one schema and cuts the others' from it (core/schema_cache.hpp's
-// LeaderSchedule). Scenarios
-// sharing RR solvers are additionally routed through the batched V-solve
-// (rr_solver.hpp's solve_rr_batch): items with the same compiled schema
-// share one ~Lambda*t V-pass, and the distinct small V-models advance
-// jointly through one pooled block-concatenated stepping loop — again
-// bit-identical to per-scenario solves. Scenarios sharing an SR/RSD
-// solver are likewise routed through the shared-pass SpMM batch
-// (core/randomization_batch.hpp): each scenario becomes one column of a
-// dense block and every randomization step is one multi-RHS product,
-// streaming the shared matrix once per step instead of once per scenario
-// (disable with BatchRequest::spmm = false or RRL_SPMM=off).
+// LeaderSchedule).
 //
 // Determinism: results[i] always corresponds to scenarios[i] — workers
 // write only their own slot and the reduction is by index, so the report's
@@ -87,11 +86,12 @@ struct BatchRequest {
   /// Worker threads INCLUDING the calling thread; <= 0 selects the
   /// hardware concurrency. Ignored by the pool-taking overload.
   int jobs = 1;
-  /// Route scenarios sharing one SR/RSD solver instance through the
-  /// shared-pass SpMM batch (core/randomization_batch.hpp) instead of
-  /// per-scenario solves. Values are bit-identical either way; this knob
-  /// (and the RRL_SPMM=off environment override) exists so benches and the
-  /// CI determinism gate can compare the two paths in one process.
+  /// Hand out the scenarios one pass can answer (TransientSolver::
+  /// shares_pass) as one unit; false makes every scenario its own unit.
+  /// Values are bit-identical either way; this knob (and the RRL_SPMM=off
+  /// environment override, which also turns off RR's equal-matrix SpMM
+  /// classes) exists so benches and the CI determinism gate can compare
+  /// the paths in one process.
   bool spmm = true;
 };
 
@@ -101,8 +101,9 @@ struct ScenarioResult {
   std::string error;   ///< non-empty if the scenario failed
   /// Wall-clock of THIS scenario's solve (diagnostic, non-deterministic —
   /// never part of byte-compared report output). Scenarios solved jointly
-  /// by the batched V-solve share one pass, so each member reports the
-  /// pass's wall-clock divided evenly across the members.
+  /// (the batched V-solve, a unit of several) share one pass, so each
+  /// member reports the pass's wall-clock divided evenly across the
+  /// members.
   double seconds = 0.0;
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };

@@ -18,10 +18,22 @@
 //        trr_many/mrr_many).
 // For SR/RSD/RR this makes an m-point sweep cost essentially one solve at
 // the largest time instead of m solves.
+//
+// solve_shared() widens the same idea across requests: a request's
+// measure, eps and grid decide how a pass is READ, not always what it
+// steps. SR's pi_0 P^n and RSD's P^n r are one iterate for every request
+// of a solver, and Krylov's substeps depend on eps and the grid but not on
+// the measure, so one pass answers many requests ("one matrix-function
+// action, many functionals", Masetti & Robol in PAPERS.md).
+// shares_pass(a, b) says when; the sweep engine hands out each such group
+// as one unit.
 #pragma once
 
 #include <cmath>
+#include <exception>
+#include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -82,6 +94,17 @@ struct SolveReport {
   std::vector<TransientValue> points;
   SolverStats total;
 
+  /// A report of `points` zero values whose lambda fields (every point's
+  /// and the total's) read `lambda`: the starting state of the
+  /// randomization methods' answers.
+  [[nodiscard]] static SolveReport blank(std::size_t points, double lambda) {
+    SolveReport report;
+    report.points.resize(points);
+    for (TransientValue& p : report.points) p.stats.lambda = lambda;
+    report.total.lambda = lambda;
+    return report;
+  }
+
   /// The bare values, in request order.
   [[nodiscard]] std::vector<double> values() const {
     std::vector<double> v;
@@ -89,6 +112,13 @@ struct SolveReport {
     for (const TransientValue& p : points) v.push_back(p.value);
     return v;
   }
+};
+
+/// The answer to one request of a shared pass (TransientSolver::
+/// solve_shared): its report, or the exception that request alone raised.
+struct SharedResult {
+  SolveReport report;        ///< valid iff error is null
+  std::exception_ptr error;  ///< set iff this request failed
 };
 
 /// Abstract transient solver: one rewarded CTMC + initial distribution,
@@ -120,6 +150,36 @@ class TransientSolver {
   [[nodiscard]] SolveReport solve_grid(const SolveRequest& request) const {
     SolveWorkspace workspace;
     return solve_grid(request, workspace);
+  }
+
+  /// Whether ONE pass of this method can answer both requests. A
+  /// request's measure, eps and grid decide how a pass is read; this says
+  /// whether they also leave what it steps unchanged. The default is
+  /// false: every request runs its own solve.
+  [[nodiscard]] virtual bool shares_pass(const SolveRequest& /*a*/,
+                                         const SolveRequest& /*b*/) const {
+    return false;
+  }
+
+  /// One pass, many readers: result i answers *requests[i], bitwise equal
+  /// to solve_grid(*requests[i]) (timings aside). Each request is
+  /// validated on its own; one that throws records its exception in its
+  /// own result and the others still run. A method whose pass serves
+  /// several requests (shares_pass) steps it once for all of them; the
+  /// default runs solve_grid once per request. Safe to call concurrently
+  /// with distinct workspaces.
+  [[nodiscard]] virtual std::vector<SharedResult> solve_shared(
+      std::span<const SolveRequest* const> requests,
+      SolveWorkspace& workspace) const {
+    std::vector<SharedResult> results(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      try {
+        results[i].report = solve_grid(*requests[i], workspace);
+      } catch (...) {
+        results[i].error = std::current_exception();
+      }
+    }
+    return results;
   }
 
   /// The compile half of solve_grid(request), run ahead of it: the
@@ -180,6 +240,18 @@ class TransientSolver {
         request.epsilon > 0.0 ? request.epsilon : constructed_epsilon;
     RRL_EXPECTS(eps > 0.0);
     return eps;
+  }
+
+ protected:
+  /// solve_grid of a method whose solve_shared is its only loop: one
+  /// reader, its exception rethrown.
+  [[nodiscard]] SolveReport solve_alone(const SolveRequest& request,
+                                        SolveWorkspace& workspace) const {
+    const SolveRequest* const one = &request;
+    SharedResult result =
+        std::move(solve_shared({&one, 1}, workspace).front());
+    if (result.error) std::rethrow_exception(result.error);
+    return std::move(result.report);
   }
 };
 

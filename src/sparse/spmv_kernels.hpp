@@ -138,11 +138,12 @@ struct SpmvKernels {
 /// this table.
 [[nodiscard]] const SpmvKernels& active_kernels();
 
-/// Whether multi-RHS batched stepping is enabled. RRL_SPMM=off (or =0)
-/// routes shared-model batches back through the per-scenario SpMV paths;
-/// used by CI byte-compare runs, read from the environment on every call
-/// so one process can compare both paths. Both paths are bit-identical by
-/// the kernel contract — the toggle exists to prove it.
+/// Whether shared stepping is enabled. RRL_SPMM=off (or =0) makes every
+/// scenario of a sweep its own solve (no shared passes, core/
+/// sweep_engine.hpp) and steps RR's equal-matrix classes one V-model at a
+/// time instead of as one SpMM block; used by CI byte-compare runs, read
+/// from the environment on every call so one process can compare both
+/// paths. Both paths are bit-identical — the toggle exists to prove it.
 [[nodiscard]] bool spmm_enabled() noexcept;
 
 }  // namespace rrl

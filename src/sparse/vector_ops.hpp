@@ -55,33 +55,6 @@ class CompensatedSum {
   return s.value();
 }
 
-/// Compensated dot product against a strided column — the batched SpMM
-/// block layout stores column lanes `stride` doubles apart (y_i at
-/// column[i * stride]). Same products, same accumulation order as dot(),
-/// so the result is bitwise identical to dot() on the gathered column.
-[[nodiscard]] inline double dot_strided(std::span<const double> x,
-                                        const double* column,
-                                        std::size_t stride) {
-  CompensatedSum s;
-  for (std::size_t i = 0; i < x.size(); ++i) s.add(x[i] * column[i * stride]);
-  return s.value();
-}
-
-/// Min and max of a strided column of length n (n >= 1). Order of the scan
-/// cannot affect the extrema, so this matches std::minmax_element on the
-/// gathered column bit-for-bit.
-[[nodiscard]] inline std::pair<double, double> minmax_strided(
-    const double* column, std::size_t n, std::size_t stride) {
-  double mn = column[0];
-  double mx = column[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    const double v = column[i * stride];
-    mn = std::min(mn, v);
-    mx = std::max(mx, v);
-  }
-  return {mn, mx};
-}
-
 /// L1 norm.
 [[nodiscard]] inline double norm_l1(std::span<const double> x) noexcept {
   CompensatedSum s;

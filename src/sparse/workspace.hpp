@@ -36,7 +36,6 @@
 #include <cstdint>
 
 #include "sparse/aligned_alloc.hpp"
-#include "sparse/block.hpp"
 #include "support/thread_pool.hpp"
 
 namespace rrl {
@@ -55,18 +54,6 @@ class SolveWorkspace {
   /// General scratch buffer, resized to n; contents unspecified on return.
   [[nodiscard]] AlignedVector<double>& scratch(std::size_t n) {
     return sized(scratch_, n);
-  }
-
-  /// Multi-RHS block buffers for the batched SpMM paths (current block
-  /// and stepping target), reshaped to rows x cols and zero-filled;
-  /// capacity is retained across batches like the vector buffers.
-  [[nodiscard]] DenseBlock& block_x(index_t rows, index_t cols) {
-    block_x_.reshape(rows, cols);
-    return block_x_;
-  }
-  [[nodiscard]] DenseBlock& block_y(index_t rows, index_t cols) {
-    block_y_.reshape(rows, cols);
-    return block_y_;
   }
 
   /// Stored-entry floor below which the pooled SpMV path is skipped: one
@@ -104,8 +91,6 @@ class SolveWorkspace {
   AlignedVector<double> pi_;
   AlignedVector<double> next_;
   AlignedVector<double> scratch_;
-  DenseBlock block_x_;
-  DenseBlock block_y_;
 };
 
 }  // namespace rrl

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/randomization_batch.hpp"
 #include "rrl.hpp"
 #include "support/metrics.hpp"
 
@@ -411,7 +410,7 @@ void expect_values_equal(const SolveReport& got, const SolveReport& want,
   EXPECT_EQ(got.total.dtmc_steps, want.total.dtmc_steps) << label;
 }
 
-TEST(LivePrefixSr, SoloPooledAndBatchedMatchFullLengthStepping) {
+TEST(LivePrefixSr, SoloPooledAndSharedMatchFullLengthStepping) {
   const ModelFile& q = bfs_queue();
   const index_t n = q.chain.num_states();
   SrOptions options;
@@ -445,18 +444,17 @@ TEST(LivePrefixSr, SoloPooledAndBatchedMatchFullLengthStepping) {
                         label + " pooled, stale workspace");
   }
 
+  // One shared pass for every request.
+  std::vector<const SolveRequest*> shared;
+  for (const SolveRequest& r : requests) shared.push_back(&r);
   for (const bool with_pool : {false, true}) {
-    std::vector<SolveReport> reports(requests.size());
-    std::vector<std::string> errors(requests.size());
-    std::vector<RandBatchItem> items;
+    SolveWorkspace ws;
+    ws.spmv_pool = with_pool ? &pool : nullptr;
+    const std::vector<SharedResult> got = sr.solve_shared(shared, ws);
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      items.push_back({&sr, &requests[i], &reports[i], &errors[i]});
-    }
-    solve_randomization_batch(items, with_pool ? &pool : nullptr);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      EXPECT_EQ(errors[i], "");
-      expect_values_equal(reports[i], want[i],
-                          "batched item " + std::to_string(i) +
+      EXPECT_EQ(got[i].error, nullptr);
+      expect_values_equal(got[i].report, want[i],
+                          "shared item " + std::to_string(i) +
                               (with_pool ? " pooled" : ""));
     }
   }

@@ -1,11 +1,11 @@
-// Multi-RHS SpMM layer (sparse/block.hpp, CsrMatrix::mul_block) and the
-// shared-pass batched randomization solves built on it
-// (core/randomization_batch.hpp, rr_solver's equal-matrix classes).
+// Multi-RHS SpMM layer (sparse/block.hpp, CsrMatrix::mul_block), the
+// shared-pass SR/RSD solves (TransientSolver::solve_shared: one iterate,
+// many readers) and rr_solver's equal-matrix classes.
 //
 // The load-bearing contract everywhere: every output column of every SpMM
 // variant — each ISA, CSR rows and SELL chunks, serial and pooled, wide
 // and narrow tiles, full and fringe column counts — is BITWISE the scalar
-// single-vector SpMV of that column, and therefore every batched solve is
+// single-vector SpMV of that column, and every shared or batched solve is
 // bitwise the per-scenario solve it replaces. Comparisons go through
 // memcmp, not EXPECT_DOUBLE_EQ: -0.0 == 0.0 would hide exactly the sign
 // flips the contract forbids.
@@ -13,10 +13,10 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
-#include "core/randomization_batch.hpp"
 #include "core/rr_solver.hpp"
 #include "core/standard_randomization.hpp"
 #include "core/steady_state_detection.hpp"
@@ -375,23 +375,21 @@ TEST(SpmmKernels, MetricsCountProductsAndColumns) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-pass batched SR/RSD solves.
+// Shared-pass SR/RSD solves: one iterate, many readers.
 
-struct BatchFixture {
-  std::vector<SolveReport> reports;
-  std::vector<std::string> errors;
-  std::vector<RandBatchItem> items;
+std::vector<SharedResult> shared(const TransientSolver& solver,
+                                 const std::vector<SolveRequest>& requests,
+                                 SolveWorkspace& workspace) {
+  std::vector<const SolveRequest*> ptrs;
+  for (const SolveRequest& r : requests) ptrs.push_back(&r);
+  return solver.solve_shared(ptrs, workspace);
+}
 
-  BatchFixture(const TransientSolver& solver,
-               const std::vector<SolveRequest>& requests) {
-    reports.resize(requests.size());
-    errors.resize(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      items.push_back(
-          RandBatchItem{&solver, &requests[i], &reports[i], &errors[i]});
-    }
-  }
-};
+std::vector<SharedResult> shared(const TransientSolver& solver,
+                                 const std::vector<SolveRequest>& requests) {
+  SolveWorkspace workspace;
+  return shared(solver, requests, workspace);
+}
 
 void expect_reports_equal(const SolveReport& got, const SolveReport& want,
                           const std::string& label) {
@@ -426,7 +424,7 @@ TEST(RandomizationBatch, SrBatchMatchesSoloBitwise) {
   options.epsilon = 1e-8;
   const StandardRandomization sr(chain, rewards, alpha, options);
 
-  // Scenarios varying everything the batch must keep per-column: epsilon
+  // Requests varying everything each reader must keep its own: epsilon
   // (truncation/pass length), measure (Poisson weights), and the grid.
   std::vector<SolveRequest> requests;
   requests.push_back(SolveRequest::trr({0.5, 5.0, 50.0}));
@@ -440,19 +438,20 @@ TEST(RandomizationBatch, SrBatchMatchesSoloBitwise) {
   for (const SolveRequest& r : requests) solo.push_back(sr.solve_grid(r));
 
   ThreadPool pool(4);
-  SolveWorkspace workspace;
+  SolveWorkspace reused;
   for (const bool with_pool : {false, true}) {
-    for (const bool with_workspace : {false, true}) {
-      BatchFixture fx(sr, requests);
-      solve_randomization_batch(fx.items, with_pool ? &pool : nullptr,
-                                with_workspace ? &workspace : nullptr);
+    for (const bool with_reused : {false, true}) {
+      SolveWorkspace fresh;
+      SolveWorkspace& ws = with_reused ? reused : fresh;
+      ws.spmv_pool = with_pool ? &pool : nullptr;
+      const std::vector<SharedResult> got = shared(sr, requests, ws);
       for (std::size_t i = 0; i < requests.size(); ++i) {
-        EXPECT_EQ(fx.errors[i], "");
+        EXPECT_EQ(got[i].error, nullptr);
         expect_reports_equal(
-            fx.reports[i], solo[i],
+            got[i].report, solo[i],
             "sr item " + std::to_string(i) +
                 (with_pool ? " pool" : " serial") +
-                (with_workspace ? " ws" : ""));
+                (with_reused ? " ws" : ""));
       }
     }
   }
@@ -464,7 +463,7 @@ TEST(RandomizationBatch, RsdBatchMatchesSoloIncludingDetection) {
                                               {1.0, 0.0});
   std::vector<SolveRequest> requests;
   // Large horizons so detection fires (per the solo RSD tests), at three
-  // different epsilons — three different spans tolerances, so the columns
+  // different epsilons — three different span tolerances, so the readers
   // fold at different steps.
   requests.push_back(SolveRequest::trr({1.0, 1e3, 1e5}));
   requests.push_back(SolveRequest::trr({1.0, 1e3, 1e5}, 1e-6));
@@ -478,17 +477,18 @@ TEST(RandomizationBatch, RsdBatchMatchesSoloIncludingDetection) {
 
   ThreadPool pool(2);
   for (const bool with_pool : {false, true}) {
-    BatchFixture fx(rsd, requests);
-    solve_randomization_batch(fx.items, with_pool ? &pool : nullptr);
+    SolveWorkspace ws;
+    ws.spmv_pool = with_pool ? &pool : nullptr;
+    const std::vector<SharedResult> got = shared(rsd, requests, ws);
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      EXPECT_EQ(fx.errors[i], "");
-      expect_reports_equal(fx.reports[i], solo[i],
+      EXPECT_EQ(got[i].error, nullptr);
+      expect_reports_equal(got[i].report, solo[i],
                            "rsd item " + std::to_string(i));
     }
   }
 }
 
-TEST(RandomizationBatch, MixedSolversGroupByInstance) {
+TEST(RandomizationBatch, SrAndRsdShareEveryPair) {
   const Ctmc chain = make_random_ctmc({.num_states = 25, .seed = 77});
   std::vector<double> rewards(25, 0.0);
   rewards[12] = 1.0;
@@ -496,30 +496,24 @@ TEST(RandomizationBatch, MixedSolversGroupByInstance) {
   alpha[0] = 1.0;
   const StandardRandomization sr(chain, rewards, alpha);
   const RandomizationSteadyStateDetection rsd(chain, rewards, alpha);
-  EXPECT_TRUE(randomization_batchable(sr));
-  EXPECT_TRUE(randomization_batchable(rsd));
 
   const std::vector<SolveRequest> requests = {
       SolveRequest::trr({1.0, 10.0}),
-      SolveRequest::mrr({5.0}),
-      SolveRequest::trr({1.0, 10.0}),
-      SolveRequest::mrr({5.0}),
+      SolveRequest::mrr({5.0}, 1e-6),
   };
-  std::vector<SolveReport> reports(4);
-  std::vector<std::string> errors(4);
-  // Interleaved: items 0/2 drive sr, 1/3 drive rsd — two groups.
-  std::vector<RandBatchItem> items = {
-      {&sr, &requests[0], &reports[0], &errors[0]},
-      {&rsd, &requests[1], &reports[1], &errors[1]},
-      {&sr, &requests[2], &reports[2], &errors[2]},
-      {&rsd, &requests[3], &reports[3], &errors[3]},
-  };
-  solve_randomization_batch(items, nullptr);
-  for (const std::string& e : errors) EXPECT_EQ(e, "");
-  expect_reports_equal(reports[0], sr.solve_grid(requests[0]), "sr 0");
-  expect_reports_equal(reports[1], rsd.solve_grid(requests[1]), "rsd 1");
-  expect_reports_equal(reports[2], sr.solve_grid(requests[2]), "sr 2");
-  expect_reports_equal(reports[3], rsd.solve_grid(requests[3]), "rsd 3");
+  for (const TransientSolver* solver :
+       {static_cast<const TransientSolver*>(&sr),
+        static_cast<const TransientSolver*>(&rsd)}) {
+    // Measure, eps and grid differ: the iterate does not.
+    EXPECT_TRUE(solver->shares_pass(requests[0], requests[1]));
+    const std::vector<SharedResult> got = shared(*solver, requests);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(got[i].error, nullptr);
+      expect_reports_equal(got[i].report, solver->solve_grid(requests[i]),
+                           std::string(solver->name()) + " " +
+                               std::to_string(i));
+    }
+  }
 }
 
 TEST(RandomizationBatch, SingletonGroupRunsThePlainSolve) {
@@ -530,10 +524,10 @@ TEST(RandomizationBatch, SingletonGroupRunsThePlainSolve) {
   alpha[0] = 1.0;
   const StandardRandomization sr(chain, rewards, alpha);
   const std::vector<SolveRequest> requests = {SolveRequest::trr({3.0})};
-  BatchFixture fx(sr, requests);
-  solve_randomization_batch(fx.items, nullptr);
-  EXPECT_EQ(fx.errors[0], "");
-  expect_reports_equal(fx.reports[0], sr.solve_grid(requests[0]),
+  const std::vector<SharedResult> got = shared(sr, requests);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].error, nullptr);
+  expect_reports_equal(got[0].report, sr.solve_grid(requests[0]),
                        "singleton");
 }
 
@@ -544,15 +538,14 @@ TEST(RandomizationBatch, ZeroRewardsReportZeroValues) {
   const StandardRandomization sr(chain, std::vector<double>(10, 0.0), alpha);
   const std::vector<SolveRequest> requests = {
       SolveRequest::trr({1.0, 10.0}), SolveRequest::mrr({5.0})};
-  BatchFixture fx(sr, requests);
-  solve_randomization_batch(fx.items, nullptr);
+  const std::vector<SharedResult> got = shared(sr, requests);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(fx.errors[i], "");
-    for (const TransientValue& p : fx.reports[i].points) {
+    EXPECT_EQ(got[i].error, nullptr);
+    for (const TransientValue& p : got[i].report.points) {
       EXPECT_EQ(p.value, 0.0);
       EXPECT_EQ(p.stats.lambda, sr.lambda());
     }
-    EXPECT_EQ(fx.reports[i].total.lambda, sr.lambda());
+    EXPECT_EQ(got[i].report.total.lambda, sr.lambda());
   }
 }
 
@@ -568,14 +561,14 @@ TEST(RandomizationBatch, BadItemIsIsolated) {
       SolveRequest::mrr({0.0}),  // MRR at t = 0: contract violation
       SolveRequest::trr({1.0, 10.0}),
   };
-  BatchFixture fx(sr, requests);
-  solve_randomization_batch(fx.items, nullptr);
-  EXPECT_EQ(fx.errors[0], "");
-  EXPECT_NE(fx.errors[1], "");
-  EXPECT_EQ(fx.errors[2], "");
+  const std::vector<SharedResult> got = shared(sr, requests);
+  EXPECT_EQ(got[0].error, nullptr);
+  ASSERT_NE(got[1].error, nullptr);
+  EXPECT_THROW(std::rethrow_exception(got[1].error), contract_error);
+  EXPECT_EQ(got[2].error, nullptr);
   const SolveReport solo = sr.solve_grid(requests[0]);
-  expect_reports_equal(fx.reports[0], solo, "survivor 0");
-  expect_reports_equal(fx.reports[2], solo, "survivor 2");
+  expect_reports_equal(got[0].report, solo, "survivor 0");
+  expect_reports_equal(got[2].report, solo, "survivor 2");
 }
 
 TEST(RandomizationBatch, RunSweepRoutingIsBitIdenticalOnAndOff) {
@@ -606,23 +599,33 @@ TEST(RandomizationBatch, RunSweepRoutingIsBitIdenticalOnAndOff) {
     batch.scenarios.push_back(std::move(scenario));
   }
 
-  const auto before = metrics::counter("rrl_spmm_products_total").value();
-  batch.spmm = true;
+  // Engagement: with sharing, each solver steps one iterate for its two
+  // scenarios, so the sweep streams fewer matrix entries than without.
+  auto& nnz = metrics::counter("rrl_spmv_nnz_total");
   batch.jobs = 1;
+  batch.spmm = true;
+  const auto shared_before = nnz.value();
   const SweepReport on = run_sweep(batch);
+  const auto shared_nnz = nnz.value() - shared_before;
   EXPECT_EQ(on.failed(), 0u);
-  EXPECT_GT(metrics::counter("rrl_spmm_products_total").value(), before)
-      << "spmm routing did not engage";
-
   batch.spmm = false;
-  for (const int jobs : {1, 4}) {
-    batch.jobs = jobs;
-    const SweepReport off = run_sweep(batch);
-    EXPECT_EQ(off.failed(), 0u);
-    for (std::size_t s = 0; s < on.results.size(); ++s) {
-      expect_reports_equal(on.results[s].report, off.results[s].report,
-                           "scenario " + std::to_string(s) +
-                               " jobs=" + std::to_string(jobs));
+  const auto solo_before = nnz.value();
+  EXPECT_EQ(run_sweep(batch).failed(), 0u);
+  const auto solo_nnz = nnz.value() - solo_before;
+  EXPECT_LT(shared_nnz, solo_nnz) << "shared passes did not engage";
+
+  for (const bool spmm : {true, false}) {
+    batch.spmm = spmm;
+    for (const int jobs : {1, 4}) {
+      batch.jobs = jobs;
+      const SweepReport run = run_sweep(batch);
+      EXPECT_EQ(run.failed(), 0u);
+      for (std::size_t s = 0; s < on.results.size(); ++s) {
+        expect_reports_equal(run.results[s].report, on.results[s].report,
+                             "scenario " + std::to_string(s) +
+                                 (spmm ? " shared" : " solo") +
+                                 " jobs=" + std::to_string(jobs));
+      }
     }
   }
 }

@@ -919,14 +919,15 @@ int run_cli(const CliArgs& args, char** argv) {
           "SpMV/SpMM kernel\n"
           "                    variant (default: best the CPU supports); "
           "RRL_SPMM=off\n"
-          "                    disables the shared-pass SpMM batching of "
-          "scenarios that\n"
-          "                    drive one SR/RSD solver. Both are pure perf "
-          "knobs — every\n"
-          "                    kernel and batch path is bit-identical to "
-          "the scalar\n"
-          "                    per-scenario reference, so reports never "
-          "change.\n");
+          "                    runs every scenario on its own instead of "
+          "sharing one\n"
+          "                    pass (SR/RSD iterates, Krylov TRR/MRR "
+          "pairs, RR SpMM\n"
+          "                    classes). Both are pure perf knobs — every "
+          "kernel and\n"
+          "                    sharing path is bit-identical to the scalar "
+          "per-scenario\n"
+          "                    reference, so reports never change.\n");
       return 2;
     }
 
