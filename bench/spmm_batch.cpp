@@ -93,7 +93,13 @@ int main(int argc, char** argv) {
   const auto solver = std::make_shared<StandardRandomization>(
       chain, rewards, initial, options);
 
-  const std::vector<double> grid = log_time_grid(1.0, tmax, 4);
+  // Every scenario is this one with its own measure and epsilon.
+  SweepScenario prototype;
+  prototype.model = "banded";
+  prototype.solver = "sr";
+  prototype.chain = &chain;
+  prototype.shared_solver = solver;
+  prototype.request.times = log_time_grid(1.0, tmax, 4);
   BatchRequest batch;
   batch.jobs = 1;  // single worker: measure the kernel, not threading
   for (int c = 0; c < cols; ++c) {
@@ -102,15 +108,9 @@ int main(int argc, char** argv) {
     const double col_eps = eps * std::pow(10.0, 3.0 * c / std::max(1, cols));
     for (const MeasureKind measure :
          {MeasureKind::kTrr, MeasureKind::kMrr}) {
-      SweepScenario scenario;
-      scenario.model = "banded";
-      scenario.solver = "sr";
-      scenario.chain = &chain;
-      scenario.shared_solver = solver;
+      SweepScenario& scenario = batch.scenarios.emplace_back(prototype);
       scenario.request.measure = measure;
-      scenario.request.times = grid;
       scenario.request.epsilon = col_eps;
-      batch.scenarios.push_back(std::move(scenario));
     }
   }
 

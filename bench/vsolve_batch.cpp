@@ -1,21 +1,20 @@
-// Batched V-solve throughput: many RR scenarios sharing ONE compiled
-// schema, solved by solve_rr_batch (one ~Lambda*t V-pass feeding every
-// scenario's Poisson mixtures) vs per-scenario stepping (each scenario its
-// own V-pass — the pre-batching behavior). The schema memo is warmed
-// before either mode, so the comparison isolates exactly the execute
-// phase the batching targets, and the harness ASSERTS the >= 1.5x
-// scenarios/sec bound (exit code 1 on violation, so CI tracks the
-// regression) after checking the values are bit-identical.
+// Shared V-pass throughput: many RR scenarios sharing ONE compiled schema,
+// answered by one solve_shared (one ~Lambda*t V-pass feeding every
+// scenario's Poisson mixtures) vs per-scenario solve_grid (each scenario
+// its own V-pass). The schema memo is warmed before either mode, so the
+// comparison isolates exactly the execute phase the sharing targets, and
+// the harness ASSERTS the >= 1.5x scenarios/sec bound (exit code 1 on
+// violation, so CI tracks the regression) after checking the values are
+// bit-identical.
 //
 // Usage:
 //   vsolve_batch [--eps 1e-12] [--tmax 1e4] [--grids 8] [--reps 3]
 //                [--min-speedup 1.5] [--json-out BENCH_vsolve_batch.json]
 // Environment: RRL_BENCH_QUICK=1 shrinks reps for CI.
-#include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
+#include <exception>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -39,16 +38,10 @@ int main(int argc, char** argv) {
   const std::shared_ptr<const TransientSolver> shared =
       make_solver("rr", raid.chain, raid.failure_rewards(),
                   raid.initial_distribution(), config);
-  const auto* solver =
-      dynamic_cast<const RegenerativeRandomization*>(shared.get());
-  if (solver == nullptr) {
-    std::fprintf(stderr, "error: 'rr' is not the built-in RR solver\n");
-    return 1;
-  }
 
   // The single-schema batch: every grid tops out at tmax (different
   // windows and resolutions below it) x both measures, so all scenarios
-  // key to ONE (t_max, eps) compiled schema.
+  // key to ONE (t_max, eps) compiled schema and share one pass.
   std::vector<SolveRequest> requests;
   for (int g = 0; g < grids; ++g) {
     const double lo = 1.0 + static_cast<double>(g);
@@ -61,8 +54,19 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<const SolveRequest*> ptrs;
+  ptrs.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (i > 0 && !shared->shares_pass(requests.front(), requests[i])) {
+      std::fprintf(stderr, "error: scenario %zu does not share the pass\n",
+                   i);
+      return 1;
+    }
+    ptrs.push_back(&requests[i]);
+  }
+
   std::printf(
-      "batched V-solve: %zu RR scenarios on raid5-g20 sharing one compiled "
+      "shared V-pass: %zu RR scenarios on raid5-g20 sharing one compiled "
       "schema (t_max=%g, eps=%g), best of %d reps\n\n",
       requests.size(), tmax, eps, reps);
 
@@ -81,31 +85,32 @@ int main(int argc, char** argv) {
   }
 
   double batched_seconds = 0.0;
-  std::vector<SolveReport> batched_reports(requests.size());
-  std::vector<std::string> errors(requests.size());
+  std::vector<SharedResult> batched;
+  SolveWorkspace workspace;
   for (int rep = 0; rep < reps; ++rep) {
-    std::vector<RrBatchItem> items;
-    items.reserve(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      errors[i].clear();
-      items.push_back(RrBatchItem{solver, &requests[i],
-                                  &batched_reports[i], &errors[i]});
-    }
     const Stopwatch watch;
-    solve_rr_batch(items, /*pool=*/nullptr);
+    batched = shared->solve_shared(ptrs, workspace);
     const double seconds = watch.seconds();
     if (rep == 0 || seconds < batched_seconds) batched_seconds = seconds;
   }
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (!errors[i].empty()) {
-      std::fprintf(stderr, "error: scenario %zu failed: %s\n", i,
-                   errors[i].c_str());
+    if (batched[i].error) {
+      try {
+        std::rethrow_exception(batched[i].error);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: scenario %zu failed: %s\n", i,
+                     e.what());
+      }
       return 1;
     }
-    if (batched_reports[i].values() != serial_reports[i].values()) {
+    const std::vector<double> got = batched[i].report.values();
+    const std::vector<double> want = serial_reports[i].values();
+    if (got.size() != want.size() ||
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(double)) !=
+            0) {
       std::fprintf(stderr,
-                   "error: scenario %zu differs between batched and "
+                   "error: scenario %zu differs between the shared pass and "
                    "per-scenario stepping\n",
                    i);
       return 1;
@@ -120,7 +125,7 @@ int main(int argc, char** argv) {
   TextTable table({"mode", "seconds", "scenarios/sec", "speedup"});
   table.add_row({"per-scenario V-pass", fmt_sig(serial_seconds, 4),
                  fmt_sig(serial_rate, 4), "1"});
-  table.add_row({"batched V-solve", fmt_sig(batched_seconds, 4),
+  table.add_row({"shared V-pass", fmt_sig(batched_seconds, 4),
                  fmt_sig(batched_rate, 4), fmt_sig(speedup, 3)});
   table.print();
   std::printf("\nvalues bit-identical to per-scenario stepping: yes\n");
@@ -139,11 +144,11 @@ int main(int argc, char** argv) {
   }
 
   if (speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: batched V-solve speedup %.3g < required %.3g\n",
+    std::fprintf(stderr, "FAIL: shared V-pass speedup %.3g < required %.3g\n",
                  speedup, min_speedup);
     return 1;
   }
-  std::printf("PASS: batched V-solve speedup %.3g >= %.3g\n", speedup,
+  std::printf("PASS: shared V-pass speedup %.3g >= %.3g\n", speedup,
               min_speedup);
   return 0;
 }

@@ -216,38 +216,12 @@ bool KrylovSolver::shares_pass(const SolveRequest& a,
 std::vector<SharedResult> KrylovSolver::solve_shared(
     std::span<const SolveRequest* const> requests,
     SolveWorkspace& workspace) const {
-  std::vector<SharedResult> results(requests.size());
-  std::vector<std::uint8_t> grouped(requests.size(), 0);
-  std::vector<std::size_t> readers;
-  for (std::size_t k = 0; k < requests.size(); ++k) {
-    if (grouped[k] != 0) continue;
-    // One pass for request k and every later request sharing it; each is
-    // validated on its own.
-    readers.clear();
-    double eps = 0.0;
-    for (std::size_t j = k; j < requests.size(); ++j) {
-      if (grouped[j] != 0 ||
-          (j != k && !shares_pass(*requests[k], *requests[j]))) {
-        continue;
-      }
-      grouped[j] = 1;
-      try {
-        eps = validated_epsilon(*requests[j], options_.epsilon);
-        readers.push_back(j);
-      } catch (...) {
-        results[j].error = std::current_exception();
-      }
-    }
-    if (readers.empty()) continue;
-    try {
-      run_pass(requests, readers, eps, results, workspace);
-    } catch (...) {
-      for (const std::size_t j : readers) {
-        results[j].error = std::current_exception();
-      }
-    }
-  }
-  return results;
+  return solve_in_groups(
+      requests, options_.epsilon,
+      [&](std::span<const std::size_t> readers, double eps,
+          std::span<SharedResult> results) {
+        run_pass(requests, readers, eps, results, workspace);
+      });
 }
 
 void KrylovSolver::run_pass(std::span<const SolveRequest* const> requests,

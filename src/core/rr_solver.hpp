@@ -6,9 +6,10 @@
 // the paper's new variant (RRL) eliminates.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/regenerative.hpp"
@@ -56,10 +57,28 @@ class RegenerativeRandomization : public TransientSolver {
   /// every fixed t) and ONE standard-randomization pass of V_{K,L} feeding
   /// all grid points — the dominant K model-sized DTMC steps and the
   /// ~Lambda*t_max V-steps are both paid once for the whole grid. The
-  /// workspace buffers carry the V-model solve's vector iterates.
+  /// workspace buffers carry the V-model solve's vector iterates. This is
+  /// solve_shared with one request.
   using TransientSolver::solve_grid;
   [[nodiscard]] SolveReport solve_grid(
-      const SolveRequest& request, SolveWorkspace& workspace) const override;
+      const SolveRequest& request, SolveWorkspace& workspace) const override {
+    return solve_alone(request, workspace);
+  }
+
+  /// The V-pass depends only on the compiled schema: requests with the
+  /// same effective eps and the same largest time share it (an empty grid
+  /// shares with nothing).
+  [[nodiscard]] bool shares_pass(const SolveRequest& a,
+                                 const SolveRequest& b) const override;
+
+  /// One compile and one V-pass per group of requests that share it: the
+  /// group's V_{K,L} is solved by standard randomization at eps/2, every
+  /// member a reader of that one iterate (StandardRandomization::
+  /// solve_shared). Each report is bitwise its solve_grid report.
+  [[nodiscard]] std::vector<SharedResult> solve_shared(
+      std::span<const SolveRequest* const> requests,
+      SolveWorkspace& workspace) const override;
+
   /// Memoizes the schema and V-model solve_grid(request) runs on.
   void precompile(const SolveRequest& request) const override;
 
@@ -76,15 +95,10 @@ class RegenerativeRandomization : public TransientSolver {
   [[nodiscard]] RegenerativeSchema schema(double t) const;
 
   /// The compiled artifact (schema + materialized V-model) for horizon t
-  /// at error budget eps, through the memo — the compile step of both
-  /// solve_grid() and the batched V-solve below.
+  /// at error budget eps, through the memo: the compile step of each
+  /// V-pass solve_shared() runs, public for analysis and tests.
   [[nodiscard]] std::shared_ptr<const CompiledSchema> compiled_for(
       double t, double eps) const;
-
-  [[nodiscard]] const RrOptions& options() const noexcept {
-    return options_;
-  }
-  [[nodiscard]] const Ctmc& chain() const noexcept { return chain_; }
 
   /// Hit/miss accounting of the memoized schema artifact (see
   /// core/schema_cache.hpp).
@@ -94,6 +108,12 @@ class RegenerativeRandomization : public TransientSolver {
 
  private:
   [[nodiscard]] RegenerativeOptions schema_options(double eps) const;
+  /// The V-pass answering requests[k] for every k in `readers`
+  /// (validated, sharing one compiled schema at effective eps `eps`).
+  void run_pass(std::span<const SolveRequest* const> requests,
+                std::span<const std::size_t> readers, double eps,
+                std::span<SharedResult> results,
+                SolveWorkspace& workspace) const;
 
   const Ctmc& chain_;
   std::vector<double> rewards_;
@@ -104,38 +124,5 @@ class RegenerativeRandomization : public TransientSolver {
   // remains shareable across concurrent solve_grid() calls.
   SchemaCache schema_cache_;
 };
-
-/// One scenario of a batched RR execute: a solver (typically shared by
-/// many items), its request, and the output slots. On failure `*error` is
-/// set and `*report` is untouched — the sweep engine's per-scenario
-/// isolation.
-struct RrBatchItem {
-  const RegenerativeRandomization* solver = nullptr;
-  const SolveRequest* request = nullptr;
-  SolveReport* report = nullptr;
-  std::string* error = nullptr;
-};
-
-/// Batched V-solve (the execute half of many RR scenarios at once).
-///
-/// Items are grouped by compiled schema — (solver, largest grid time,
-/// effective epsilon) — and each distinct V_{K,L} is stepped through its
-/// ~Lambda*t randomization pass exactly ONCE: every item of a group feeds
-/// its Poisson mixtures from the group's single d(n) stream instead of
-/// re-running the pass per scenario (measure and grid resolution do not
-/// change the stream). When `pool` has idle workers, the distinct V-models
-/// are additionally advanced TOGETHER: their gather matrices are
-/// concatenated block-diagonally into one CSR whose combined stored-entry
-/// count clears the pooled-SpMV floor even though each V-model alone is
-/// far below it, and one row-partitioned stepping loop advances all the
-/// V-vectors jointly (groups retire from the block as their passes
-/// complete). Both layers are bit-identical to item-by-item
-/// solver->solve_grid(): the schema/V-model compile is shared through the
-/// same memo, the d(n) stream of a group is the stream each member would
-/// have computed, and the block rows accumulate in exactly the per-model
-/// kernel order.
-///
-/// `pool` may be null (serial per-group passes, still deduplicated).
-void solve_rr_batch(std::span<const RrBatchItem> items, ThreadPool* pool);
 
 }  // namespace rrl

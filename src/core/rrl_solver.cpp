@@ -271,40 +271,4 @@ SolveReport RegenerativeRandomizationLaplace::solve_grid(
   return report;
 }
 
-std::vector<TransientValue> RegenerativeRandomizationLaplace::solve_many(
-    std::span<const double> ts, MeasureKind kind) const {
-  RRL_EXPECTS(!ts.empty());
-  for (const double t : ts) RRL_EXPECTS(t > 0.0);
-  SolveRequest request;
-  request.measure = kind;
-  request.times.assign(ts.begin(), ts.end());
-  SolveReport report = solve_grid(request);
-
-  // Legacy attribution: the shared schema cost is carried by the first
-  // entry only. The first entry's seconds are raised so the sum over
-  // entries reaches the sweep's wall-clock total; under OpenMP the
-  // per-point timers overlap and already exceed it, in which case the
-  // first entry keeps its own inversion time unchanged.
-  double other_seconds = 0.0;
-  for (std::size_t i = 1; i < report.points.size(); ++i) {
-    other_seconds += report.points[i].stats.seconds;
-    report.points[i].stats.dtmc_steps = 0;
-  }
-  TransientValue& front = report.points.front();
-  front.stats.dtmc_steps = report.total.dtmc_steps;
-  front.stats.seconds = std::max(front.stats.seconds,
-                                 report.total.seconds - other_seconds);
-  return std::move(report.points);
-}
-
-std::vector<TransientValue> RegenerativeRandomizationLaplace::trr_many(
-    std::span<const double> ts) const {
-  return solve_many(ts, MeasureKind::kTrr);
-}
-
-std::vector<TransientValue> RegenerativeRandomizationLaplace::mrr_many(
-    std::span<const double> ts) const {
-  return solve_many(ts, MeasureKind::kMrr);
-}
-
 }  // namespace rrl

@@ -100,18 +100,6 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
   [[nodiscard]] Bounds trr_bounds(double t) const;
   [[nodiscard]] Bounds mrr_bounds(double t) const;
 
-  /// Legacy batch entry points, now thin wrappers over solve_grid(). They
-  /// keep the historical stats attribution: the shared schema cost (steps
-  /// and seconds) is carried by the FIRST entry only, so callers summing
-  /// stats across entries get the true total. (When the inversions run
-  /// under OpenMP the per-point timers overlap, so the summed seconds may
-  /// overstate the sweep's wall-clock time; the first entry still absorbs
-  /// at least the schema share.) Precondition: ts non-empty, all > 0.
-  [[nodiscard]] std::vector<TransientValue> trr_many(
-      std::span<const double> ts) const;
-  [[nodiscard]] std::vector<TransientValue> mrr_many(
-      std::span<const double> ts) const;
-
   /// The schema computed for time horizon t (exposed for analysis and for
   /// the ablation benches).
   [[nodiscard]] RegenerativeSchema schema(double t) const;
@@ -129,8 +117,6 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
       double t, double eps) const;
   [[nodiscard]] TransientValue invert(const TrrTransform& transform, double t,
                                       MeasureKind kind, double eps) const;
-  [[nodiscard]] std::vector<TransientValue> solve_many(
-      std::span<const double> ts, MeasureKind kind) const;
   [[nodiscard]] double truncation_error_bound(const RegenerativeSchema& sch,
                                               double t) const;
 

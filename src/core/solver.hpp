@@ -110,18 +110,4 @@ inline void check_distribution(std::span<const double> dist, index_t n) {
   return acc;
 }
 
-/// Strided variant for the batched SpMM block layout (pi_i of one column
-/// lives at column[i * stride]). Same plain accumulator, same index
-/// order — bitwise identical to sparse_reward_dot on the gathered column.
-[[nodiscard]] inline double sparse_reward_dot_strided(
-    std::span<const index_t> idx, std::span<const double> rewards,
-    const double* column, std::size_t stride) {
-  double acc = 0.0;
-  for (const index_t i : idx) {
-    acc += rewards[static_cast<std::size_t>(i)] *
-           column[static_cast<std::size_t>(i) * stride];
-  }
-  return acc;
-}
-
 }  // namespace rrl

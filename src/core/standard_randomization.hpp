@@ -23,10 +23,8 @@ class PoissonDistribution;  // markov/poisson.hpp
 /// Smallest step count n whose neglected-tail error bound is below eps:
 ///   TRR: r_max * P[N > n]            <= eps
 ///   MRR: r_max * E[(N - n)^+] / mean <= eps
-/// (eps_over_rmax = eps / r_max). This is SR's truncation rule, exposed
-/// because the batched V-solve path (rr_solver.hpp's solve_rr_batch) must
-/// replicate the inner V-model pass truncation exactly to stay
-/// bit-identical to the per-scenario solve.
+/// (eps_over_rmax = eps / r_max). This is SR's truncation rule, public
+/// only so the tests' reference passes can replicate it exactly.
 [[nodiscard]] std::int64_t sr_truncation_point(
     const PoissonDistribution& poisson, MeasureKind kind,
     double eps_over_rmax);

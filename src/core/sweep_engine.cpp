@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/rr_solver.hpp"
 #include "core/schema_cache.hpp"
 #include "sparse/spmv_kernels.hpp"
 #include "support/metrics.hpp"
@@ -141,65 +140,9 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
   out.jobs = pool.num_threads();
   out.results.resize(batch.scenarios.size());
 
-  // Batched V-solve routing: scenarios driving a SHARED RR solver go
-  // through solve_rr_batch together, so items with the same compiled
-  // schema share ONE ~Lambda*t V-pass (measure/grid variation reuses the
-  // d(n) stream) and the distinct V-models step jointly through a pooled
-  // block product — the only way the pool ever engages for the small
-  // V-models, see rr_solver.hpp. Bit-identical to per-scenario
-  // solve_grid(), so the routing is invisible in the report's values.
-  // Per-scenario construction (no shared_solver) stays on the scenario
-  // axis: those scenarios gain nothing from grouping (each would compile
-  // its own schema) and would lose their worker-level parallelism.
-  std::vector<std::size_t> batched;
-  for (std::size_t i = 0; i < batch.scenarios.size(); ++i) {
-    const SweepScenario& scenario = batch.scenarios[i];
-    if (scenario.shared_solver != nullptr &&
-        dynamic_cast<const RegenerativeRandomization*>(
-            scenario.shared_solver.get()) != nullptr) {
-      batched.push_back(i);
-    }
-  }
-  std::vector<std::uint8_t> taken(batch.scenarios.size(), 0);
-  if (batched.size() >= 2) {
-    std::vector<RrBatchItem> items;
-    items.reserve(batched.size());
-    for (const std::size_t i : batched) {
-      RrBatchItem item;
-      item.solver = static_cast<const RegenerativeRandomization*>(
-          batch.scenarios[i].shared_solver.get());
-      item.request = &batch.scenarios[i].request;
-      item.report = &out.results[i].report;
-      item.error = &out.results[i].error;
-      items.push_back(item);
-      taken[i] = 1;
-    }
-    const Stopwatch batch_watch;
-    {
-      const trace::Span span("scenario.solve_batch", batched.size());
-      solve_rr_batch(items, &pool);
-    }
-    // The members shared one pass; attribute its wall-clock evenly.
-    const double each =
-        batch_watch.seconds() / static_cast<double>(batched.size());
-    for (const std::size_t i : batched) {
-      out.results[i].seconds = each;
-      note_result(out.results[i]);
-    }
-  }
-
-  std::vector<std::size_t> rest;
-  for (std::size_t i = 0; i < batch.scenarios.size(); ++i) {
-    if (taken[i] == 0) rest.push_back(i);
-  }
-  if (rest.empty()) {
-    out.seconds = watch.seconds();
-    return out;
-  }
-
-  // Compile demand of every remaining scenario (LeaderSchedule's order).
+  // Compile demand of every scenario (LeaderSchedule's order).
   std::vector<CompileDemand> demands(batch.scenarios.size());
-  for (const std::size_t i : rest) {
+  for (std::size_t i = 0; i < batch.scenarios.size(); ++i) {
     const SweepScenario& scenario = batch.scenarios[i];
     const SolveRequest& request = scenario.request;
     CompileDemand& demand = demands[i];
@@ -216,14 +159,15 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
 
   // Hand-out units. Scenarios on one shared solver whose requests pairwise
   // share a pass (TransientSolver::shares_pass: every SR/RSD request of a
-  // solver, Krylov requests with one eps and grid) form one unit, answered
-  // by one solve_shared; every other scenario is a unit of its own.
-  // BatchRequest::spmm = false or RRL_SPMM=off makes every scenario its
-  // own unit. The answers are bitwise the per-scenario solves either way.
+  // solver, Krylov requests with one eps and grid, RR requests with one
+  // compiled schema) form one unit, answered by one solve_shared; every
+  // other scenario is a unit of its own. BatchRequest::spmm = false or
+  // RRL_SPMM=off makes every scenario its own unit. The answers are
+  // bitwise the per-scenario solves either way.
   std::vector<Unit> units;
   const bool share = batch.spmm && spmm_enabled();
   std::map<const TransientSolver*, std::vector<std::size_t>> units_of;
-  for (const std::size_t i : rest) {
+  for (std::size_t i = 0; i < batch.scenarios.size(); ++i) {
     const SweepScenario& scenario = batch.scenarios[i];
     const TransientSolver* const solver = scenario.shared_solver.get();
     if (share && solver != nullptr) {

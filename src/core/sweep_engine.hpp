@@ -5,21 +5,18 @@
 // The paper's whole evaluation is a sweep — the same rewarded CTMC pushed
 // through SR/RSD/RR/RRL over grids of times and error targets — and batch
 // performability studies multiply that by families of parameterized models.
-// The engine turns such a batch into data-parallel work in three routes.
-// Scenarios sharing an RR solver go first, through the batched V-solve
-// (rr_solver.hpp's solve_rr_batch): items with the same compiled schema
-// share one ~Lambda*t V-pass, and the distinct small V-models advance
-// jointly through one pooled block-concatenated stepping loop. Every
-// other scenario joins a hand-out UNIT: the scenarios of one shared
-// solver whose requests pairwise share a pass (TransientSolver::
-// shares_pass — every SR/RSD request of a solver reads one iterate, a
-// Krylov TRR/MRR pair with one eps and grid reads one Arnoldi pass) form
-// one unit answered by one solve_shared; any other scenario is a unit of
-// one (disable sharing with BatchRequest::spmm = false or RRL_SPMM=off).
-// Units are scheduled dynamically, one per worker at a time (solvers are
-// immutable after construction; each worker owns a SolveWorkspace for the
-// mutable vector iterates), so an expensive SR pass next to a cheap RRL
-// inversion still load-balances. A batch with (2x) fewer units than
+// The engine turns such a batch into data-parallel work in two routes,
+// both over hand-out UNITS: the scenarios of one shared solver whose
+// requests pairwise share a pass (TransientSolver::shares_pass — every
+// SR/RSD request of a solver reads one iterate, a Krylov TRR/MRR pair
+// with one eps and grid reads one Arnoldi pass, RR requests with one
+// compiled schema read one V_{K,L} pass) form one unit answered by one
+// solve_shared; any other scenario is a unit of one (disable sharing with
+// BatchRequest::spmm = false or RRL_SPMM=off). Unit-parallel: units are
+// scheduled dynamically, one per worker at a time (solvers are immutable
+// after construction; each worker owns a SolveWorkspace for the mutable
+// vector iterates), so an expensive SR pass next to a cheap RRL inversion
+// still load-balances. Model-parallel: a batch with (2x) fewer units than
 // workers flips to the orthogonal axis instead: units run serially and
 // the pool row-partitions the solvers' model-sized SpMVs (see
 // SolveWorkspace::pooled_spmv). Every product dispatches through the
@@ -87,11 +84,11 @@ struct BatchRequest {
   /// hardware concurrency. Ignored by the pool-taking overload.
   int jobs = 1;
   /// Hand out the scenarios one pass can answer (TransientSolver::
-  /// shares_pass) as one unit; false makes every scenario its own unit.
-  /// Values are bit-identical either way; this knob (and the RRL_SPMM=off
-  /// environment override, which also turns off RR's equal-matrix SpMM
-  /// classes) exists so benches and the CI determinism gate can compare
-  /// the paths in one process.
+  /// shares_pass) as one unit; false makes every scenario — RR's
+  /// included — its own unit. Values are bit-identical either way; this
+  /// knob (and the RRL_SPMM=off environment override, which does the same
+  /// for every batch) exists so benches and the CI determinism gate can
+  /// compare the paths in one process.
   bool spmm = true;
 };
 
@@ -100,10 +97,9 @@ struct ScenarioResult {
   SolveReport report;  ///< valid iff error is empty
   std::string error;   ///< non-empty if the scenario failed
   /// Wall-clock of THIS scenario's solve (diagnostic, non-deterministic —
-  /// never part of byte-compared report output). Scenarios solved jointly
-  /// (the batched V-solve, a unit of several) share one pass, so each
-  /// member reports the pass's wall-clock divided evenly across the
-  /// members.
+  /// never part of byte-compared report output). The members of a unit of
+  /// several share one pass, so each reports the pass's wall-clock divided
+  /// evenly across the members.
   double seconds = 0.0;
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };

@@ -14,22 +14,24 @@
 //   RSD  one backward pass w_n = P^n r shared by all points, with a single
 //        steady-state detection serving every remaining time;
 //   RR   one schema + one V_{K,L} randomization pass for the whole grid;
-//   RRL  one schema, one numerical inversion per point (the former
-//        trr_many/mrr_many).
+//   RRL  one schema, one numerical inversion per point.
 // For SR/RSD/RR this makes an m-point sweep cost essentially one solve at
 // the largest time instead of m solves.
 //
 // solve_shared() widens the same idea across requests: a request's
 // measure, eps and grid decide how a pass is READ, not always what it
 // steps. SR's pi_0 P^n and RSD's P^n r are one iterate for every request
-// of a solver, and Krylov's substeps depend on eps and the grid but not on
-// the measure, so one pass answers many requests ("one matrix-function
-// action, many functionals", Masetti & Robol in PAPERS.md).
+// of a solver, Krylov's substeps depend on eps and the grid but not on the
+// measure, and RR's V-pass depends only on the compiled schema (eps and
+// the largest time), so one pass answers many requests ("one
+// matrix-function action, many functionals", Masetti & Robol in
+// PAPERS.md).
 // shares_pass(a, b) says when; the sweep engine hands out each such group
 // as one unit.
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <exception>
 #include <span>
 #include <string_view>
@@ -224,12 +226,11 @@ class TransientSolver {
     return out;
   }
 
+ protected:
   /// Shared solve_grid() entry validation: non-empty grid, per-point time
   /// sign per measure (t >= 0 for TRR, t > 0 for MRR), and resolution of
   /// the request epsilon against the solver's constructed one. Returns the
-  /// effective epsilon. Public so batch front ends (the batched V-solve)
-  /// validate requests through the SAME rule as the per-scenario path —
-  /// the two must never drift.
+  /// effective epsilon.
   [[nodiscard]] static double validated_epsilon(const SolveRequest& request,
                                                 double constructed_epsilon) {
     RRL_EXPECTS(!request.times.empty());
@@ -242,7 +243,50 @@ class TransientSolver {
     return eps;
   }
 
- protected:
+  /// solve_shared of a method whose pass depends on the request (Krylov,
+  /// RR): requests are taken in order, each with every later request that
+  /// shares its pass, and `pass(readers, eps, results)` answers one such
+  /// group — `readers` are the members that passed entry validation, `eps`
+  /// their common effective epsilon. A member failing validation, or a
+  /// group whose pass throws, records the exception in its own results
+  /// only.
+  template <typename Pass>
+  [[nodiscard]] std::vector<SharedResult> solve_in_groups(
+      std::span<const SolveRequest* const> requests,
+      double constructed_epsilon, Pass&& pass) const {
+    std::vector<SharedResult> results(requests.size());
+    std::vector<std::uint8_t> grouped(requests.size(), 0);
+    std::vector<std::size_t> readers;
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      if (grouped[k] != 0) continue;
+      readers.clear();
+      double eps = 0.0;
+      for (std::size_t j = k; j < requests.size(); ++j) {
+        if (grouped[j] != 0 ||
+            (j != k && !shares_pass(*requests[k], *requests[j]))) {
+          continue;
+        }
+        grouped[j] = 1;
+        try {
+          eps = validated_epsilon(*requests[j], constructed_epsilon);
+          readers.push_back(j);
+        } catch (...) {
+          results[j].error = std::current_exception();
+        }
+      }
+      if (readers.empty()) continue;
+      try {
+        pass(std::span<const std::size_t>(readers), eps,
+             std::span<SharedResult>(results));
+      } catch (...) {
+        for (const std::size_t j : readers) {
+          results[j].error = std::current_exception();
+        }
+      }
+    }
+    return results;
+  }
+
   /// solve_grid of a method whose solve_shared is its only loop: one
   /// reader, its exception rethrown.
   [[nodiscard]] SolveReport solve_alone(const SolveRequest& request,

@@ -132,11 +132,10 @@ class CsrMatrix {
   /// y[0..leading) = (A x)[0..leading): the product restricted to the
   /// leading `leading` rows, each accumulated exactly as in mul_vec
   /// (live-prefix passes, markov/dtmc.hpp, step only the rows their
-  /// iterate can have reached; the batched V-solve steps a
-  /// block-concatenated matrix whose trailing blocks retire as their
-  /// passes complete — restricting the product skips that work without
-  /// touching the per-row arithmetic). Preconditions: x.size() == cols(),
-  /// y.size() >= leading, 0 <= leading <= rows(); x and y distinct.
+  /// iterate can have reached — restricting the product skips that work
+  /// without touching the per-row arithmetic). Preconditions:
+  /// x.size() == cols(), y.size() >= leading, 0 <= leading <= rows(); x
+  /// and y distinct.
   void mul_vec_leading(std::span<const double> x, std::span<double> y,
                        index_t leading) const;
 

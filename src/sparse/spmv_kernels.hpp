@@ -1,8 +1,8 @@
 // Vectorized, format-specialized SpMV kernels with runtime dispatch.
 //
 // Every solver hot loop in this library bottoms out in CsrMatrix::mul_vec
-// (SR/RSD stepping, the regenerative schema's excursion passes, the fused
-// block-CSR batched V-solve, pooled row-partitioned products), so the row
+// (SR/RSD stepping, the regenerative schema's excursion passes, RR's
+// V-model passes, pooled row-partitioned products), so the row
 // kernels live here as a function-pointer table selected ONCE per process:
 //
 //   scalar   portable reference, baseline x86-64 (always present)
@@ -140,10 +140,9 @@ struct SpmvKernels {
 
 /// Whether shared stepping is enabled. RRL_SPMM=off (or =0) makes every
 /// scenario of a sweep its own solve (no shared passes, core/
-/// sweep_engine.hpp) and steps RR's equal-matrix classes one V-model at a
-/// time instead of as one SpMM block; used by CI byte-compare runs, read
-/// from the environment on every call so one process can compare both
-/// paths. Both paths are bit-identical — the toggle exists to prove it.
+/// sweep_engine.hpp); used by CI byte-compare runs, read from the
+/// environment on every call so one process can compare both paths. Both
+/// paths are bit-identical — the toggle exists to prove it.
 [[nodiscard]] bool spmm_enabled() noexcept;
 
 }  // namespace rrl

@@ -13,7 +13,7 @@
 // early keep pulling queued units off the straggler's plate, which is the
 // work-stealing property that matters at this granularity. Units are the
 // planner's (model, solver) groups, so every scenario of a unit shares one
-// compiled solver and the batched V-solve survives the re-chunking.
+// compiled solver and the shared passes survive the re-chunking.
 //
 // Transports: every peer — a fork/exec'd local child or a remote machine's
 // `rrl_solve --connect host:port` process — is one FrameChannel

@@ -6,7 +6,7 @@
 // expansion (the single-process runner). However the slice was chunked,
 // every scenario resolves its solver through the shared SolverCache, so
 // scenarios keyed to the same (model, solver, config) drive ONE immutable
-// compiled solver and shared-RR scenarios ride the batched V-solve —
+// compiled solver and the scenarios one pass can answer share it —
 // chunking changes scheduling, never the work or the values.
 //
 // A worker loop executing many slices back to back passes its own pool and

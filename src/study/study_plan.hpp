@@ -21,9 +21,10 @@
 // Work units: the plan partitions the expansion into contiguous units, one
 // per (model, solver) pair — every scenario of a unit shares ONE compiled
 // solver through the SolverCache, and because the unit keeps the whole
-// (measure x epsilon x grid) block together, the batched V-solve of shared
-// RR solvers survives any re-chunking a dispatcher performs: a unit is the
-// smallest schedulable grain that loses no sharing. Units carry a cost
+// (measure x epsilon x grid) block together, the shared passes (one
+// iterate, one V-pass or one Arnoldi pass for many requests) survive any
+// re-chunking a dispatcher performs: a unit is the smallest schedulable
+// grain that loses no sharing. Units carry a cost
 // estimate (model size x scenario volume) so a dispatcher can schedule the
 // expensive units first and a straggler model never idles the fleet.
 //

@@ -1,5 +1,5 @@
 // Tests of the RRL extensions: rigorous bounds (the flavour of the paper's
-// reference [2]) and the batch multi-time-point API.
+// reference [2]) and the multi-time-point grid solve.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -62,13 +62,14 @@ TEST(RrlBatch, MatchesPerPointSolves) {
   alpha[0] = 1.0;
   const RegenerativeRandomizationLaplace solver(c, rewards, alpha, 0);
   const std::vector<double> ts = {0.5, 2.0, 8.0, 32.0, 128.0};
-  const auto batch_trr = solver.trr_many(ts);
-  const auto batch_mrr = solver.mrr_many(ts);
-  ASSERT_EQ(batch_trr.size(), ts.size());
+  const SolveReport batch_trr = solver.solve_grid(SolveRequest::trr(ts));
+  const SolveReport batch_mrr = solver.solve_grid(SolveRequest::mrr(ts));
+  ASSERT_EQ(batch_trr.points.size(), ts.size());
+  ASSERT_EQ(batch_mrr.points.size(), ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) {
-    EXPECT_NEAR(batch_trr[i].value, solver.trr(ts[i]).value, 2e-12)
+    EXPECT_NEAR(batch_trr.points[i].value, solver.trr(ts[i]).value, 2e-12)
         << "t=" << ts[i];
-    EXPECT_NEAR(batch_mrr[i].value, solver.mrr(ts[i]).value, 2e-12)
+    EXPECT_NEAR(batch_mrr.points[i].value, solver.mrr(ts[i]).value, 2e-12)
         << "t=" << ts[i];
   }
 }
@@ -78,15 +79,15 @@ TEST(RrlBatch, UnsortedSweepIsFine) {
   const RegenerativeRandomizationLaplace solver(m.chain, {0.0, 1.0},
                                                 {1.0, 0.0}, 0);
   const std::vector<double> ts = {1e4, 1.0, 100.0};
-  const auto batch = solver.trr_many(ts);
+  const SolveReport batch = solver.solve_grid(SolveRequest::trr(ts));
   for (std::size_t i = 0; i < ts.size(); ++i) {
-    EXPECT_NEAR(batch[i].value, m.unavailability(ts[i]), 1e-11);
+    EXPECT_NEAR(batch.points[i].value, m.unavailability(ts[i]), 1e-11);
   }
 }
 
 TEST(RrlBatch, SchemaIsPaidOnce) {
-  // The first entry carries the shared schema step count; the rest only
-  // pay inversions.
+  // The sweep steps one schema, at its largest time; every point then only
+  // pays its own inversion.
   const auto model = [] {
     Raid5Params p;
     p.groups = 3;
@@ -96,15 +97,15 @@ TEST(RrlBatch, SchemaIsPaidOnce) {
       model.chain, model.failure_rewards(), model.initial_distribution(),
       model.initial_state);
   const std::vector<double> ts = {1.0, 10.0, 100.0, 1000.0};
-  const auto batch = solver.trr_many(ts);
-  EXPECT_GT(batch[0].stats.dtmc_steps, 0);
-  for (std::size_t i = 1; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i].stats.dtmc_steps, 0);
-    EXPECT_GT(batch[i].stats.abscissae, 0);
+  const SolveReport batch = solver.solve_grid(SolveRequest::trr(ts));
+  EXPECT_GT(batch.total.dtmc_steps, 0);
+  EXPECT_EQ(batch.total.dtmc_steps, solver.trr(ts.back()).stats.dtmc_steps);
+  for (const TransientValue& p : batch.points) {
+    EXPECT_GT(p.stats.abscissae, 0);
   }
   // Batch matches the per-point values on the RAID model too.
   for (std::size_t i = 0; i < ts.size(); ++i) {
-    EXPECT_NEAR(batch[i].value, solver.trr(ts[i]).value, 2e-12);
+    EXPECT_NEAR(batch.points[i].value, solver.trr(ts[i]).value, 2e-12);
   }
 }
 
@@ -112,9 +113,12 @@ TEST(RrlBatch, RejectsEmptyAndNonPositive) {
   const auto m = make_two_state(1e-3, 1.0);
   const RegenerativeRandomizationLaplace solver(m.chain, {0.0, 1.0},
                                                 {1.0, 0.0}, 0);
-  EXPECT_THROW((void)solver.trr_many({}), contract_error);
-  const std::vector<double> bad = {1.0, 0.0};
-  EXPECT_THROW((void)solver.trr_many(bad), contract_error);
+  EXPECT_THROW((void)solver.solve_grid(SolveRequest::trr({})),
+               contract_error);
+  EXPECT_THROW((void)solver.solve_grid(SolveRequest::mrr({1.0, 0.0})),
+               contract_error);
+  EXPECT_THROW((void)solver.solve_grid(SolveRequest::trr({1.0, -1.0})),
+               contract_error);
 }
 
 TEST(RrlBounds, RejectsNonPositiveTime) {

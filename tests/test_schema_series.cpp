@@ -444,7 +444,7 @@ TEST(SchemaCacheCuts, CutFilledCacheExportsFreshBuildBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Leaders-first hand-out in the sweep engine and the RR batch.
+// Leaders-first hand-out in the sweep engine.
 
 void expect_same_reports(const SweepReport& a, const SweepReport& b,
                          const std::string& where) {
@@ -505,8 +505,8 @@ BatchRequest one_solver_batch(const Model& m, const std::string& name,
 }
 
 TEST(LeadersFirst, SharedSolverStepsOneSchemaAndCutsTheRest) {
-  // rrl runs on run_sweep's per-scenario route, rr on the batched V-solve;
-  // both hand out the tightest request first and cut the other two keys.
+  // rrl runs as units of one, rr as one unit per schema key; both hand
+  // out the tightest request first and cut the other two keys.
   const Model m = raid_model(false);
   for (const std::string name : {"rrl", "rr"}) {
     SolverConfig config;

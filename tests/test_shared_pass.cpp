@@ -2,7 +2,8 @@
 // the sweep engine's unit hand-out built on it.
 //
 // SR's pi_0 P^n and RSD's P^n r are one iterate for every request of a
-// solver; Krylov's pass depends on eps and the grid but not the measure.
+// solver; Krylov's pass depends on eps and the grid but not the measure;
+// RR's V_{K,L} pass depends only on the compiled schema (eps, t_max).
 // The contract: every answer of a shared pass is BITWISE the request's own
 // solve_grid answer — value and stats (timings aside) — whatever its
 // siblings ask. Values are compared with memcmp, not ==: -0.0 == 0.0 would
@@ -13,8 +14,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <exception>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -598,6 +600,178 @@ TEST(SharedPassKrylov, SharesOnlyForOneEpsAndOneGrid) {
 }
 
 // ---------------------------------------------------------------------------
+// RR
+
+// An RR answer is an SR pass over the group's V-model at eps/2, read
+// through the schema's step accounting: pins every reader to that pass
+// (solve_grid is solve_shared with one request, so comparing the two
+// alone cannot catch a change both make).
+SolveReport reference_rr(const RegenerativeRandomization& rr,
+                         const SolveRequest& request, double eps,
+                         std::int64_t vmodel_step_cap) {
+  const auto compiled = rr.compiled_for(
+      *std::max_element(request.times.begin(), request.times.end()), eps);
+  const VModel& v = *compiled->vmodel;
+  SrOptions options;
+  options.epsilon = eps / 2.0;
+  options.step_cap = vmodel_step_cap;
+  SolveRequest inner = request;
+  inner.epsilon = eps / 2.0;
+  SolveReport report =
+      reference_sr({v.chain, v.rewards, v.initial}, inner, options);
+  const RegenerativeSchema& sch = compiled->schema;
+  const auto to_rr = [&](SolverStats& stats) {
+    stats.vmodel_steps = stats.dtmc_steps;
+    stats.dtmc_steps = sch.dtmc_steps();
+    stats.lambda = sch.lambda;
+    stats.capped = sch.capped || stats.capped;
+  };
+  for (TransientValue& p : report.points) to_rr(p.stats);
+  to_rr(report.total);
+  return report;
+}
+
+/// Requests of three schema keys: (1e-8, 50) as mixed measures over
+/// unsorted grids with t = 0 and an explicit eps equal to the constructed
+/// one, (1e-6, 50) and (1e-8, 7).
+std::vector<SolveRequest> rr_requests() {
+  return {
+      SolveRequest::trr({0.5, 5.0, 50.0}),
+      SolveRequest::mrr({50.0, 0.5, 5.0}),
+      SolveRequest::trr({0.0, 50.0, 2.0}, 1e-8),
+      SolveRequest::mrr({50.0}, 1e-6),
+      SolveRequest::trr({7.0, 0.0}),
+      SolveRequest::mrr({7.0, 1.0}, 1e-8),
+      SolveRequest::trr({50.0, 0.0}, 1e-6),
+  };
+}
+
+TEST(SharedPassRr, MixedRequestsMatchSoloSolvesAndAReferencePass) {
+  const Rewarded m = random_model(11);
+  for (const std::int64_t cap : {std::int64_t{-1}, std::int64_t{40}}) {
+    RrOptions options;
+    options.epsilon = 1e-8;
+    options.vmodel_step_cap = cap;
+    const RegenerativeRandomization rr(m.chain, m.rewards, m.initial, 0,
+                                       options);
+    const std::vector<SolveRequest> requests = rr_requests();
+    const std::string label = "rr cap=" + std::to_string(cap);
+    expect_shared_equals_solo(rr, requests, label);
+    SolveWorkspace workspace;
+    const std::vector<SharedResult> got = shared(rr, requests, workspace);
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      const double eps =
+          requests[k].epsilon > 0.0 ? requests[k].epsilon : 1e-8;
+      const SolveReport want = reference_rr(rr, requests[k], eps, cap);
+      expect_matches_reference(got[k].report, want,
+                               label + " request " + std::to_string(k));
+      EXPECT_EQ(got[k].report.total.vmodel_steps, want.total.vmodel_steps);
+      for (std::size_t i = 0; i < want.points.size(); ++i) {
+        EXPECT_EQ(got[k].report.points[i].stats.vmodel_steps,
+                  want.points[i].stats.vmodel_steps);
+      }
+    }
+    if (cap >= 0) {
+      EXPECT_TRUE(got[0].report.total.capped) << "cap did not fire";
+    }
+  }
+}
+
+TEST(SharedPassRr, AllZeroRewardsReadZero) {
+  const Rewarded m = random_model(11);
+  const RegenerativeRandomization rr(m.chain, std::vector<double>(30, 0.0),
+                                     m.initial, 0);
+  expect_shared_equals_solo(rr, rr_requests(), "rr zero rewards");
+  SolveWorkspace workspace;
+  for (const SharedResult& r : shared(rr, rr_requests(), workspace)) {
+    for (const double v : r.report.values()) EXPECT_TRUE(same_bits(v, 0.0));
+  }
+}
+
+TEST(SharedPassRr, SharesOnlyForOneSchemaKey) {
+  const Rewarded m = random_model(11);
+  RrOptions options;
+  options.epsilon = 1e-8;
+  const RegenerativeRandomization rr(m.chain, m.rewards, m.initial, 0,
+                                     options);
+  const SolveRequest trr = SolveRequest::trr({1.0, 10.0});
+  // Any measure and grid below the same largest time; the default eps
+  // resolves to the constructed one.
+  EXPECT_TRUE(rr.shares_pass(trr, SolveRequest::mrr({10.0, 0.5}, 1e-8)));
+  EXPECT_TRUE(rr.shares_pass(trr, SolveRequest::trr({0.0, 10.0, 3.0})));
+  EXPECT_FALSE(rr.shares_pass(trr, SolveRequest::trr({1.0, 10.0}, 1e-6)));
+  EXPECT_FALSE(rr.shares_pass(trr, SolveRequest::trr({1.0, 20.0})));
+  // An empty grid shares with nothing, itself included.
+  EXPECT_FALSE(rr.shares_pass(trr, SolveRequest::trr({})));
+  EXPECT_FALSE(rr.shares_pass(SolveRequest::mrr({}), trr));
+  EXPECT_FALSE(rr.shares_pass(SolveRequest::trr({}), SolveRequest::trr({})));
+}
+
+TEST(SharedPassRr, BadRequestFailsAlone) {
+  const Rewarded m = random_model(11);
+  const RegenerativeRandomization rr(m.chain, m.rewards, m.initial, 0);
+  // The bad requests' largest times put them in the good ones' group
+  // wherever they have one.
+  const std::vector<SolveRequest> requests = {
+      SolveRequest::trr({1.0, 10.0}),
+      SolveRequest::mrr({0.0, 10.0}),  // MRR at t = 0
+      SolveRequest::trr({}),           // empty grid
+      SolveRequest::mrr({10.0, std::nan("")}),
+      SolveRequest::trr({std::nan(""), 10.0}),
+      SolveRequest::mrr({3.0, 10.0}),
+  };
+  SolveWorkspace workspace;
+  const std::vector<SharedResult> got = shared(rr, requests, workspace);
+  for (const std::size_t bad : {1u, 2u, 3u, 4u}) {
+    ASSERT_NE(got[bad].error, nullptr) << bad;
+    EXPECT_THROW(std::rethrow_exception(got[bad].error), contract_error);
+  }
+  for (const std::size_t good : {0u, 5u}) {
+    EXPECT_EQ(got[good].error, nullptr) << good;
+    expect_same(got[good].report, rr.solve_grid(requests[good]),
+                "survivor " + std::to_string(good));
+  }
+  EXPECT_THROW((void)rr.solve_grid(requests[1]), contract_error);
+}
+
+TEST(SharedPassRr, CompileFailureAndSchemaCapStayInTheirGroup) {
+  const Rewarded m = random_model(11);
+  RrOptions options;
+  options.epsilon = 1e-8;
+  options.schema_step_cap = 200;  // K(1.0) = 140, K(60) = 1891
+  const RegenerativeRandomization rr(m.chain, m.rewards, m.initial, 0,
+                                     options);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<SolveRequest> requests = {
+      SolveRequest::trr({0.1, 1.0}),   // short: within the schema cap
+      SolveRequest::trr({1.0, inf}),   // no schema for t = inf
+      SolveRequest::mrr({60.0, 3.0}),  // long: the schema cap fires
+      SolveRequest::mrr({1.0}),
+      SolveRequest::trr({inf}),
+      SolveRequest::trr({60.0}),
+  };
+  ASSERT_FALSE(rr.solve_grid(requests[0]).total.capped);
+  ASSERT_TRUE(rr.solve_grid(requests[2]).total.capped);
+
+  SolveWorkspace workspace;
+  const std::vector<SharedResult> got = shared(rr, requests, workspace);
+  for (const std::size_t bad : {1u, 4u}) {
+    ASSERT_NE(got[bad].error, nullptr) << bad;
+    EXPECT_THROW(std::rethrow_exception(got[bad].error), contract_error);
+  }
+  for (const std::size_t k : {0u, 2u, 3u, 5u}) {
+    EXPECT_EQ(got[k].error, nullptr) << k;
+    const SolveReport solo = rr.solve_grid(requests[k]);
+    expect_same(got[k].report, solo, "request " + std::to_string(k));
+    // The cap flags exactly the long group.
+    EXPECT_EQ(got[k].report.total.capped, k == 2 || k == 5) << k;
+    for (const TransientValue& p : got[k].report.points) {
+      EXPECT_EQ(p.stats.capped, k == 2 || k == 5) << k;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // run_sweep: units of one shared pass
 
 // (name, arg) of every buffered span named scenario.solve*.
@@ -693,6 +867,84 @@ TEST(SharedPassSweep, UnitsAreBitIdenticalToSoloScenarios) {
         EXPECT_EQ(spans.count("scenario.solve_rand_batch"), 0u) << label;
         ASSERT_EQ(spans.count("scenario.solve"), 1u) << label;
         EXPECT_EQ(spans.at("scenario.solve").size(), 36u) << label;
+      }
+    }
+  }
+}
+
+TEST(SharedPassSweep, RrUnitsAreOnePerSchemaKeyAndBitIdentical) {
+  const Rewarded a = random_model(5);
+  const Rewarded b = [] {
+    Rewarded m{make_mm1k(1.0, 2.0, 20).chain, std::vector<double>(21, 0.0),
+               std::vector<double>(21, 0.0)};
+    for (std::size_t i = 15; i < 21; ++i) m.rewards[i] = 1.0;
+    m.initial[0] = 1.0;
+    return m;
+  }();
+
+  // 2 models x rr x (trr mrr) x 2 eps x 2 horizons = 16 scenarios: 8
+  // schema keys, each read by a TRR and an MRR request.
+  BatchRequest batch;
+  std::vector<std::shared_ptr<const TransientSolver>> solvers;
+  for (const Rewarded* model : {&a, &b}) {
+    SolverConfig config;
+    config.epsilon = 1e-10;
+    config.regenerative = 0;
+    solvers.push_back(make_solver("rr", model->chain, model->rewards,
+                                  model->initial, config));
+    for (const MeasureKind measure :
+         {MeasureKind::kTrr, MeasureKind::kMrr}) {
+      for (const double eps : {1e-6, 1e-10}) {
+        for (const double horizon : {4.0, 20.0}) {
+          SweepScenario scenario;
+          scenario.model = model == &a ? "random30" : "mm1k20";
+          scenario.solver = "rr";
+          scenario.chain = &model->chain;
+          scenario.config = config;
+          scenario.shared_solver = solvers.back();
+          scenario.request.measure = measure;
+          scenario.request.times = {0.5, horizon, 2.0};
+          scenario.request.epsilon = eps;
+          batch.scenarios.push_back(std::move(scenario));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(batch.scenarios.size(), 16u);
+
+  std::vector<SolveReport> solo;
+  for (const SweepScenario& scenario : batch.scenarios) {
+    solo.push_back(scenario.shared_solver->solve_grid(scenario.request));
+  }
+
+  for (const bool spmm : {true, false}) {
+    for (const int jobs : {1, 4}) {
+      batch.spmm = spmm;
+      batch.jobs = jobs;
+      trace::reset();
+      trace::enable();
+      const SweepReport run = run_sweep(batch);
+      trace::disable();
+      const auto spans = solve_spans();
+      trace::reset();
+      const std::string label =
+          std::string(spmm ? "shared" : "solo") + " jobs=" +
+          std::to_string(jobs);
+      ASSERT_EQ(run.failed(), 0u) << label;
+      for (std::size_t s = 0; s < run.results.size(); ++s) {
+        expect_same(run.results[s].report, solo[s],
+                    label + " scenario " + std::to_string(s));
+      }
+      if (spmm) {
+        EXPECT_EQ(spans.count("scenario.solve"), 0u) << label;
+        ASSERT_EQ(spans.count("scenario.solve_rand_batch"), 1u) << label;
+        EXPECT_EQ(spans.at("scenario.solve_rand_batch"),
+                  std::vector<std::uint64_t>(8, 2))
+            << label;
+      } else {
+        EXPECT_EQ(spans.count("scenario.solve_rand_batch"), 0u) << label;
+        ASSERT_EQ(spans.count("scenario.solve"), 1u) << label;
+        EXPECT_EQ(spans.at("scenario.solve").size(), 16u) << label;
       }
     }
   }

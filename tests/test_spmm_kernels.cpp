@@ -1,6 +1,6 @@
-// Multi-RHS SpMM layer (sparse/block.hpp, CsrMatrix::mul_block), the
-// shared-pass SR/RSD solves (TransientSolver::solve_shared: one iterate,
-// many readers) and rr_solver's equal-matrix classes.
+// Multi-RHS SpMM layer (sparse/block.hpp, CsrMatrix::mul_block) and the
+// shared-pass SR/RSD/RR solves (TransientSolver::solve_shared: one
+// iterate, many readers).
 //
 // The load-bearing contract everywhere: every output column of every SpMM
 // variant — each ISA, CSR rows and SELL chunks, serial and pooled, wide
@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -631,68 +632,86 @@ TEST(RandomizationBatch, RunSweepRoutingIsBitIdenticalOnAndOff) {
 }
 
 // ---------------------------------------------------------------------------
-// RR equal-matrix SpMM classes.
+// RR: one V-pass per compiled schema.
 
-TEST(RandomizationBatch, RrEqualMatrixClassesStepJointlyAndBitwise) {
+TEST(RandomizationBatch, RrSharesOnePassPerSchemaKeyBitwise) {
   // A 3-cycle with regenerative state 0 terminates its excursions exactly
   // (a(3) = 0), so the truncated series saturates at the same K for every
-  // horizon: distinct t_max compile distinct schema groups whose V
-  // stepping matrices are bitwise EQUAL — exactly what the SpMM class path
-  // batches.
+  // horizon: distinct t_max compile distinct schemas whose V-models are
+  // bitwise EQUAL. Requests still share a pass only within one key.
   const Ctmc cycle = Ctmc::from_transitions(
       3, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 0, 1.0}});
   const std::vector<double> rewards = {1.0, 0.5, 0.25};
   const std::vector<double> alpha = {1.0, 0.0, 0.0};
   RrOptions options;
   options.epsilon = 1e-10;
-  const RegenerativeRandomization rr(cycle, rewards, alpha,
-                                     /*regenerative_state=*/0, options);
+  const auto rr = std::make_shared<RegenerativeRandomization>(
+      cycle, rewards, alpha, /*regenerative_state=*/0, options);
 
-  const std::vector<SolveRequest> requests = {SolveRequest::trr({5.0}),
-                                              SolveRequest::trr({9.0})};
+  const std::vector<SolveRequest> requests = {
+      SolveRequest::trr({5.0}), SolveRequest::trr({9.0}),
+      SolveRequest::mrr({1.0, 5.0})};
   std::vector<SolveReport> solo;
-  for (const SolveRequest& r : requests) solo.push_back(rr.solve_grid(r));
-  // Distinct horizons, identical truncated V-models: the class's premise.
-  const auto& va = rr.compiled_for(5.0, 1e-10)->vmodel->chain;
-  const auto& vb = rr.compiled_for(9.0, 1e-10)->vmodel->chain;
+  for (const SolveRequest& r : requests) solo.push_back(rr->solve_grid(r));
+  // Distinct horizons, identical truncated V-models.
+  const auto& va = rr->compiled_for(5.0, 1e-10)->vmodel->chain;
+  const auto& vb = rr->compiled_for(9.0, 1e-10)->vmodel->chain;
   ASSERT_EQ(va.num_states(), vb.num_states());
   ASSERT_EQ(va.num_transitions(), vb.num_transitions());
   ASSERT_EQ(0, std::memcmp(va.rates().values().data(),
                            vb.rates().values().data(),
                            va.rates().values().size_bytes()));
 
-  const auto run_batch = [&] {
-    std::vector<SolveReport> reports(requests.size());
-    std::vector<std::string> errors(requests.size());
-    std::vector<RrBatchItem> items;
+  // One key shares a pass; another horizon does not, equal V-model or not.
+  EXPECT_TRUE(rr->shares_pass(requests[0], requests[2]));
+  EXPECT_FALSE(rr->shares_pass(requests[0], requests[1]));
+
+  const auto check = [&](const std::vector<SolveReport>& got,
+                         const std::string& label) {
+    ASSERT_EQ(got.size(), solo.size()) << label;
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      items.push_back(
-          RrBatchItem{&rr, &requests[i], &reports[i], &errors[i]});
+      EXPECT_TRUE(bits_equal(got[i].values(), solo[i].values()))
+          << label << " " << i;
+      EXPECT_EQ(got[i].total.vmodel_steps, solo[i].total.vmodel_steps);
+      EXPECT_EQ(got[i].total.dtmc_steps, solo[i].total.dtmc_steps);
     }
-    solve_rr_batch(items, nullptr);
-    for (const std::string& e : errors) EXPECT_EQ(e, "");
+  };
+  std::vector<const SolveRequest*> ptrs;
+  for (const SolveRequest& r : requests) ptrs.push_back(&r);
+  SolveWorkspace workspace;
+  std::vector<SolveReport> joint;
+  for (SharedResult& result : rr->solve_shared(ptrs, workspace)) {
+    EXPECT_EQ(result.error, nullptr);
+    joint.push_back(std::move(result.report));
+  }
+  check(joint, "solve_shared");
+
+  // Through the engine, with sharing on and under RRL_SPMM=off (every
+  // scenario its own unit): the same bits.
+  BatchRequest batch;
+  for (const SolveRequest& r : requests) {
+    SweepScenario scenario;
+    scenario.model = "cycle3";
+    scenario.solver = "rr";
+    scenario.chain = &cycle;
+    scenario.request = r;
+    scenario.shared_solver = rr;
+    batch.scenarios.push_back(std::move(scenario));
+  }
+  const auto swept = [&] {
+    const SweepReport report = run_sweep(batch);
+    EXPECT_EQ(report.failed(), 0u);
+    std::vector<SolveReport> reports;
+    for (const ScenarioResult& r : report.results) {
+      reports.push_back(r.report);
+    }
     return reports;
   };
-
-  const auto before = metrics::counter("rrl_spmm_products_total").value();
-  const std::vector<SolveReport> joint = run_batch();
-  EXPECT_GT(metrics::counter("rrl_spmm_products_total").value(), before)
-      << "equal-matrix class did not engage";
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(joint[i].values(), solo[i].values()) << i;
-    EXPECT_EQ(joint[i].total.vmodel_steps, solo[i].total.vmodel_steps);
-    EXPECT_EQ(joint[i].total.dtmc_steps, solo[i].total.dtmc_steps);
-  }
-
-  // RRL_SPMM=off must take the classic schedules — same bits, no products.
+  check(swept(), "run_sweep");
   setenv("RRL_SPMM", "off", 1);
-  const auto off_before = metrics::counter("rrl_spmm_products_total").value();
-  const std::vector<SolveReport> classic = run_batch();
-  EXPECT_EQ(metrics::counter("rrl_spmm_products_total").value(), off_before);
+  const std::vector<SolveReport> classic = swept();
   unsetenv("RRL_SPMM");
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(classic[i].values(), solo[i].values()) << i;
-  }
+  check(classic, "RRL_SPMM=off");
 }
 
 }  // namespace

@@ -82,7 +82,7 @@ TEST(StudyPlan, UnitsPartitionTheExpansionBySharedSolver) {
     EXPECT_EQ(unit.count, 8u);
     expected_first += unit.count;
     // Every scenario of the unit shares (model, solver) — the solver-
-    // sharing grain that keeps batched V-solves alive under re-chunking.
+    // sharing grain that keeps shared passes alive under re-chunking.
     const PlannedScenario& head = plan.scenarios[unit.first];
     for (std::size_t i = 0; i < unit.count; ++i) {
       const PlannedScenario& s = plan.scenarios[unit.first + i];

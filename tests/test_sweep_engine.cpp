@@ -262,11 +262,11 @@ TEST(SweepEngine, SmallBatchModelParallelPathIsBitIdentical) {
   }
 }
 
-TEST(SweepEngine, BatchedVSolveMatchesPerScenarioStepping) {
-  // Scenarios sharing RR solvers route through solve_rr_batch: items with
-  // one compiled schema share a V-pass, distinct schemas step jointly.
-  // Values AND step accounting must be bit-identical to direct
-  // per-scenario solve_grid() calls, at every worker count.
+TEST(SweepEngine, SharedRrUnitsMatchPerScenarioStepping) {
+  // Scenarios sharing an RR solver with one compiled schema form one unit
+  // and read one V-pass; distinct schemas are units of their own. Values
+  // AND step accounting must be bit-identical to direct per-scenario
+  // solve_grid() calls, at every worker count.
   const Model raid = raid_model();
   const Model multi = multiproc_model();
   SolverConfig config;
@@ -337,23 +337,17 @@ TEST(SweepEngine, BatchedVSolveMatchesPerScenarioStepping) {
   }
 }
 
-TEST(SweepEngine, BatchedVSolveFusedBlockIsBitIdentical) {
-  // Enough distinct schemas that the block-concatenated matrix clears the
-  // pooled floor: the fused stepping loop (with prefix retirement — the
-  // horizons differ deliberately) must match the pool-less path bitwise.
+TEST(SweepEngine, RrSolveSharedOverDistinctSchemasIsBitIdentical) {
+  // Ten distinct horizons are ten schema keys: solve_shared compiles and
+  // steps one V-pass per key, serially or with a pool lent to the
+  // V-model products, and must match the per-request solves bitwise.
   const Model raid = raid_model();
   SolverConfig config;
   config.epsilon = 1e-12;  // the paper's budget: K ~ thousands
   config.regenerative = raid.regenerative;
   const std::shared_ptr<const TransientSolver> shared = make_solver(
       "rr", raid.chain, raid.rewards, raid.initial, config);
-  const auto* solver =
-      dynamic_cast<const RegenerativeRandomization*>(shared.get());
-  ASSERT_NE(solver, nullptr);
 
-  // Distinct horizons = distinct schemas = distinct blocks; short times
-  // keep the ~Lambda*t passes cheap while the eps-driven K keeps each
-  // V-model large enough that ten of them clear the pooled floor.
   std::vector<SolveRequest> requests;
   for (int g = 0; g < 10; ++g) {
     SolveRequest request;
@@ -362,47 +356,37 @@ TEST(SweepEngine, BatchedVSolveFusedBlockIsBitIdentical) {
     requests.push_back(std::move(request));
   }
 
-  // Reference first (also warms the schema memo, so the batched runs
+  // Reference first (also warms the schema memo, so the shared runs
   // exercise only the execute phase).
   std::vector<SolveReport> reference;
   for (const SolveRequest& request : requests) {
     reference.push_back(shared->solve_grid(request));
   }
 
-  std::int64_t combined_nnz = 0;
-  for (const SolveRequest& request : requests) {
-    const double t_max =
-        *std::max_element(request.times.begin(), request.times.end());
-    combined_nnz +=
-        solver->compiled_for(t_max, 1e-12)->vmodel->chain.num_transitions();
-  }
-  ASSERT_GE(combined_nnz, SolveWorkspace::kMinPooledNnz)
-      << "test workload no longer exercises the fused block path";
-
-  const auto run_batched = [&](ThreadPool* pool) {
-    std::vector<SolveReport> reports(requests.size());
-    std::vector<std::string> errors(requests.size());
-    std::vector<RrBatchItem> items;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      items.push_back(
-          RrBatchItem{solver, &requests[i], &reports[i], &errors[i]});
+  std::vector<const SolveRequest*> ptrs;
+  for (const SolveRequest& request : requests) ptrs.push_back(&request);
+  const auto run_shared = [&](ThreadPool* pool) {
+    SolveWorkspace workspace;
+    workspace.spmv_pool = pool;
+    std::vector<SolveReport> reports;
+    for (SharedResult& result : shared->solve_shared(ptrs, workspace)) {
+      EXPECT_EQ(result.error, nullptr);
+      reports.push_back(std::move(result.report));
     }
-    solve_rr_batch(items, pool);
-    for (const std::string& error : errors) EXPECT_EQ(error, "");
     return reports;
   };
 
-  const std::vector<SolveReport> serial = run_batched(nullptr);
+  const std::vector<SolveReport> serial = run_shared(nullptr);
   ThreadPool pool(4);
-  const std::vector<SolveReport> fused = run_batched(&pool);
+  const std::vector<SolveReport> pooled = run_shared(&pool);
   for (std::size_t s = 0; s < requests.size(); ++s) {
     EXPECT_EQ(serial[s].values(), reference[s].values()) << s;
-    EXPECT_EQ(fused[s].values(), reference[s].values()) << s;
-    EXPECT_EQ(fused[s].total.vmodel_steps, reference[s].total.vmodel_steps);
+    EXPECT_EQ(pooled[s].values(), reference[s].values()) << s;
+    EXPECT_EQ(pooled[s].total.vmodel_steps, reference[s].total.vmodel_steps);
   }
 }
 
-TEST(SweepEngine, BatchedVSolveIsolatesBadItems) {
+TEST(SweepEngine, SharedRrUnitIsolatesBadItems) {
   const Model multi = multiproc_model();
   SolverConfig config;
   config.epsilon = kEps;
@@ -420,9 +404,11 @@ TEST(SweepEngine, BatchedVSolveIsolatesBadItems) {
   good.shared_solver = shared;
   batch.scenarios.push_back(good);
 
-  SweepScenario bad = good;  // MRR at t = 0 violates the request contract
+  // MRR at t = 0 violates the request contract; its largest time puts it
+  // in the good scenarios' unit, which it must not sink.
+  SweepScenario bad = good;
   bad.request.measure = MeasureKind::kMrr;
-  bad.request.times = {0.0};
+  bad.request.times = {0.0, 100.0};
   batch.scenarios.push_back(bad);
   batch.scenarios.push_back(good);
 

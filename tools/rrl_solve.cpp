@@ -922,8 +922,8 @@ int run_cli(const CliArgs& args, char** argv) {
           "                    runs every scenario on its own instead of "
           "sharing one\n"
           "                    pass (SR/RSD iterates, Krylov TRR/MRR "
-          "pairs, RR SpMM\n"
-          "                    classes). Both are pure perf knobs — every "
+          "pairs, RR V-passes).\n"
+          "                    Both are pure perf knobs — every "
           "kernel and\n"
           "                    sharing path is bit-identical to the scalar "
           "per-scenario\n"
