@@ -107,6 +107,13 @@ class KrylovSolver : public TransientSolver {
   [[nodiscard]] bool shares_pass(const SolveRequest& a,
                                  const SolveRequest& b) const override;
 
+  /// Its matvecs take a lent pool once P's stored entries reach the floor.
+  [[nodiscard]] LentPoolUse lent_pool_use(const SolveRequest&) const override {
+    return dtmc_.transition_transposed().nnz() >= SolveWorkspace::kMinPooledNnz
+               ? LentPoolUse::kPart
+               : LentPoolUse::kNone;
+  }
+
   /// One Arnoldi pass per group of requests that share it: TRR reads
   /// r . w and MRR the phi_1 integral at each grid time (the phi_1
   /// exponential runs when any reader is MRR). Each report is bitwise its

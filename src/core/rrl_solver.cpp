@@ -21,6 +21,7 @@ RegenerativeRandomizationLaplace::RegenerativeRandomizationLaplace(
       options_(options) {
   RRL_EXPECTS(options_.epsilon > 0.0);
   RRL_EXPECTS(options_.t_multiplier > 0.0);
+  RRL_EXPECTS(options_.max_terms > CrumpOptions{}.min_terms);
   RRL_EXPECTS(static_cast<index_t>(rewards_.size()) == chain.num_states());
   check_distribution(initial_, chain.num_states());
   r_max_ = max_reward(rewards_);
@@ -198,7 +199,7 @@ RegenerativeRandomizationLaplace::mrr_bounds(double t) const {
 }
 
 SolveReport RegenerativeRandomizationLaplace::solve_grid(
-    const SolveRequest& request, SolveWorkspace& /*workspace*/) const {
+    const SolveRequest& request, SolveWorkspace& workspace) const {
   const Stopwatch watch;
   const double eps = validated_epsilon(request, options_.epsilon);
   const std::size_t m = request.times.size();
@@ -234,16 +235,10 @@ SolveReport RegenerativeRandomizationLaplace::solve_grid(
   const RegenerativeSchema& sch = compiled->schema;
   const TrrTransform& transform = *compiled->transform;
 
-  // The inversions are independent per time point and read the transform
-  // through const methods only — an embarrassingly parallel loop. Inside a
-  // sweep-engine worker the scenario level already owns the cores, so the
-  // loop stays serial there instead of oversubscribing.
-  const auto n = static_cast<std::int64_t>(m);
-  const bool nested = ThreadPool::in_parallel_region();
-  (void)nested;  // only read by the pragma; unused when OpenMP is off
-#pragma omp parallel for schedule(dynamic) if (n > 2 && !nested)
-  for (std::int64_t j = 0; j < n; ++j) {
-    const std::size_t i = static_cast<std::size_t>(j);
+  // The inversions are independent per time point: each reads the
+  // transform through const methods and writes its own slot, so a lent
+  // pool may spread them (pooled_loop() is null inside a sweep worker).
+  const auto invert_point = [&](std::size_t i) {
     const Stopwatch point_watch;
     const double t = request.times[i];
     if (t == 0.0) {
@@ -256,6 +251,12 @@ SolveReport RegenerativeRandomizationLaplace::solve_grid(
     report.points[i].stats.lambda = sch.lambda;
     report.points[i].stats.capped = sch.capped;
     report.points[i].stats.seconds = point_watch.seconds();
+  };
+  ThreadPool* const pool = workspace.pooled_loop();
+  if (pool != nullptr && lent_pool_use(request) != LentPoolUse::kNone) {
+    pool->parallel_for(m, invert_point);
+  } else {
+    for (std::size_t i = 0; i < m; ++i) invert_point(i);
   }
 
   report.total.dtmc_steps = sch.dtmc_steps();

@@ -68,12 +68,16 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
   /// numerical inversion per point (the dominant K model-sized DTMC steps
   /// are paid once for the whole grid). Valid because the truncation bound
   /// is decreasing in K for every fixed t, so the K(t_max) series
-  /// over-covers smaller t. (The inversions work on schema-sized series,
-  /// not model-sized vectors, so RRL has no use for the workspace buffers;
-  /// the parameter exists for the uniform concurrent-sweep contract.)
+  /// over-covers smaller t. The inversions work on schema-sized series, not
+  /// model-sized vectors, so RRL reads no workspace buffer; a grid of more
+  /// than two points spreads its inversions over the workspace's lent pool.
   using TransientSolver::solve_grid;
   [[nodiscard]] SolveReport solve_grid(
       const SolveRequest& request, SolveWorkspace& workspace) const override;
+  [[nodiscard]] LentPoolUse lent_pool_use(
+      const SolveRequest& request) const override {
+    return request.times.size() > 2 ? LentPoolUse::kPart : LentPoolUse::kNone;
+  }
   /// Memoizes the schema and transform solve_grid(request) runs on.
   void precompile(const SolveRequest& request) const override;
 

@@ -77,6 +77,13 @@ class StandardRandomization : public TransientSolver {
     return true;
   }
 
+  /// Its steps take a lent pool once P's stored entries reach the floor.
+  [[nodiscard]] LentPoolUse lent_pool_use(const SolveRequest&) const override {
+    return dtmc_.transition_transposed().nnz() >= SolveWorkspace::kMinPooledNnz
+               ? LentPoolUse::kHotLoop
+               : LentPoolUse::kNone;
+  }
+
   /// One iterate, many readers: each step's d(n) feeds every request's
   /// GridSweep still inside its truncation point, and the pass ends at
   /// the longest one. Every reader sees the products and dots its solo

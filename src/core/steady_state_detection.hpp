@@ -80,6 +80,13 @@ class RandomizationSteadyStateDetection : public TransientSolver {
     return true;
   }
 
+  /// Its steps take a lent pool once P's stored entries reach the floor.
+  [[nodiscard]] LentPoolUse lent_pool_use(const SolveRequest&) const override {
+    return p_.nnz() >= SolveWorkspace::kMinPooledNnz
+               ? LentPoolUse::kHotLoop
+               : LentPoolUse::kNone;
+  }
+
   /// One iterate, many readers: each step's d(n) = alpha . w_n and
   /// span(w_n) are computed once; every request keeps its own truncation,
   /// detection tolerance, fold step and exit step, and the pass ends when

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <exception>
 #include <map>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -68,7 +67,16 @@ struct Unit {
   /// The most demanding member: its compile demand and its precompile
   /// request stand for the unit's.
   std::size_t lead = 0;
+  /// The lead's solver once known (a by-name lead's is built when needed).
+  std::shared_ptr<const TransientSolver> solver;
 };
+
+std::shared_ptr<const TransientSolver> build_solver(
+    const SweepScenario& scenario) {
+  RRL_EXPECTS(scenario.chain != nullptr);
+  return make_solver(scenario.solver, *scenario.chain, scenario.rewards,
+                     scenario.initial, scenario.config);
+}
 
 /// Solve one unit, compiling in its `turn` of `schedule` first. A unit of
 /// several members runs one shared pass inside a
@@ -86,40 +94,35 @@ void solve_unit(const std::vector<SweepScenario>& scenarios,
   const Stopwatch watch;
   const SweepScenario& lead = scenarios[unit.lead];
   try {
-    if (lead.shared_solver != nullptr) {
-      // A follower waits here until its solver's leader has compiled, then
-      // hits or cuts its schema. A compile error is left for the solve to
-      // report.
-      schedule.run(turn, [&] {
-        try {
-          lead.shared_solver->precompile(lead.request);
-        } catch (const std::exception&) {
-        }
-      });
-      std::vector<const SolveRequest*> requests;
-      requests.reserve(size);
-      for (const std::size_t i : unit.members) {
-        requests.push_back(&scenarios[i].request);
+    const std::shared_ptr<const TransientSolver> solver =
+        unit.solver != nullptr ? unit.solver : build_solver(lead);
+    // A follower waits here until its solver's leader has compiled, then
+    // hits or cuts its schema. A compile error is left for the solve to
+    // report.
+    schedule.run(turn, [&] {
+      try {
+        solver->precompile(lead.request);
+      } catch (const std::exception&) {
       }
-      std::vector<SharedResult> answers =
-          lead.shared_solver->solve_shared(requests, workspace);
-      for (std::size_t k = 0; k < size; ++k) {
-        ScenarioResult& slot = results[unit.members[k]];
-        if (answers[k].error == nullptr) {
-          slot.report = std::move(answers[k].report);
-          continue;
-        }
-        try {
-          std::rethrow_exception(answers[k].error);
-        } catch (const std::exception& e) {
-          fail(slot, e);
-        }
+    });
+    std::vector<const SolveRequest*> requests;
+    requests.reserve(size);
+    for (const std::size_t i : unit.members) {
+      requests.push_back(&scenarios[i].request);
+    }
+    std::vector<SharedResult> answers =
+        solver->solve_shared(requests, workspace);
+    for (std::size_t k = 0; k < size; ++k) {
+      ScenarioResult& slot = results[unit.members[k]];
+      if (answers[k].error == nullptr) {
+        slot.report = std::move(answers[k].report);
+        continue;
       }
-    } else {
-      RRL_EXPECTS(lead.chain != nullptr);
-      const auto solver = make_solver(lead.solver, *lead.chain, lead.rewards,
-                                      lead.initial, lead.config);
-      results[unit.lead].report = solver->solve_grid(lead.request, workspace);
+      try {
+        std::rethrow_exception(answers[k].error);
+      } catch (const std::exception& e) {
+        fail(slot, e);
+      }
     }
   } catch (const std::exception& e) {
     for (const std::size_t i : unit.members) fail(results[i], e);
@@ -195,7 +198,7 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
       }
       mine.push_back(units.size());
     }
-    units.push_back(Unit{{i}, i});
+    units.push_back(Unit{{i}, i, scenario.shared_solver});
   }
 
   // Hand-out order. Units sharing an RR/RRL solver compile through its
@@ -212,34 +215,35 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
 
   // A batch too small to occupy the pool on the unit axis (fewer units
   // than workers, with at least 2x slack so the switch is clearly a win)
-  // runs the units serially and lends the pool to the solvers' SpMV layer
-  // instead: the idle workers go to row-partitioned model-sized products
-  // (SolveWorkspace::pooled_spmv applies the nested-parallelism guard and
-  // a matrix-size floor). Only worth it when some unit would actually
-  // drive the pooled kernel — a model above
-  // the size floor AND a solver whose hot loop steps the full model (the
-  // single-pass randomization methods; rr's V-solve and rrl's inversions
-  // never touch model-sized SpMVs) — otherwise serializing the scenarios
-  // loses parallelism for nothing. Scenarios advertise their chain for
-  // this check (a shared_solver scenario without one counts as small).
-  // The pooled kernel is bit-identical to the serial one, so the report's
-  // values stay independent of the worker count either way.
-  const auto drives_pooled_spmv = [](const SweepScenario& scenario) {
-    if (scenario.chain == nullptr ||
-        scenario.chain->num_transitions() < SolveWorkspace::kMinPooledNnz) {
-      return false;
+  // runs the units serially and lends the pool to the solvers instead
+  // (SolveWorkspace::lent_pool) if some unit's lead would run its hot loop
+  // on it, or a lone unit part of its solve (TransientSolver::
+  // lent_pool_use); a part-pooled unit's serial work would queue behind
+  // other units'. By-name leads are built here, in parallel, to answer,
+  // and run that instance. Pooled loops are bit-identical to serial ones,
+  // so the route changes no value.
+  bool model_parallel = false;
+  if (pool.num_threads() > 1 &&
+      units.size() * 2 <= static_cast<std::size_t>(pool.num_threads())) {
+    std::vector<std::size_t> by_name;
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      if (units[u].solver == nullptr) by_name.push_back(u);
     }
-    const std::string_view name = scenario.shared_solver != nullptr
-                                      ? scenario.shared_solver->name()
-                                      : std::string_view(scenario.solver);
-    return name == "sr" || name == "rsd";
-  };
-  const bool model_parallel =
-      pool.num_threads() > 1 &&
-      units.size() * 2 <= static_cast<std::size_t>(pool.num_threads()) &&
-      std::any_of(units.begin(), units.end(), [&](const Unit& unit) {
-        return drives_pooled_spmv(batch.scenarios[unit.lead]);
-      });
+    pool.parallel_for(by_name.size(), [&](std::size_t k) {
+      Unit& unit = units[by_name[k]];
+      try {
+        unit.solver = build_solver(batch.scenarios[unit.lead]);
+      } catch (...) {  // solve_unit builds it again and reports the error
+      }
+    });
+    for (const Unit& unit : units) {
+      if (unit.solver == nullptr) continue;
+      const LentPoolUse use =
+          unit.solver->lent_pool_use(batch.scenarios[unit.lead].request);
+      model_parallel = model_parallel || use == LentPoolUse::kHotLoop ||
+                       (use == LentPoolUse::kPart && units.size() == 1);
+    }
+  }
   // One workspace per worker slot: the solvers' mutable per-solve state.
   // Everything else a worker touches is either immutable shared input
   // (scenarios, chains, shared solvers) or its own result slot. The
@@ -251,13 +255,13 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
 
   if (model_parallel) {
     SolveWorkspace& workspace = workspaces.front();
-    ThreadPool* const saved_pool = workspace.spmv_pool;
-    workspace.spmv_pool = &pool;
+    ThreadPool* const saved_pool = workspace.lent_pool;
+    workspace.lent_pool = &pool;
     for (std::size_t k = 0; k < schedule.size(); ++k) {
       solve_unit(batch.scenarios, units[schedule[k]], out.results, workspace,
                  schedule, schedule[k]);
     }
-    workspace.spmv_pool = saved_pool;
+    workspace.lent_pool = saved_pool;
     out.seconds = watch.seconds();
     return out;
   }

@@ -17,9 +17,10 @@
 // after construction; each worker owns a SolveWorkspace for the mutable
 // vector iterates), so an expensive SR pass next to a cheap RRL inversion
 // still load-balances. Model-parallel: a batch with (2x) fewer units than
-// workers flips to the orthogonal axis instead: units run serially and
-// the pool row-partitions the solvers' model-sized SpMVs (see
-// SolveWorkspace::pooled_spmv). Every product dispatches through the
+// workers flips to the orthogonal axis if some unit's hot loop, or a lone
+// unit's inner loops, would run on a lent pool (TransientSolver::
+// lent_pool_use): units run serially and the pool is lent to the solvers
+// (SolveWorkspace::lent_pool). Every product dispatches through the
 // runtime-selected vectorized kernels (sparse/spmv_kernels.hpp), which
 // are bit-identical to the scalar reference, so neither the route, the
 // host's SIMD level nor RRL_KERNEL overrides can change a report.

@@ -123,6 +123,11 @@ struct SharedResult {
   std::exception_ptr error;  ///< set iff this request failed
 };
 
+/// What a pool lent through the workspace (SolveWorkspace::lent_pool) would
+/// carry of a solve: nothing, part of it beside serial work (RRL's
+/// inversions, Krylov's products), or its hot loop (SR's and RSD's steps).
+enum class LentPoolUse { kNone, kPart, kHotLoop };
+
 /// Abstract transient solver: one rewarded CTMC + initial distribution,
 /// many (measure, time grid, epsilon) queries. Implementations are bound to
 /// their model at construction (see the registry for by-name construction).
@@ -161,6 +166,11 @@ class TransientSolver {
   [[nodiscard]] virtual bool shares_pass(const SolveRequest& /*a*/,
                                          const SolveRequest& /*b*/) const {
     return false;
+  }
+
+  /// What a lent pool would carry of solve_grid(request) (see run_sweep).
+  [[nodiscard]] virtual LentPoolUse lent_pool_use(const SolveRequest&) const {
+    return LentPoolUse::kNone;
   }
 
   /// One pass, many readers: result i answers *requests[i], bitwise equal

@@ -15,16 +15,13 @@
 // concurrent solve_grid() call must bring its OWN workspace (the sweep
 // engine keeps one per worker).
 //
-// The workspace also carries the OPTIONAL worker pool for row-partitioned
-// SpMV inside the solvers' hot loops (spmv_pool): when a batch has fewer
-// scenarios than workers, the sweep engine runs the scenarios serially and
-// points the workspace at the pool instead, so the idle workers go to the
-// model-sized matrix-vector products. Solvers consult pooled_spmv(), which
-// applies the nested-parallelism guard (never partition from inside a
-// parallel region — the scenario axis already owns the cores) and a
-// product-size floor (the per-step pool synchronization only pays for
-// itself on large products; a live-prefix pass, markov/dtmc.hpp, counts
-// only its prefix's entries).
+// The workspace also lends an OPTIONAL worker pool to a solve's inner
+// loops (lent_pool: the randomization methods' model-sized products, RRL's
+// per-point inversions). Solvers consult pooled_loop() (the nested-
+// parallelism guard: never fan out inside a parallel region, where the
+// unit axis owns the cores) and, for products, pooled_spmv()'s size floor
+// (pool synchronization pays only on large products; a live-prefix pass,
+// markov/dtmc.hpp, counts only its prefix's entries).
 // Buffers are allocated cache-line aligned (sparse/aligned_alloc.hpp): the
 // vector operands of the vectorized SpMV kernels then start on a 64-byte
 // boundary, so the kernels' (unaligned-instruction) loads and stores never
@@ -61,24 +58,27 @@ class SolveWorkspace {
   /// amortizes against products whose serial SpMV is at least comparable.
   static constexpr std::int64_t kMinPooledNnz = 32768;
 
-  /// Borrowed pool for row-partitioned SpMV in solver hot loops; nullptr
-  /// (the default) keeps every product serial. Set by the sweep engine's
-  /// small-batch path; callers driving solve_grid() directly may set it
-  /// too. The pool must outlive the solve.
-  ThreadPool* spmv_pool = nullptr;
+  /// Borrowed pool for a solve's inner loops; nullptr (the default) keeps
+  /// every loop serial. Set by the sweep engine's model-parallel route and
+  /// by the single-solve CLI; callers driving solve_grid() directly may
+  /// set it too. The pool must outlive the solve.
+  ThreadPool* lent_pool = nullptr;
 
-  /// The pool to row-partition a product over, or nullptr to stay serial:
-  /// requires a pool with real workers, a product over at least
-  /// kMinPooledNnz stored entries, and — the nested-parallelism guard — a
-  /// calling thread that is not already inside a parallel_for region
-  /// (there the cores belong to the scenario axis, and a nested pooled
-  /// call would run inline anyway). The pooled kernel is bit-identical to
-  /// the serial one, so consulting this is purely a scheduling decision.
-  [[nodiscard]] ThreadPool* pooled_spmv(std::int64_t nnz) const noexcept {
-    return (spmv_pool != nullptr && spmv_pool->num_threads() > 1 &&
-            nnz >= kMinPooledNnz && !ThreadPool::in_parallel_region())
-               ? spmv_pool
+  /// The pool to run a loop over, or nullptr to stay serial: requires a
+  /// lent pool with real workers and — the nested-parallelism guard — a
+  /// caller outside any parallel_for region (there the cores belong to the
+  /// unit axis). Every pooled loop writes per-index slots only, so
+  /// consulting this is purely a scheduling decision.
+  [[nodiscard]] ThreadPool* pooled_loop() const noexcept {
+    return (lent_pool != nullptr && lent_pool->num_threads() > 1 &&
+            !ThreadPool::in_parallel_region())
+               ? lent_pool
                : nullptr;
+  }
+
+  /// pooled_loop() for a product over `nnz` >= kMinPooledNnz entries.
+  [[nodiscard]] ThreadPool* pooled_spmv(std::int64_t nnz) const noexcept {
+    return nnz >= kMinPooledNnz ? pooled_loop() : nullptr;
   }
 
  private:

@@ -1,13 +1,13 @@
-// Minimal persistent worker pool for the scenario-sweep layer.
+// Minimal persistent worker pool: the library's one thread runtime.
 //
-// The sweep engine and the row-partitioned SpMV kernels both need the same
-// primitive: run `body(index)` for every index of a fixed-size range across
-// a small set of long-lived threads, then join. parallel_for() provides it
-// with dynamic (work-stealing-ish) index scheduling via one shared atomic
-// cursor, so uneven scenario costs — an SR solve at t = 1e5 next to an RRL
-// solve — still load-balance. The callable is passed through a plain
-// function-pointer thunk (no std::function), so a parallel_for call
-// allocates nothing: it is safe to drive from a solver hot loop.
+// The sweep engine, the row-partitioned SpMV kernels and RRL's per-point
+// inversions all need the same primitive: run `body(index)` for every
+// index of a fixed-size range across a few long-lived threads, then join.
+// parallel_for() provides it with dynamic (work-stealing-ish) index
+// scheduling via one shared atomic cursor, so uneven costs — an SR solve
+// at t = 1e5 next to an RRL solve — still load-balance. The callable goes
+// through a plain function-pointer thunk (no std::function), so a
+// parallel_for call allocates nothing: it is safe in a solver hot loop.
 //
 // Determinism contract: parallel_for() imposes NO ordering between indices;
 // deterministic results come from each index writing only to its own
@@ -82,11 +82,10 @@ class ThreadPool {
 
   /// True while the calling thread is executing parallel_for() work of a
   /// MULTI-threaded loop (a pool worker, or the caller participating as
-  /// worker 0). Inner layers consult this to skip NESTED parallelism —
-  /// e.g. RRL's OpenMP inversion loop stays serial inside a sweep worker,
-  /// where scenario-level parallelism already owns the cores. A 1-thread
-  /// pool deliberately does not set it: there the cores belong to inner
-  /// layers.
+  /// worker 0). Inner layers consult this to skip NESTED parallelism: a
+  /// solve inside a sweep worker does not fan out over a lent pool
+  /// (SolveWorkspace::pooled_loop). A 1-thread pool deliberately does not
+  /// set it: its inline loop leaves the cores to the layers inside.
   [[nodiscard]] static bool in_parallel_region() noexcept {
     return in_region_;
   }

@@ -1,0 +1,306 @@
+// The lent pool: a solve's inner loops run on the ThreadPool its workspace
+// lends (SolveWorkspace::lent_pool) — the randomization methods' pooled
+// products and RRL's per-point inversions — and run_sweep's model-parallel
+// route lends its pool by what each unit's lead solver says the pool would
+// carry (TransientSolver::lent_pool_use), whatever name the solver goes by:
+// a unit's hot loop (SR, RSD), or the inner loops of a lone unit (RRL,
+// Krylov), whose serial rest would queue behind other units'.
+//
+// Every comparison is bitwise: values with memcmp (-0.0 == 0.0 would hide
+// a sign flip) and every non-timing stat. Which route a sweep took is read
+// off the process-wide pool counters: the unit-parallel route runs one
+// loop of one index per unit, the model-parallel route none, and a pooled
+// product or inversion grid one loop each.
+#include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "models/multiproc.hpp"
+#include "models/raid5.hpp"
+#include "rrl.hpp"
+#include "support/metrics.hpp"
+
+namespace rrl {
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_stats_equal(const SolverStats& got, const SolverStats& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.dtmc_steps, want.dtmc_steps) << label;
+  EXPECT_EQ(got.vmodel_steps, want.vmodel_steps) << label;
+  EXPECT_EQ(got.abscissae, want.abscissae) << label;
+  EXPECT_TRUE(same_bits(got.lambda, want.lambda)) << label;
+  EXPECT_EQ(got.capped, want.capped) << label;
+  EXPECT_EQ(got.detection_step, want.detection_step) << label;
+  EXPECT_EQ(got.inversion_converged, want.inversion_converged) << label;
+}
+
+void expect_same(const SolveReport& got, const SolveReport& want,
+                 const std::string& label) {
+  ASSERT_EQ(got.points.size(), want.points.size()) << label;
+  for (std::size_t i = 0; i < got.points.size(); ++i) {
+    const std::string at = label + " point " + std::to_string(i);
+    EXPECT_TRUE(same_bits(got.points[i].value, want.points[i].value))
+        << at << " got " << got.points[i].value << " want "
+        << want.points[i].value;
+    expect_stats_equal(got.points[i].stats, want.points[i].stats, at);
+  }
+  expect_stats_equal(got.total, want.total, label + " total");
+}
+
+void expect_same(const SweepReport& got, const SweepReport& want,
+                 const std::string& label) {
+  ASSERT_EQ(got.results.size(), want.results.size()) << label;
+  for (std::size_t s = 0; s < got.results.size(); ++s) {
+    const std::string at = label + " scenario " + std::to_string(s);
+    ASSERT_TRUE(got.results[s].ok()) << at << ": " << got.results[s].error;
+    ASSERT_TRUE(want.results[s].ok()) << at << ": " << want.results[s].error;
+    expect_same(got.results[s].report, want.results[s].report, at);
+  }
+}
+
+/// Pool loops and indices run, process-wide, since construction.
+struct PoolTally {
+  std::uint64_t loops0 = loops_now();
+  std::uint64_t indices0 = indices_now();
+
+  static std::uint64_t loops_now() {
+    return metrics::counter("rrl_pool_loops_total").value();
+  }
+  static std::uint64_t indices_now() {
+    return metrics::counter("rrl_pool_indices_total").value();
+  }
+  [[nodiscard]] std::uint64_t loops() const { return loops_now() - loops0; }
+  [[nodiscard]] std::uint64_t indices() const {
+    return indices_now() - indices0;
+  }
+};
+
+// RAID-5 G=40: 8161 states, whose randomized DTMC stores more than
+// SolveWorkspace::kMinPooledNnz entries.
+const Raid5Model& raid40() {
+  static const Raid5Model model = [] {
+    Raid5Params params;
+    params.groups = 40;
+    return build_raid5_availability(params);
+  }();
+  return model;
+}
+
+SweepScenario raid40_scenario(const std::string& solver,
+                              std::vector<double> times) {
+  const Raid5Model& raid = raid40();
+  SweepScenario scenario;
+  scenario.model = "raid5-g40";
+  scenario.solver = solver;
+  scenario.chain = &raid.chain;
+  scenario.rewards = raid.failure_rewards();
+  scenario.initial = raid.initial_distribution();
+  scenario.config.epsilon = 1e-10;
+  scenario.config.regenerative = raid.initial_state;
+  scenario.request.times = std::move(times);
+  return scenario;
+}
+
+/// The scenario with a uniform initial distribution: a forward pass's
+/// live prefix is then the whole chain, so every product is large enough
+/// to run on a lent pool.
+SweepScenario spread(SweepScenario scenario) {
+  const std::size_t n = scenario.initial.size();
+  scenario.initial.assign(n, 1.0 / static_cast<double>(n));
+  return scenario;
+}
+
+/// CPU seconds (user + system) of this process or of the calling thread.
+double cpu_seconds(int who) {
+  rusage usage{};
+  getrusage(who, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(usage.ru_utime.tv_usec +
+                                    usage.ru_stime.tv_usec);
+}
+
+TEST(LentPool, RrlRejectsMaxTermsCrumpCannotUse) {
+  // crump_invert requires max_terms > min_terms (8); a solver that would
+  // throw inside every inversion is refused when it is built.
+  const MultiprocModel m = build_multiproc_availability({});
+  const auto build = [&](int max_terms) {
+    RrlOptions options;
+    options.max_terms = max_terms;
+    return std::make_unique<RegenerativeRandomizationLaplace>(
+        m.chain, m.failure_rewards(), m.initial_distribution(),
+        m.initial_state, options);
+  };
+  EXPECT_THROW((void)build(4), contract_error);
+  EXPECT_THROW((void)build(8), contract_error);
+  const auto solver = build(9);
+  EXPECT_EQ(solver->solve_grid(SolveRequest::trr({1.0, 10.0})).points.size(),
+            2u);
+}
+
+TEST(LentPool, RrlGridOnALentPoolMatchesTheSerialSolve) {
+  const MultiprocModel m = build_multiproc_availability({});
+  RrlOptions options;
+  options.epsilon = 1e-12;
+  const RegenerativeRandomizationLaplace solver(
+      m.chain, m.failure_rewards(), m.initial_distribution(),
+      m.initial_state, options);
+  ThreadPool pool(4);
+  for (const MeasureKind measure : {MeasureKind::kTrr, MeasureKind::kMrr}) {
+    const SolveRequest request{measure, log_time_grid(0.5, 1e4, 8), -1.0};
+    ASSERT_EQ(solver.lent_pool_use(request), LentPoolUse::kPart);
+    SolveWorkspace serial;
+    const SolveReport want = solver.solve_grid(request, serial);
+
+    SolveWorkspace lent;
+    lent.lent_pool = &pool;
+    const PoolTally tally;
+    const SolveReport got = solver.solve_grid(request, lent);
+    EXPECT_EQ(tally.loops(), 1u);  // the grid's inversions, one loop
+    EXPECT_EQ(tally.indices(), request.times.size());
+    expect_same(got, want, measure_name(measure));
+  }
+  // Two points or fewer stay on the caller, pool or not.
+  EXPECT_EQ(solver.lent_pool_use(SolveRequest::trr({1.0, 2.0})),
+            LentPoolUse::kNone);
+  SolveWorkspace lent;
+  lent.lent_pool = &pool;
+  const PoolTally tally;
+  (void)solver.solve_grid(SolveRequest::trr({1.0, 2.0}), lent);
+  EXPECT_EQ(tally.loops(), 0u);
+}
+
+TEST(LentPool, OneRrlScenarioAtFourJobsMatchesOneJob) {
+  BatchRequest batch;
+  batch.scenarios.push_back(
+      raid40_scenario("rrl", log_time_grid(1.0, 1e3, 6)));
+  batch.jobs = 1;
+  const SweepReport want = run_sweep(batch);
+
+  batch.jobs = 4;  // one unit on four workers: model-parallel
+  const PoolTally tally;
+  const SweepReport got = run_sweep(batch);
+  // The by-name build (one index) and the six inversions; the
+  // unit-parallel route would run the build and one unit, two indices.
+  EXPECT_EQ(tally.indices(), 1u + 6u);
+  expect_same(got, want, "rrl jobs 4 vs 1");
+}
+
+TEST(LentPool, SrPlusRrlOnRaid40TakesTheModelParallelRoute) {
+  BatchRequest batch;
+  batch.scenarios.push_back(raid40_scenario("sr", {1.0, 3.0, 9.0}));
+  batch.scenarios.push_back(raid40_scenario("rrl", {1.0, 3.0, 9.0}));
+  batch.jobs = 1;
+  const SweepReport want = run_sweep(batch);
+
+  batch.jobs = 4;  // two units on four workers
+  const PoolTally tally;
+  const SweepReport got = run_sweep(batch);
+  // Unit-parallel would run two loops (the by-name builds, the units);
+  // model-parallel runs the builds, RRL's inversions and SR's pooled
+  // products.
+  EXPECT_GT(tally.loops(), 2u);
+  expect_same(got, want, "sr + rrl jobs 4 vs 1");
+}
+
+TEST(LentPool, PairsOfPartPooledUnitsStayUnitParallel) {
+  // RRL compiles its schema and Krylov orthogonalizes on the calling
+  // thread; two such units run side by side rather than one after the
+  // other with only their inversions or products on the pool.
+  for (const std::string solver : {"rrl", "krylov"}) {
+    BatchRequest batch;
+    batch.scenarios.push_back(raid40_scenario(solver, {1.0, 3.0, 9.0}));
+    batch.scenarios.push_back(batch.scenarios.back());
+    batch.scenarios.back().config.epsilon = 1e-8;
+    batch.jobs = 1;
+    const SweepReport want = run_sweep(batch);
+
+    batch.jobs = 4;
+    const PoolTally tally;
+    const SweepReport got = run_sweep(batch);
+    // The by-name builds and the units, two loops of two indices each.
+    EXPECT_EQ(tally.loops(), 2u) << solver;
+    EXPECT_EQ(tally.indices(), 4u) << solver;
+    expect_same(got, want, solver + " pair jobs 4 vs 1");
+  }
+}
+
+TEST(LentPool, KrylovScenarioRunsItsProductsOnThePool) {
+  // Krylov steps through SolveWorkspace::pooled_spmv like SR and RSD, so
+  // a lone Krylov scenario on a big model is lent the pool too.
+  const Raid5Model& raid = raid40();
+  SweepScenario scenario = raid40_scenario("krylov", {1.0, 10.0, 100.0});
+  scenario.shared_solver =
+      make_solver("krylov", raid.chain, scenario.rewards, scenario.initial,
+                  scenario.config);
+  BatchRequest batch;
+  batch.scenarios.push_back(scenario);
+  batch.jobs = 1;
+  const SweepReport want = run_sweep(batch);
+
+  batch.jobs = 4;
+  const PoolTally tally;
+  const SweepReport got = run_sweep(batch);
+  // Unit-parallel would run exactly one loop: the sweep's own.
+  EXPECT_GT(tally.loops(), 1u);
+  expect_same(got, want, "krylov jobs 4 vs 1");
+}
+
+TEST(LentPool, RouteFollowsTheSolverNotItsRegisteredName) {
+  // SR registered under another name takes the route "sr" takes.
+  register_solver(
+      "sr-under-another-name",
+      [](const Ctmc& chain, std::vector<double> rewards,
+         std::vector<double> initial, const SolverConfig& config) {
+        SrOptions options;
+        options.epsilon = config.epsilon;
+        options.rate_factor = config.rate_factor;
+        options.step_cap = config.step_cap;
+        return std::make_unique<StandardRandomization>(
+            chain, std::move(rewards), std::move(initial), options);
+      });
+  std::vector<std::uint64_t> loops;
+  std::vector<SweepReport> reports;
+  for (const std::string name : {"sr", "sr-under-another-name"}) {
+    BatchRequest batch;
+    batch.scenarios.push_back(spread(raid40_scenario(name, {1.0, 5.0})));
+    batch.jobs = 4;
+    const PoolTally tally;
+    reports.push_back(run_sweep(batch));
+    loops.push_back(tally.loops());
+  }
+  EXPECT_GT(loops[0], 2u);  // the build, then one loop per pooled product
+  EXPECT_EQ(loops[1], loops[0]);
+  expect_same(reports[1], reports[0], "sr under another name vs sr");
+}
+
+TEST(LentPool, RrlAtOneJobRunsOnOneThread) {
+  BatchRequest batch;
+  batch.scenarios.push_back(
+      raid40_scenario("rrl", log_time_grid(1.0, 1e4, 16)));
+  batch.jobs = 1;
+  const double process0 = cpu_seconds(RUSAGE_SELF);
+  const double thread0 = cpu_seconds(RUSAGE_THREAD);
+  const PoolTally tally;
+  const SweepReport report = run_sweep(batch);
+  const double own = cpu_seconds(RUSAGE_THREAD) - thread0;
+  const double others = cpu_seconds(RUSAGE_SELF) - process0 - own;
+  ASSERT_EQ(report.failed(), 0u);
+  // The sweep's own loop of one unit, inline: nothing else ran on a pool,
+  // and no other thread spent CPU on the solve, as a second thread runtime
+  // spreading the inversions would (whichever test started its threads).
+  EXPECT_EQ(tally.loops(), 1u);
+  EXPECT_EQ(tally.indices(), 1u);
+  EXPECT_LE(others, 0.02 + 0.1 * own) << "calling thread " << own << " s";
+}
+
+}  // namespace
+}  // namespace rrl

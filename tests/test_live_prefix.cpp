@@ -439,7 +439,7 @@ TEST(LivePrefixSr, SoloPooledAndSharedMatchFullLengthStepping) {
     SolveWorkspace stale;
     std::fill_n(stale.pi(static_cast<std::size_t>(n)).begin(), n, 0.75);
     std::fill_n(stale.next(static_cast<std::size_t>(n)).begin(), n, 0.75);
-    stale.spmv_pool = &pool;
+    stale.lent_pool = &pool;
     expect_values_equal(sr.solve_grid(requests[i], stale), want[i],
                         label + " pooled, stale workspace");
   }
@@ -449,7 +449,7 @@ TEST(LivePrefixSr, SoloPooledAndSharedMatchFullLengthStepping) {
   for (const SolveRequest& r : requests) shared.push_back(&r);
   for (const bool with_pool : {false, true}) {
     SolveWorkspace ws;
-    ws.spmv_pool = with_pool ? &pool : nullptr;
+    ws.lent_pool = with_pool ? &pool : nullptr;
     const std::vector<SharedResult> got = sr.solve_shared(shared, ws);
     for (std::size_t i = 0; i < requests.size(); ++i) {
       EXPECT_EQ(got[i].error, nullptr);

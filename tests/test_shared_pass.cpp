@@ -76,7 +76,7 @@ void expect_shared_equals_solo(const TransientSolver& solver,
   std::vector<SolveReport> solo;
   for (const SolveRequest& r : requests) solo.push_back(solver.solve_grid(r));
   SolveWorkspace workspace;
-  workspace.spmv_pool = pool;
+  workspace.lent_pool = pool;
   const std::vector<SharedResult> got = shared(solver, requests, workspace);
   ASSERT_EQ(got.size(), requests.size()) << label;
   for (std::size_t i = 0; i < requests.size(); ++i) {

@@ -444,7 +444,7 @@ TEST(RandomizationBatch, SrBatchMatchesSoloBitwise) {
     for (const bool with_reused : {false, true}) {
       SolveWorkspace fresh;
       SolveWorkspace& ws = with_reused ? reused : fresh;
-      ws.spmv_pool = with_pool ? &pool : nullptr;
+      ws.lent_pool = with_pool ? &pool : nullptr;
       const std::vector<SharedResult> got = shared(sr, requests, ws);
       for (std::size_t i = 0; i < requests.size(); ++i) {
         EXPECT_EQ(got[i].error, nullptr);
@@ -479,7 +479,7 @@ TEST(RandomizationBatch, RsdBatchMatchesSoloIncludingDetection) {
   ThreadPool pool(2);
   for (const bool with_pool : {false, true}) {
     SolveWorkspace ws;
-    ws.spmv_pool = with_pool ? &pool : nullptr;
+    ws.lent_pool = with_pool ? &pool : nullptr;
     const std::vector<SharedResult> got = shared(rsd, requests, ws);
     for (std::size_t i = 0; i < requests.size(); ++i) {
       EXPECT_EQ(got[i].error, nullptr);

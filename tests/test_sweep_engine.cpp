@@ -367,7 +367,7 @@ TEST(SweepEngine, RrSolveSharedOverDistinctSchemasIsBitIdentical) {
   for (const SolveRequest& request : requests) ptrs.push_back(&request);
   const auto run_shared = [&](ThreadPool* pool) {
     SolveWorkspace workspace;
-    workspace.spmv_pool = pool;
+    workspace.lent_pool = pool;
     std::vector<SolveReport> reports;
     for (SharedResult& result : shared->solve_shared(ptrs, workspace)) {
       EXPECT_EQ(result.error, nullptr);
@@ -428,11 +428,11 @@ TEST(Workspace, PooledSpmvGuards) {
   EXPECT_EQ(workspace.pooled_spmv(1 << 20), nullptr);  // no pool
 
   ThreadPool single(1);
-  workspace.spmv_pool = &single;
+  workspace.lent_pool = &single;
   EXPECT_EQ(workspace.pooled_spmv(1 << 20), nullptr);  // no real workers
 
   ThreadPool pool(2);
-  workspace.spmv_pool = &pool;
+  workspace.lent_pool = &pool;
   EXPECT_EQ(workspace.pooled_spmv(SolveWorkspace::kMinPooledNnz - 1),
             nullptr);  // below the size floor
   EXPECT_EQ(workspace.pooled_spmv(SolveWorkspace::kMinPooledNnz), &pool);

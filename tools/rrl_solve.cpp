@@ -18,7 +18,10 @@
 // Solvers are selected by registry name (see src/core/registry.hpp), and a
 // whole time grid is answered by one amortized solve_grid() sweep — for
 // SR/RSD/RR the grid costs about as much as a single solve at the largest
-// time. The model file format is documented in src/io/model_format.hpp.
+// time. A single solve lends the solver a pool of every hardware thread
+// if it would use one (pooled products, RRL's per-point inversions); in
+// batch mode --jobs is the whole thread budget. The model file format is
+// documented in src/io/model_format.hpp.
 // With --export the built-in generators are serialized so they can be
 // edited or fed to other tools.
 //
@@ -1029,7 +1032,13 @@ int run_cli(const CliArgs& args, char** argv) {
 
     const SolveRequest request{
         want_mrr ? MeasureKind::kMrr : MeasureKind::kTrr, ts, eps};
-    const SolveReport report = solver->solve_grid(request);
+    // One solve owns the host: its inner loops may use every core.
+    ThreadPool pool(solver->lent_pool_use(request) != LentPoolUse::kNone
+                        ? ThreadPool::hardware_threads()
+                        : 1);
+    SolveWorkspace workspace;
+    workspace.lent_pool = &pool;
+    const SolveReport report = solver->solve_grid(request, workspace);
 
     TextTable table({"t", "value", "steps", "V-steps", "abscissae"});
     for (std::size_t i = 0; i < ts.size(); ++i) {
