@@ -1,5 +1,7 @@
 #include "core/rrl_transform.hpp"
 
+#include <utility>
+
 namespace rrl {
 
 TrrTransform::ChainSeries TrrTransform::flatten(
@@ -27,22 +29,38 @@ TrrTransform::TrrTransform(const RegenerativeSchema& schema)
   }
 }
 
+namespace {
+
+/// One pass of accumulate(): {sum_{k<n} x[k] th^k, th^n}. The scalars do what
+/// complex<long double>'s `sum += x[k] * power; power *= theta` does, term by
+/// term, minus its NaN-recovery branch (th and its powers are finite).
+std::pair<std::complex<long double>, std::complex<long double>> series_pass(
+    const std::vector<double>& x, std::size_t n,
+    std::complex<long double> theta) {
+  const long double tr = theta.real(), ti = theta.imag();
+  long double sr = 0.0L, si = 0.0L, pr = 1.0L, pi = 0.0L;
+  for (std::size_t k = 0; k < n; ++k) {
+    const long double xk = x[k];
+    sr += xk * pr;
+    si += xk * pi;
+    const long double next_pr = pr * tr - pi * ti;
+    pi = pr * ti + pi * tr;
+    pr = next_pr;
+  }
+  return {{sr, si}, {pr, pi}};
+}
+
+}  // namespace
+
 TrrTransform::ChainSums TrrTransform::accumulate(
     const ChainSeries& series, std::complex<long double> theta) {
-  ChainSums sums;
-  std::complex<long double> power(1.0L, 0.0L);
-  const std::size_t kmax = series.a.size() - 1;
-  for (std::size_t k = 0; k <= kmax; ++k) {
-    sums.a += static_cast<long double>(series.a[k]) * power;
-    sums.c += static_cast<long double>(series.c[k]) * power;
-    if (k < kmax) {
-      sums.va += static_cast<long double>(series.vat[k]) * power;
-      sums.rv += static_cast<long double>(series.rv[k]) * power;
-      power *= theta;
-    }
-  }
-  sums.top_power = power;  // theta^K
-  return sums;
+  const std::size_t K = series.a.size() - 1;
+  const auto [a, top_power] = series_pass(series.a, K, theta);  // th^K
+  const auto [c, c_power] = series_pass(series.c, K, theta);
+  return {a + static_cast<long double>(series.a[K]) * top_power,
+          c + static_cast<long double>(series.c[K]) * c_power,
+          series_pass(series.vat, K, theta).first,
+          series_pass(series.rv, K, theta).first, top_power};
 }
 
 std::complex<double> TrrTransform::trr(std::complex<double> s) const {

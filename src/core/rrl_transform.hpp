@@ -15,9 +15,14 @@
 //             + (1/(s+Lambda)) sum_{k<=L} c'(k) th^k
 //             + (th/s) sum_{k<L} rv'(k) th^k
 //   C~(s)  = TRR~(s)/s.
-// One pass per chain with an incrementally updated theta power evaluates all
-// sums; accumulation is done in complex<long double> so that the ~14 digits
-// the paper demands of the inversion survive series of ~10^4 terms.
+// Sums are accumulated in extended precision so that the ~14 digits the paper
+// demands of the inversion survive series of ~10^4 terms. Each chain takes one
+// pass per sum (a, c, va_total, rv), each recomputing the theta powers: one
+// sum, the power and theta are six long doubles, which fit the x87's
+// eight-register stack, where all four sums at once would spill to memory on
+// every term. Each sum sees the same extended-precision operations in the
+// same order as in a single pass (x87 has no FMA and nothing is
+// reassociated), so the split changes no bit of any transform value.
 #pragma once
 
 #include <complex>

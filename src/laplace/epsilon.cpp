@@ -8,6 +8,7 @@
 namespace rrl {
 
 void EpsilonAccelerator::push(double partial_sum) {
+  ++pushes_;
   if (locked_) return;  // exact convergence already detected
   // Recurrence: eps_{j}^{(m)} = eps_{j-2}^{(m+1)} + 1/(eps_{j-1}^{(m+1)} -
   // eps_{j-1}^{(m)}), built along anti-diagonals. `diagonal_` holds the

@@ -19,10 +19,9 @@ class EpsilonAccelerator {
   /// Append the next partial sum S_n and update the table diagonal.
   void push(double partial_sum);
 
-  /// Number of partial sums seen so far.
-  [[nodiscard]] int count() const noexcept {
-    return static_cast<int>(diagonal_.size());
-  }
+  /// Number of partial sums pushed so far, including those a locked table
+  /// no longer stores.
+  [[nodiscard]] int count() const noexcept { return pushes_; }
 
   /// Current accelerated estimate: the highest even-column entry of the last
   /// diagonal (falls back to the raw partial sum before acceleration kicks
@@ -33,6 +32,7 @@ class EpsilonAccelerator {
   std::vector<double> diagonal_;  // diagonal_[j] = eps_j^{(n-j)}
   std::vector<double> scratch_;
   std::optional<double> locked_;  // set on exact mid-stream convergence
+  int pushes_ = 0;
 };
 
 }  // namespace rrl

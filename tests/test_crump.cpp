@@ -142,6 +142,17 @@ TEST(Crump, HonorsMaxTerms) {
   EXPECT_LE(r.abscissae, 52);
 }
 
+TEST(Crump, ZeroTransformConvergesInMinTerms) {
+  // F == 0 locks the epsilon table at its second partial sum; the locked
+  // table must still count toward min_terms, or the series runs to
+  // max_terms without ever converging.
+  const CrumpOptions opt = paper_options(1.0, 1e-12, 10.0);
+  const auto r = crump_invert([](cd) { return cd(0.0, 0.0); }, 10.0, opt);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.value, 0.0);
+  EXPECT_EQ(r.abscissae, opt.min_terms);
+}
+
 TEST(Crump, RejectsInvalidOptions) {
   CrumpOptions opt;  // damping defaults to 0 => invalid
   EXPECT_THROW(

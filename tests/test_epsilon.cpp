@@ -56,6 +56,15 @@ TEST(Epsilon, ConstantSequenceIsReturnedVerbatim) {
   EXPECT_DOUBLE_EQ(accel.estimate(), 42.0);
 }
 
+TEST(Epsilon, LockedTableKeepsCounting) {
+  // A constant sequence locks the table at its second push; count() still
+  // counts every push, since Crump's min_terms stop reads it.
+  EpsilonAccelerator accel;
+  for (int k = 0; k < 6; ++k) accel.push(42.0);
+  EXPECT_EQ(accel.count(), 6);
+  EXPECT_DOUBLE_EQ(accel.estimate(), 42.0);
+}
+
 TEST(Epsilon, ExactConvergenceMidStream) {
   // Series that converges exactly after 3 terms; the zero differences must
   // not produce NaNs.

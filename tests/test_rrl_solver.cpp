@@ -142,6 +142,25 @@ TEST(Rrl, ZeroRewardsShortCircuit) {
   EXPECT_EQ(r.stats.abscissae, 0);
 }
 
+TEST(Rrl, UnreachableRewardConvergesInMinTerms) {
+  // r_max > 0 but the rewarded state 3 is absorbing and nothing enters it:
+  // the transform is identically zero, so every inversion stops as soon as
+  // min_terms abscissae are in, instead of running to max_terms.
+  const Ctmc chain = Ctmc::from_transitions(
+      4, {{0, 1, 0.002}, {1, 0, 1.0}, {1, 2, 0.001}, {2, 0, 0.5}});
+  const RegenerativeRandomizationLaplace solver(
+      chain, {0.0, 0.0, 0.0, 1.0}, {1.0, 0.0, 0.0, 0.0}, 0);
+  for (const MeasureKind kind : {MeasureKind::kTrr, MeasureKind::kMrr}) {
+    const SolveReport report =
+        solver.solve_grid(SolveRequest{kind, {1.0, 10.0, 100.0}});
+    for (const TransientValue& p : report.points) {
+      EXPECT_EQ(p.value, 0.0);
+      EXPECT_TRUE(p.stats.inversion_converged);
+      EXPECT_EQ(p.stats.abscissae, CrumpOptions{}.min_terms);
+    }
+  }
+}
+
 TEST(Rrl, TMultiplierOptionsAllWork) {
   const auto m = make_two_state(1e-3, 1.0);
   for (const double mult : {1.0, 2.0, 4.0, 8.0, 16.0}) {

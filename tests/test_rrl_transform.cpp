@@ -3,14 +3,20 @@
 //   p~(s) = (s I - Q_V^T)^{-1} alpha,   TRR~(s) = r . p~(s),
 // solved by dense complex Gaussian elimination. Agreement at many complex
 // abscissae proves the closed form implements the V model exactly.
+// A bitwise guard holds the evaluator's per-sum passes to the values of a
+// single pass carrying all four complex<long double> sums.
 #include "core/rrl_transform.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "core/vmodel.hpp"
+#include "laplace/error_control.hpp"
+#include "models/raid5.hpp"
 #include "models/simple.hpp"
 
 namespace rrl {
@@ -96,40 +102,227 @@ void expect_transform_matches(const Ctmc& chain,
   }
 }
 
+/// A chain with its measure: the inputs of one schema.
+struct Measured {
+  Ctmc chain;
+  std::vector<double> rewards;
+  std::vector<double> alpha;
+  double t = 0.0;
+};
+
+Measured two_state_chain() {
+  return {make_two_state(2e-3, 0.5).chain, {0.0, 1.0}, {1.0, 0.0}, 25.0};
+}
+
+Measured random_irreducible_chain() {
+  Measured m{make_random_ctmc({.num_states = 14, .seed = 31}),
+             std::vector<double>(14, 0.0), std::vector<double>(14, 0.0),
+             10.0};
+  m.rewards[3] = 1.0;
+  m.rewards[7] = 0.25;
+  m.alpha[0] = 1.0;
+  return m;
+}
+
+Measured absorbing_chain() {
+  Measured m{make_random_ctmc(
+                 {.num_states = 13, .num_absorbing = 2, .seed = 17}),
+             std::vector<double>(13, 0.0), std::vector<double>(13, 0.0),
+             15.0};
+  m.rewards[11] = 1.0;   // r_{f_1}
+  m.rewards[12] = 0.5;   // r_{f_2}
+  m.rewards[4] = 0.125;  // and a transient reward
+  m.alpha[0] = 1.0;
+  return m;
+}
+
+Measured primed_chain() {
+  Measured m{make_random_ctmc({.num_states = 10, .seed = 41}),
+             std::vector<double>(10, 0.0),
+             std::vector<double>(10, 0.05),  // alpha_r < 1
+             8.0};
+  m.rewards[5] = 1.0;
+  m.alpha[0] = 1.0 - 0.05 * 9;
+  return m;
+}
+
+void expect_transform_matches(const Measured& m) {
+  expect_transform_matches(m.chain, m.rewards, m.alpha, 0, m.t);
+}
+
 TEST(Transform, MatchesDenseSolveIrreducible) {
-  const auto m = make_two_state(2e-3, 0.5);
-  expect_transform_matches(m.chain, {0.0, 1.0}, {1.0, 0.0}, 0, 25.0);
+  expect_transform_matches(two_state_chain());
 }
 
 TEST(Transform, MatchesDenseSolveRandomIrreducible) {
-  const auto c = make_random_ctmc({.num_states = 14, .seed = 31});
-  std::vector<double> rewards(14, 0.0);
-  rewards[3] = 1.0;
-  rewards[7] = 0.25;
-  std::vector<double> alpha(14, 0.0);
-  alpha[0] = 1.0;
-  expect_transform_matches(c, rewards, alpha, 0, 10.0);
+  expect_transform_matches(random_irreducible_chain());
 }
 
 TEST(Transform, MatchesDenseSolveWithAbsorbingStates) {
-  const auto c = make_random_ctmc(
-      {.num_states = 13, .num_absorbing = 2, .seed = 17});
-  std::vector<double> rewards(13, 0.0);
-  rewards[11] = 1.0;   // r_{f_1}
-  rewards[12] = 0.5;   // r_{f_2}
-  rewards[4] = 0.125;  // and a transient reward
-  std::vector<double> alpha(13, 0.0);
-  alpha[0] = 1.0;
-  expect_transform_matches(c, rewards, alpha, 0, 15.0);
+  expect_transform_matches(absorbing_chain());
 }
 
 TEST(Transform, MatchesDenseSolveWithPrimedChain) {
-  const auto c = make_random_ctmc({.num_states = 10, .seed = 41});
-  std::vector<double> rewards(10, 0.0);
-  rewards[5] = 1.0;
-  std::vector<double> alpha(10, 0.05);  // spread initial mass (alpha_r < 1)
-  alpha[0] = 1.0 - 0.05 * 9;
-  expect_transform_matches(c, rewards, alpha, 0, 8.0);
+  expect_transform_matches(primed_chain());
+}
+
+/// The transform as one pass per chain evaluates it, all four sums and the
+/// theta power carried together in complex<long double>; the library's
+/// per-sum passes must reproduce its bits.
+class SinglePassTransform {
+ public:
+  explicit SinglePassTransform(const RegenerativeSchema& schema)
+      : lambda_(schema.lambda),
+        has_primed_(schema.has_primed),
+        main_(flatten(schema.main, schema.f_rewards)) {
+    if (has_primed_) primed_ = flatten(schema.primed, schema.f_rewards);
+  }
+
+  [[nodiscard]] cd trr(cd s) const {
+    const cld sl(static_cast<long double>(s.real()),
+                 static_cast<long double>(s.imag()));
+    const long double lambda = static_cast<long double>(lambda_);
+    const cld s_plus_lambda = sl + lambda;
+    const cld theta = lambda / s_plus_lambda;
+
+    const Sums m = accumulate(main_, theta);
+    const long double aK = static_cast<long double>(main_.a.back());
+    const cld B = sl * m.a + lambda * m.va + aK * lambda * m.top_power;
+    cld A(1.0L, 0.0L);
+    cld primed_terms(0.0L, 0.0L);
+    if (has_primed_) {
+      const Sums p = accumulate(primed_, theta);
+      const long double apL = static_cast<long double>(primed_.a.back());
+      A = cld(1.0L, 0.0L) - (sl / s_plus_lambda) * p.a -
+          (lambda / s_plus_lambda) * p.va - apL * p.top_power * theta;
+      primed_terms = p.c / s_plus_lambda + theta / sl * p.rv;
+    }
+    const cld p0 = A / B;
+    const cld value = (m.c + lambda / sl * m.rv) * p0 + primed_terms;
+    return {static_cast<double>(value.real()),
+            static_cast<double>(value.imag())};
+  }
+
+ private:
+  using cld = std::complex<long double>;
+  struct Series {
+    std::vector<double> a, c, vat, rv;
+  };
+  struct Sums {
+    cld a, c, va, rv, top_power;
+  };
+
+  static Series flatten(const ExcursionSeries& series,
+                        std::span<const double> f_rewards) {
+    Series out{series.a, series.c, {}, {}};
+    for (std::size_t k = 0; k < series.qa.size(); ++k) {
+      out.vat.push_back(series.va_total(k));
+      out.rv.push_back(series.va_rewarded(k, f_rewards));
+    }
+    return out;
+  }
+
+  static Sums accumulate(const Series& series, cld theta) {
+    Sums sums;
+    cld power(1.0L, 0.0L);
+    const std::size_t kmax = series.a.size() - 1;
+    for (std::size_t k = 0; k <= kmax; ++k) {
+      sums.a += static_cast<long double>(series.a[k]) * power;
+      sums.c += static_cast<long double>(series.c[k]) * power;
+      if (k < kmax) {
+        sums.va += static_cast<long double>(series.vat[k]) * power;
+        sums.rv += static_cast<long double>(series.rv[k]) * power;
+        power *= theta;
+      }
+    }
+    sums.top_power = power;
+    return sums;
+  }
+
+  double lambda_;
+  bool has_primed_;
+  Series main_;
+  Series primed_;
+};
+
+/// Compares trr() and cumulative() byte for byte (as complex<double>) with
+/// the single pass at the first 100 Crump abscissae of the TRR and MRR
+/// inversions at t = 1, 100 and 1e5.
+void expect_single_pass_bits(const RegenerativeSchema& schema) {
+  const TrrTransform transform(schema);
+  const SinglePassTransform reference(schema);
+  const double eps = 1e-12;
+  int compared = 0;
+  int mismatches = 0;
+  for (const double t : {1.0, 100.0, 1e5}) {
+    const double T = 8.0 * t;
+    for (const double damping :
+         {damping_for_bounded(schema.r_max, eps, T),
+          damping_for_time_linear(schema.r_max, eps, t, T)}) {
+      for (int k = 0; k < 100; ++k) {
+        const cd s(damping, static_cast<double>(k) * M_PI / T);
+        const cd trr = transform.trr(s);
+        const cd want_trr = reference.trr(s);
+        const cd cumulative = transform.cumulative(s);
+        const cd want_cumulative = want_trr / s;
+        for (const auto& [got, want] :
+             {std::pair{trr, want_trr},
+              std::pair{cumulative, want_cumulative}}) {
+          ++compared;
+          if (std::memcmp(&got, &want, sizeof(cd)) != 0 &&
+              ++mismatches == 1) {
+            ADD_FAILURE() << "first mismatch at t=" << t << " s=(" << s.real()
+                          << "," << s.imag() << "): " << got << " vs "
+                          << want;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 1200);
+  EXPECT_EQ(mismatches, 0);
+}
+
+RegenerativeSchema schema_of(const Measured& m) {
+  return compute_regenerative_schema(m.chain, m.rewards, m.alpha, 0, m.t, {});
+}
+
+RegenerativeSchema raid5_schema(const Raid5Model& m) {
+  RegenerativeOptions options;
+  options.epsilon = 1e-12;
+  return compute_regenerative_schema(m.chain, m.failure_rewards(),
+                                     m.initial_distribution(),
+                                     m.initial_state, 1e5, options);
+}
+
+TEST(Transform, PerSumPassesMatchSinglePassBitwise) {
+  for (const Measured& m : {two_state_chain(), random_irreducible_chain(),
+                            absorbing_chain(), primed_chain()}) {
+    expect_single_pass_bits(schema_of(m));
+  }
+  EXPECT_TRUE(schema_of(primed_chain()).has_primed);
+}
+
+TEST(Transform, PerSumPassesMatchSinglePassBitwiseOnRaid5) {
+  // The paper's G = 20 array at its longest horizon: K ~ 3157 terms.
+  for (const Raid5Model& m : {build_raid5_availability(Raid5Params{}),
+                              build_raid5_reliability(Raid5Params{})}) {
+    const RegenerativeSchema schema = raid5_schema(m);
+    EXPECT_GT(schema.K(), 3000);
+    expect_single_pass_bits(schema);
+  }
+}
+
+TEST(Transform, PerSumPassesMatchSinglePassBitwiseAtKZero) {
+  // A horizon so short that no step is needed: the series is a(0), c(0),
+  // and the rewarded regenerative state makes TRR~(s) = 1/(s + Lambda).
+  Measured m = two_state_chain();
+  m.rewards = {1.0, 0.5};
+  m.t = 1e-15;
+  const RegenerativeSchema schema = schema_of(m);
+  ASSERT_EQ(schema.K(), 0);
+  ASSERT_GT(schema.main.c[0], 0.0);
+  expect_single_pass_bits(schema);
 }
 
 TEST(Transform, ConjugateSymmetry) {
