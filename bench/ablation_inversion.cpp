@@ -10,7 +10,7 @@
 #include "bench_common.hpp"
 
 #include "laplace/error_control.hpp"
-#include "laplace/gaver_stehfest.hpp"
+#include "gaver_stehfest.hpp"
 
 int main() {
   using namespace rrl;

@@ -1,12 +1,36 @@
-#include "laplace/gaver_stehfest.hpp"
+// Gaver-Stehfest Laplace inversion on the real axis, header-only.
+//
+// An *independent* inversion algorithm used to cross-check the Durbin/Crump
+// method the paper adopts. Gaver-Stehfest needs only real abscissae
+//   f(t) ~ (ln 2 / t) * sum_{k=1..n} zeta_k F(k ln 2 / t)
+// with the classical Salzer weights zeta_k, but the weights alternate in
+// sign and grow like 10^{n/2}: in double precision the usable order is
+// n ~ 12-16, limiting the attainable accuracy to ~1e-8 — which is exactly
+// why methods of the Durbin family (complex abscissae, epsilon
+// acceleration) are preferred for the paper's eps = 1e-12 requirement. No
+// solver uses it: bench/ablation_inversion quantifies this trade-off and
+// tests/test_gaver_stehfest.cpp checks it.
+#pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "support/contracts.hpp"
 
 namespace rrl {
 
-double stehfest_weight(int k, int order) {
+/// A Laplace transform evaluable on the positive real axis.
+using RealLaplaceTransform = std::function<double(double)>;
+
+struct GaverStehfestResult {
+  double value = 0.0;
+  int abscissae = 0;  ///< = order n (one real evaluation per term)
+};
+
+/// The Salzer/Stehfest weight zeta_k for a given (k, order); exposed for
+/// tests (weights must sum to 0 and alternate appropriately).
+[[nodiscard]] inline double stehfest_weight(int k, int order) {
   RRL_EXPECTS(order >= 2 && order <= 20 && order % 2 == 0);
   RRL_EXPECTS(k >= 1 && k <= order);
   const int half = order / 2;
@@ -39,8 +63,10 @@ double stehfest_weight(int k, int order) {
   return static_cast<double>(negative ? -sum : sum);
 }
 
-GaverStehfestResult gaver_stehfest_invert(
-    const RealLaplaceTransform& transform, double t, int order) {
+/// Invert `transform` at time t > 0 with Stehfest order n (even, typically
+/// 10..16 in double precision). Preconditions: t > 0, n even, 2 <= n <= 20.
+[[nodiscard]] inline GaverStehfestResult gaver_stehfest_invert(
+    const RealLaplaceTransform& transform, double t, int order = 14) {
   RRL_EXPECTS(t > 0.0);
   RRL_EXPECTS(order >= 2 && order <= 20 && order % 2 == 0);
   const double ln2_over_t = M_LN2 / t;

@@ -54,7 +54,6 @@
 #include "laplace/crump.hpp"           // IWYU pragma: export
 #include "laplace/epsilon.hpp"         // IWYU pragma: export
 #include "laplace/error_control.hpp"   // IWYU pragma: export
-#include "laplace/gaver_stehfest.hpp"  // IWYU pragma: export
 #include "markov/builder.hpp"          // IWYU pragma: export
 #include "markov/ctmc.hpp"             // IWYU pragma: export
 #include "markov/dtmc.hpp"             // IWYU pragma: export

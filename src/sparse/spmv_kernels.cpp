@@ -14,9 +14,9 @@
 namespace rrl {
 namespace detail {
 
-// Defined in spmv_kernels_avx2.cpp / spmv_kernels_avx512.cpp; return
-// nullptr when their TU was compiled without the ISA (non-x86 target or a
-// compiler without the flag).
+// Defined by the -mavx2 and -mavx512f builds of spmv_kernels_simd.cpp.
+// CMakeLists makes a build only where the compiler takes its flag, and
+// announces it with RRL_SIMD_AVX2 / RRL_SIMD_AVX512.
 const SpmvKernels* avx2_kernels() noexcept;
 const SpmvKernels* avx512_kernels() noexcept;
 
@@ -165,12 +165,17 @@ const SpmvKernels* kernels_for(KernelIsa isa) noexcept {
   switch (isa) {
     case KernelIsa::kScalar:
       return &kScalarKernels;
+#if defined(RRL_SIMD_AVX2)
     case KernelIsa::kAvx2:
       return detail::avx2_kernels();
+#endif
+#if defined(RRL_SIMD_AVX512)
     case KernelIsa::kAvx512:
       return detail::avx512_kernels();
+#endif
+    default:
+      return nullptr;
   }
-  return nullptr;
 }
 
 KernelIsa best_supported_isa() noexcept {
@@ -207,11 +212,7 @@ const SpmvKernels& active_kernels() {
     const SpmvKernels& k = resolve_kernels(std::getenv("RRL_KERNEL"));
     // 0 = scalar, 1 = avx2, 2 = avx512 — same order as KernelIsa, so the
     // metrics view names the variant the whole process is running with.
-    // The SpMM tile kernels ride the same table, so the two gauges can
-    // only ever disagree if a future variant ships one side without the
-    // other.
     metrics::gauge("rrl_spmv_kernel_isa").set(static_cast<int>(k.isa));
-    metrics::gauge("rrl_spmm_kernel_isa").set(static_cast<int>(k.isa));
     return k;
   }();
   return active;

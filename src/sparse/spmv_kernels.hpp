@@ -5,11 +5,16 @@
 // V-model passes, pooled row-partitioned products), so the row
 // kernels live here as a function-pointer table selected ONCE per process:
 //
-//   scalar   portable reference, baseline x86-64 (always present)
-//   avx2     4-lane products, gathers via vgatherdpd (when compiled in
-//            and the CPU reports AVX2)
-//   avx512   8-lane products (when compiled in and the CPU reports
-//            AVX-512F)
+//   scalar   portable reference, baseline x86-64 (always present;
+//            spmv_kernels.cpp)
+//   avx2     4-lane products, gathers via vgatherdpd (when built and the
+//            CPU reports AVX2)
+//   avx512   8-lane products (when built and the CPU reports AVX-512F)
+//
+// The two SIMD variants are one source, spmv_kernels_simd.cpp, written
+// with vector-extension types and compiled once per ISA flag; each build's
+// lane count is the ISA's native width. CMake builds a variant only where
+// the compiler takes its flag, and an unbuilt variant is never offered.
 //
 // Selection is CPUID-based (best supported ISA wins) and overridable with
 // RRL_KERNEL=scalar|avx2|avx512 for testing and byte-compare CI runs; an
@@ -27,10 +32,10 @@
 //    changes; padding contributes 0.0 * x[0] = +-0.0, and adding a signed
 //    zero to a finite accumulation that started at +0.0 cannot change its
 //    bits ((+0) + (-0) = +0 under round-to-nearest).
-//  * The kernel translation units are compiled with -ffp-contract=off, so
-//    no FMA contraction can merge a product and an addition into a
-//    single differently-rounded operation. There is no --fast-math escape
-//    hatch: a kernel that cannot reproduce the scalar bits does not ship.
+//  * Every kernel build is compiled with -ffp-contract=off, so no FMA
+//    contraction can merge a product and an addition into a single
+//    differently-rounded operation. There is no --fast-math escape hatch:
+//    a kernel that cannot reproduce the scalar bits does not ship.
 //
 // The contract assumes finite operands (no NaN/Inf in x or the matrix),
 // which the solvers' distribution/reward preconditions already guarantee;

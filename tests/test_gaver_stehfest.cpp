@@ -1,6 +1,6 @@
 // Tests of the Gaver-Stehfest inverter and its cross-validation against the
 // Durbin/Crump method on the paper's transforms.
-#include "laplace/gaver_stehfest.hpp"
+#include "../bench/gaver_stehfest.hpp"
 
 #include <gtest/gtest.h>
 

@@ -85,6 +85,42 @@ TEST(SpmvKernels, ScalarVariantIsAlwaysAvailable) {
   ASSERT_NE(scalar_kernels().sell_chunks, nullptr);
 }
 
+// The bitwise tests only check the variants kernels_for() hands out, so a
+// SIMD build that drops out of CMake would leave them passing on scalar
+// alone. CMake announces each ISA build with a PUBLIC RRL_SIMD_<ISA>
+// definition: a built variant must be registered wherever the CPU runs
+// it, and an unbuilt one must never be offered.
+TEST(SpmvKernels, CompiledVariantsAreRegistered) {
+  const struct {
+    KernelIsa isa;
+    bool usable;  // built by CMake and supported by this CPU
+  } variants[] = {
+#if defined(RRL_SIMD_AVX2)
+      {KernelIsa::kAvx2, __builtin_cpu_supports("avx2") != 0},
+#else
+      {KernelIsa::kAvx2, false},
+#endif
+#if defined(RRL_SIMD_AVX512)
+      {KernelIsa::kAvx512, __builtin_cpu_supports("avx512f") != 0},
+#else
+      {KernelIsa::kAvx512, false},
+#endif
+  };
+  for (const auto& v : variants) {
+    const SpmvKernels* k = kernels_for(v.isa);
+    if (!v.usable) {
+      EXPECT_EQ(k, nullptr) << kernel_isa_name(v.isa);
+      continue;
+    }
+    ASSERT_NE(k, nullptr) << kernel_isa_name(v.isa);
+    EXPECT_EQ(k->isa, v.isa);
+    EXPECT_STREQ(k->name, kernel_isa_name(v.isa));
+    EXPECT_TRUE(k->csr_rows && k->sell_chunks && k->csr_rows_mm4 &&
+                k->csr_rows_mm8 && k->sell_chunks_mm4 && k->sell_chunks_mm8)
+        << kernel_isa_name(v.isa);
+  }
+}
+
 TEST(SpmvKernels, EveryVariantMatchesScalarBitwiseOnCsr) {
   const struct {
     const char* what;
