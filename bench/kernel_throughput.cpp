@@ -5,10 +5,12 @@
 // determinism contract), then ASSERTS the >= 1.3x speedup bound of the
 // active variant over scalar CSR (exit code 1 on violation, so CI tracks
 // the regression) — unless CPUID offers no SIMD variant, in which case the
-// bound is vacuous and the run passes with a note. A scalar SELL-8 row
-// splits that speedup into its two parts: the layout (scalar SELL over
-// scalar CSR) and the ISA (the active variant over scalar SELL); the bound
-// still reads the product of both. Needs no google-benchmark.
+// bound is vacuous, or RRL_KERNEL pins a variant below the host's best,
+// in which case the bound does not apply; either run passes with a note.
+// A scalar SELL-8 row splits that speedup into its two parts: the layout
+// (scalar SELL over scalar CSR) and the ISA (the active variant over
+// scalar SELL); the bound still reads the product of both. Needs no
+// google-benchmark.
 //
 // A second, informational section times the scalar micro-primitives whose
 // costs compose into the table/figure benches (Poisson window
@@ -95,7 +97,10 @@ int main(int argc, char** argv) {
 
   const SpmvKernels& scalar = scalar_kernels();
   const SpmvKernels& active = active_kernels();
-  const bool simd = active.isa != KernelIsa::kScalar;
+  // The host's answer, not the active variant's: RRL_KERNEL may pin a
+  // variant below the best one, and then the bound does not apply.
+  const bool simd = best_supported_isa() != KernelIsa::kScalar;
+  const bool pinned = active.isa != best_supported_isa();
 
   std::printf(
       "SpMV kernels: %d x %d, %lld nnz, active variant '%s' "
@@ -300,6 +305,11 @@ int main(int argc, char** argv) {
     std::printf(
         "PASS (bound skipped): no SIMD variant available on this host, "
         "scalar vs scalar is 1x by construction\n");
+    return 0;
+  }
+  if (pinned) {
+    std::printf("PASS (bound skipped): variant pinned to '%s'\n",
+                active.name);
     return 0;
   }
   if (speedup < min_speedup) {

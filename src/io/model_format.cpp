@@ -2,10 +2,11 @@
 
 #include <cmath>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "io/field_scanner.hpp"
 #include "markov/generator.hpp"
 #include "support/contracts.hpp"
 
@@ -35,11 +36,9 @@ ModelFile read_model(std::istream& in) {
   int line_no = 0;
   while (std::getline(in, raw)) {
     ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream line(raw);
-    std::string keyword;
-    if (!(line >> keyword)) continue;  // blank / comment-only line
+    FieldScanner line(raw);
+    std::string_view keyword;
+    if (!line.next(keyword)) continue;  // blank / comment-only line
 
     if (keyword == "generator") {
       if (!generator_family.empty()) {
@@ -49,17 +48,18 @@ ModelFile read_model(std::istream& in) {
         parse_fail(line_no,
                    "'generator' cannot be mixed with explicit model lines");
       }
-      if (!(line >> generator_family)) {
+      std::string_view family;
+      if (!line.next(family)) {
         parse_fail(line_no, "'generator' needs a family name");
       }
-      std::string token;
-      while (line >> token) {
+      generator_family = family;
+      for (std::string_view token; line.next(token);) {
         const auto eq = token.find('=');
-        if (eq == std::string::npos || eq == 0 ||
+        if (eq == std::string_view::npos || eq == 0 ||
             eq + 1 == token.size() ||
-            token.find('=', eq + 1) != std::string::npos) {
+            token.find('=', eq + 1) != std::string_view::npos) {
           parse_fail(line_no, "generator parameters must be key=value, got '" +
-                                  token + "'");
+                                  std::string(token) + "'");
         }
         generator_params.emplace_back(token.substr(0, eq),
                                       token.substr(eq + 1));
@@ -69,46 +69,44 @@ ModelFile read_model(std::istream& in) {
     if (!generator_family.empty()) {
       parse_fail(line_no,
                  "'generator' must be the only content line, found '" +
-                     keyword + "'");
+                     std::string(keyword) + "'");
     }
     has_explicit = true;
 
     auto need_states = [&] {
       if (num_states < 0) {
-        parse_fail(line_no, "'states <N>' must come before '" + keyword +
-                                "'");
+        parse_fail(line_no, "'states <N>' must come before '" +
+                                std::string(keyword) + "'");
       }
     };
     auto read_state = [&](const char* what) {
-      long s = -1;
-      if (!(line >> s) || s < 0 || s >= num_states) {
+      index_t s = -1;
+      if (!line.next(s) || s < 0 || s >= num_states) {
         parse_fail(line_no, std::string("bad ") + what + " state index");
       }
-      return static_cast<index_t>(s);
+      return s;
     };
 
-    if (keyword == "states") {
-      long n = 0;
-      if (num_states >= 0) parse_fail(line_no, "duplicate 'states' line");
-      if (!(line >> n) || n <= 0) {
-        parse_fail(line_no, "'states' needs a positive count");
-      }
-      num_states = static_cast<index_t>(n);
-    } else if (keyword == "transition") {
+    if (keyword == "transition") {
       need_states();
       const index_t from = read_state("source");
       const index_t to = read_state("target");
       double rate = -1.0;
-      if (!(line >> rate) || rate < 0.0) {
+      if (!line.next(rate) || rate < 0.0) {
         parse_fail(line_no, "'transition' needs a non-negative rate");
       }
       if (from == to) parse_fail(line_no, "self-loop transitions not allowed");
       transitions.push_back({from, to, rate});
+    } else if (keyword == "states") {
+      if (num_states >= 0) parse_fail(line_no, "duplicate 'states' line");
+      if (!line.next(num_states) || num_states <= 0) {
+        parse_fail(line_no, "'states' needs a positive count");
+      }
     } else if (keyword == "reward") {
       need_states();
       const index_t s = read_state("reward");
       double value = -1.0;
-      if (!(line >> value) || value < 0.0) {
+      if (!line.next(value) || value < 0.0) {
         parse_fail(line_no, "'reward' needs a non-negative value");
       }
       rewards.emplace_back(s, value);
@@ -116,7 +114,7 @@ ModelFile read_model(std::istream& in) {
       need_states();
       const index_t s = read_state("initial");
       double p = -1.0;
-      if (!(line >> p) || p < 0.0 || p > 1.0) {
+      if (!line.next(p) || p < 0.0 || p > 1.0) {
         parse_fail(line_no, "'initial' needs a probability in [0, 1]");
       }
       initial.emplace_back(s, p);
@@ -125,7 +123,12 @@ ModelFile read_model(std::istream& in) {
       need_states();
       model.regenerative = read_state("regenerative");
     } else {
-      parse_fail(line_no, "unknown keyword '" + keyword + "'");
+      parse_fail(line_no, "unknown keyword '" + std::string(keyword) + "'");
+    }
+    if (std::string_view extra; line.next(extra)) {
+      parse_fail(line_no, "unexpected '" + std::string(extra) +
+                              "' after the '" + std::string(keyword) +
+                              "' fields");
     }
   }
   if (!generator_family.empty()) {

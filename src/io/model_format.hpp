@@ -13,6 +13,18 @@
 // Indices are 0-based. Duplicate `transition` lines are summed (consistent
 // with the in-memory builder); duplicate `reward`/`initial` lines overwrite.
 //
+// Fields are read by io/field_scanner.hpp, as the `.study` reader reads
+// them. Whitespace is whatever isspace() calls it (so tabs and CRLF line
+// ends work), and '#' ends a line's content even inside a field. A number
+// is spelled as operator>> reads one: an optional sign, decimal digits, an
+// optional point and exponent (`+1`, `.5`, `5.`, `2.5E-3`). Values round
+// correctly, so write_model's 17 digits come back bit for bit; underflow
+// reads as zero, while inf, nan, a bare exponent and overflow are errors.
+// A field must end at whitespace, '#' or the end of the line, an index
+// must fit an index_t, and a line carries exactly its keyword's fields:
+// `transition 0 1.5 2`, `transition 0 1 2.5abc` and `states 2 extra` are
+// line-numbered errors.
+//
 // Alternatively a file may hold a single GENERATOR line instead of an
 // explicit state space (markov/generator.hpp expands it on read):
 //

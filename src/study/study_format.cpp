@@ -2,8 +2,9 @@
 
 #include <cmath>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
+#include "io/field_scanner.hpp"
 #include "support/contracts.hpp"
 
 namespace rrl {
@@ -29,33 +30,49 @@ StudySpec read_study(std::istream& in, const std::string& base_dir) {
   int line_no = 0;
   while (std::getline(in, raw)) {
     ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream line(raw);
-    std::string keyword;
-    if (!(line >> keyword)) continue;  // blank / comment-only line
+    FieldScanner line(raw);
+    std::string_view word;
+    if (!line.next(word)) continue;  // blank / comment-only line
+    const std::string keyword(word);
 
     // Single-operand keywords reject trailing tokens so that list-style
     // input ("grid a:b:c d:e:f") fails loudly instead of silently
     // shrinking the expansion; use one line per grid.
     const auto reject_extras = [&] {
-      std::string extra;
-      if (line >> extra) {
+      if (std::string_view extra; line.next(extra)) {
         parse_fail(line_no, "'" + keyword + "' takes exactly one operand "
-                                "(got '" + extra + "' after it)");
+                                "(got '" + std::string(extra) +
+                                "' after it)");
       }
+    };
+    // The rest of the line as positive numbers.
+    const auto read_positive = [&](const char* what) {
+      std::vector<double> values;
+      for (std::string_view field; line.next(field);) {
+        double v = 0.0;
+        if (!parse_number(field, v)) {
+          parse_fail(line_no, std::string("malformed ") + what + " value");
+        }
+        if (!(v > 0.0)) parse_fail(line_no, std::string(what) +
+                                                "s must be positive");
+        values.push_back(v);
+      }
+      if (values.empty()) {
+        parse_fail(line_no, std::string("'") + what +
+                                "s' needs at least one value");
+      }
+      return values;
     };
 
     if (keyword == "model") {
-      std::string path;
-      if (!(line >> path)) parse_fail(line_no, "'model' needs a path");
+      std::string_view path;
+      if (!line.next(path)) parse_fail(line_no, "'model' needs a path");
       reject_extras();
-      spec.model_labels.push_back(path);
-      spec.models.push_back(resolved(base_dir, path));
+      spec.model_labels.emplace_back(path);
+      spec.models.push_back(resolved(base_dir, std::string(path)));
     } else if (keyword == "solvers") {
-      std::string name;
       std::vector<std::string> names;
-      while (line >> name) names.push_back(name);
+      for (std::string_view name; line.next(name);) names.emplace_back(name);
       if (names.empty()) {
         parse_fail(line_no, "'solvers' needs 'all' or solver names");
       }
@@ -66,8 +83,7 @@ StudySpec read_study(std::istream& in, const std::string& base_dir) {
       }
     } else if (keyword == "measures") {
       std::vector<MeasureKind> measures;
-      std::string token;
-      while (line >> token) {
+      for (std::string_view token; line.next(token);) {
         if (token == "trr") {
           measures.push_back(MeasureKind::kTrr);
         } else if (token == "mrr") {
@@ -77,7 +93,7 @@ StudySpec read_study(std::istream& in, const std::string& base_dir) {
           measures.push_back(MeasureKind::kMrr);
         } else {
           parse_fail(line_no, "'measures' accepts trr, mrr or both (got '" +
-                                  token + "')");
+                                  std::string(token) + "')");
         }
       }
       if (measures.empty()) {
@@ -85,30 +101,20 @@ StudySpec read_study(std::istream& in, const std::string& base_dir) {
       }
       spec.measures = std::move(measures);
     } else if (keyword == "epsilons" || keyword == "epsilon") {
-      std::vector<double> epsilons;
-      double eps = 0.0;
-      while (line >> eps) {
-        if (!(eps > 0.0)) {
-          parse_fail(line_no, "epsilons must be positive");
-        }
-        epsilons.push_back(eps);
-      }
-      if (!line.eof()) parse_fail(line_no, "malformed epsilon value");
-      if (epsilons.empty()) {
-        parse_fail(line_no, "'epsilons' needs at least one value");
-      }
-      spec.epsilons = std::move(epsilons);
+      spec.epsilons = read_positive("epsilon");
     } else if (keyword == "grid") {
-      std::string body;
-      if (!(line >> body)) {
+      std::string_view body;
+      if (!line.next(body)) {
         parse_fail(line_no, "'grid' needs <lo>:<hi>:<count>");
       }
+      const auto c1 = body.find(':');
+      const auto c2 = c1 == body.npos ? c1 : body.find(':', c1 + 1);
       double lo = 0.0, hi = 0.0, count = 0.0;
-      char c1 = 0, c2 = 0;
-      std::istringstream grid(body);
-      if (!(grid >> lo >> c1 >> hi >> c2 >> count) || c1 != ':' ||
-          c2 != ':' || !grid.eof() || lo <= 0.0 || hi < lo || count < 1.0 ||
-          count > 100000.0 || count != std::floor(count)) {
+      if (c2 == body.npos || !parse_number(body.substr(0, c1), lo) ||
+          !parse_number(body.substr(c1 + 1, c2 - c1 - 1), hi) ||
+          !parse_number(body.substr(c2 + 1), count) || lo <= 0.0 ||
+          hi < lo || count < 1.0 || count > 100000.0 ||
+          count != std::floor(count)) {
         parse_fail(line_no,
                    "'grid' expects lo:hi:count with 0 < lo <= hi and an "
                    "integer 1 <= count <= 100000");
@@ -117,39 +123,26 @@ StudySpec read_study(std::istream& in, const std::string& base_dir) {
       spec.grids.push_back(
           log_time_grid(lo, hi, static_cast<int>(count)));
     } else if (keyword == "times") {
-      std::vector<double> ts;
-      double t = 0.0;
-      while (line >> t) {
-        if (!(t > 0.0)) parse_fail(line_no, "times must be positive");
-        ts.push_back(t);
-      }
-      if (!line.eof()) parse_fail(line_no, "malformed time value");
-      if (ts.empty()) parse_fail(line_no, "'times' needs at least one value");
-      spec.grids.push_back(std::move(ts));
+      spec.grids.push_back(read_positive("time"));
     } else if (keyword == "regenerative") {
-      std::string token;
-      if (!(line >> token)) {
+      std::string_view token;
+      if (!line.next(token)) {
         parse_fail(line_no, "'regenerative' needs auto or a state index");
       }
       if (token == "auto") {
         spec.regenerative = -1;
+      } else if (index_t s = -1; parse_number(token, s) && s >= 0) {
+        spec.regenerative = s;
       } else {
-        std::istringstream idx(token);
-        long s = -1;
-        if (!(idx >> s) || !idx.eof() || s < 0) {
-          parse_fail(line_no,
-                     "'regenerative' needs auto or a non-negative index");
-        }
-        spec.regenerative = static_cast<index_t>(s);
+        parse_fail(line_no,
+                   "'regenerative' needs auto or a non-negative index");
       }
       reject_extras();
     } else if (keyword == "jobs") {
-      long n = 0;
-      if (!(line >> n) || n < 1) {
+      if (!line.next(spec.jobs) || spec.jobs < 1) {
         parse_fail(line_no, "'jobs' needs a positive count");
       }
       reject_extras();
-      spec.jobs = static_cast<int>(n);
     } else {
       parse_fail(line_no, "unknown keyword '" + keyword + "'");
     }

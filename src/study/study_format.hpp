@@ -16,6 +16,9 @@
 //   regenerative auto | <i>   # default: each model file's hint, else auto
 //   jobs <n>                  # default worker count (CLI --jobs overrides)
 //
+// Fields and numbers are read as in model files (io/field_scanner.hpp): a
+// number must fill its field, so `jobs 2x` or `times 5 1e` is an error.
+//
 // At least one `model` and one `grid`/`times` line are required. The
 // expansion order is fixed and documented (study_runner.hpp): model-major,
 // then solver, measure, epsilon, grid — scenario indices are therefore

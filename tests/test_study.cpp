@@ -133,6 +133,121 @@ TEST(StudyFormat, RejectsMalformedInput) {
   }
 }
 
+// What read_study makes of `text`: its axes as text, every double as
+// %.17g (which names it exactly), or the error text.
+std::string study_outcome(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    const StudySpec spec = read_study(in);
+    std::string out = "models";
+    for (const std::string& model : spec.models) out += " " + model;
+    out += "; solvers";
+    for (const std::string& solver : spec.solvers) out += " " + solver;
+    out += "; measures";
+    for (const MeasureKind m : spec.measures) {
+      out += m == MeasureKind::kTrr ? " trr" : " mrr";
+    }
+    char value[32];
+    const auto add = [&](double v) {
+      std::snprintf(value, sizeof(value), " %.17g", v);
+      out += value;
+    };
+    out += "; epsilons";
+    for (const double eps : spec.epsilons) add(eps);
+    for (const std::vector<double>& grid : spec.grids) {
+      out += "; grid";
+      for (const double t : grid) add(t);
+    }
+    return out + "; regenerative " + std::to_string(spec.regenerative) +
+           "; jobs " + std::to_string(spec.jobs);
+  } catch (const contract_error& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
+// Syntax corpus. Each row pins what the reader makes of one spelling: the
+// parsed axes (bit for bit) or the line-numbered error.
+TEST(StudyFormat, SyntaxCorpus) {
+  struct Row {
+    const char* text;
+    const char* expected;
+  };
+  const Row rows[] = {
+      // Signs, leading zeros, point and exponent spellings.
+      {"model a\nepsilons +1e-8 +.5 5.\ntimes +5 .5 007 1E2 2.5e+1\n"
+       "jobs +3\nregenerative +2\n",
+       "models a; solvers; measures trr; epsilons 1e-08 0.5 5; "
+       "grid 5 0.5 7 100 25; regenerative 2; jobs 3"},
+      {"model a\ngrid +1:+1e2:+3\ngrid 1.:1.e1:2e0\n",
+       "models a; solvers; measures trr; epsilons 9.9999999999999998e-13; "
+       "grid 1 10.000000000000002 100; grid 1 10; regenerative -2; jobs 1"},
+      {"model a\ntimes 4.9406564584124654e-324 1.7976931348623157e308 "
+       "0.10000000000000001 3.14159265358979323846264338327950288\n",
+       "models a; solvers; measures trr; epsilons 9.9999999999999998e-13; "
+       "grid 4.9406564584124654e-324 1.7976931348623157e+308 "
+       "0.10000000000000001 3.1415926535897931; regenerative -2; jobs 1"},
+      // Whitespace is what isspace() says: CRLF line ends, tabs, and a
+      // comment may end a line with or without a space before it.
+      {"model a.rrlm\r\nsolvers rr rrl\r\nmeasures both\r\n"
+       "epsilons 1e-8\r\ngrid 1:10:2\r\nregenerative auto\r\njobs 2\r\n",
+       "models a.rrlm; solvers rr rrl; measures trr mrr; epsilons 1e-08; "
+       "grid 1 10; regenerative -1; jobs 2"},
+      {"model\ta.rrlm\t\n\tsolvers\trr\nmeasures\ttrr\tmrr\n"
+       "times\t5\t50\t\n\v\f\n",
+       "models a.rrlm; solvers rr; measures trr mrr; "
+       "epsilons 9.9999999999999998e-13; grid 5 50; regenerative -2; jobs 1"},
+      {"model a.rrlm# m\ntimes 5 50#t\njobs 2 # j\ngrid 1:10:2#g\n"
+       "regenerative 3#r\n",
+       "models a.rrlm; solvers; measures trr; "
+       "epsilons 9.9999999999999998e-13; grid 5 50; grid 1 10; "
+       "regenerative 3; jobs 2"},
+      // Underflow reads as zero, which no axis takes.
+      {"model a\nepsilons 1e-400\ntimes 1\n",
+       "error: study file, line 2: epsilons must be positive"},
+      {"model a\ntimes 1e-400\n",
+       "error: study file, line 2: times must be positive"},
+      // No infinity, NaN, bare exponent or overflow.
+      {"model a\nepsilons inf\ntimes 1\n",
+       "error: study file, line 2: malformed epsilon value"},
+      {"model a\ntimes nan\n",
+       "error: study file, line 2: malformed time value"},
+      {"model a\nepsilons 1e\ntimes 1\n",
+       "error: study file, line 2: malformed epsilon value"},
+      {"model a\ntimes 1e400\n",
+       "error: study file, line 2: malformed time value"},
+      {"model a\ngrid 1:1e400:3\n",
+       "error: study file, line 2: 'grid' expects lo:hi:count with 0 < lo "
+       "<= hi and an integer 1 <= count <= 100000"},
+      {"model a\ngrid 1:10:1e\n",
+       "error: study file, line 2: 'grid' expects lo:hi:count with 0 < lo "
+       "<= hi and an integer 1 <= count <= 100000"},
+      {"model a\ntimes 1\nregenerative inf\n",
+       "error: study file, line 3: 'regenerative' needs auto or a "
+       "non-negative index"},
+      {"model a\ntimes 1\nregenerative 1.5\n",
+       "error: study file, line 3: 'regenerative' needs auto or a "
+       "non-negative index"},
+      // Malformed: a field must end at whitespace, '#' or the end of the
+      // line, and an integer must fit.
+      {"model a\nepsilons 1e-8 1e400\ntimes 1\n",
+       "error: study file, line 2: malformed epsilon value"},
+      {"model a\ntimes 5 1e\n",
+       "error: study file, line 2: malformed time value"},
+      {"model a\ntimes 1\njobs 2x\n",
+       "error: study file, line 3: 'jobs' needs a positive count"},
+      {"model a\ntimes 1\njobs 2.5\n",
+       "error: study file, line 3: 'jobs' needs a positive count"},
+      {"model a\ntimes 1\njobs 4294967298\n",
+       "error: study file, line 3: 'jobs' needs a positive count"},
+      {"model a\ntimes 1\nregenerative 4294967294\n",
+       "error: study file, line 3: 'regenerative' needs auto or a "
+       "non-negative index"},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(study_outcome(row.text), row.expected) << "input: " << row.text;
+  }
+}
+
 TEST(ModelRepository, InternsByContent) {
   ModelRepository repo;
   const auto a = repo.adopt("multiproc", multiproc_file());
