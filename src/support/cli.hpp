@@ -3,11 +3,14 @@
 // as well as boolean flags).
 #pragma once
 
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "support/contracts.hpp"
 
 namespace rrl {
 
@@ -43,17 +46,32 @@ class CliArgs {
     return it == options_.end() ? fallback : it->second;
   }
 
+  /// The value must be a number with nothing after it ("2x" is rejected,
+  /// not read as 2); a bad value throws contract_error naming the option.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto it = options_.find(key);
-    return it == options_.end() ? fallback : std::strtod(it->second.c_str(),
-                                                         nullptr);
+    if (it == options_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0') reject(key, it->second, "a number");
+    return value;
   }
 
+  /// The value must be a whole number in long's range ("4x", "2.5" and
+  /// "abc" are rejected, not read as 4, 2 and 0).
   [[nodiscard]] long get_long(const std::string& key, long fallback) const {
     const auto it = options_.find(key);
-    return it == options_.end() ? fallback
-                                : std::strtol(it->second.c_str(), nullptr, 10);
+    if (it == options_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE) {
+      reject(key, it->second, "a whole number");
+    }
+    return value;
   }
 
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const {
@@ -67,6 +85,12 @@ class CliArgs {
   }
 
  private:
+  [[noreturn]] static void reject(const std::string& key,
+                                  const std::string& value, const char* what) {
+    throw contract_error("--" + key + " needs " + what + ", got '" + value +
+                         "'");
+  }
+
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };

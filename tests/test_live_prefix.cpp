@@ -461,7 +461,8 @@ TEST(LivePrefixSr, SoloPooledAndSharedMatchFullLengthStepping) {
 }
 
 // ---------------------------------------------------------------------------
-// Krylov: values recorded (%.17g) from the full-length implementation.
+// Krylov: values recorded (%.17g) from the full-length implementation (the
+// same solver with `live` pinned to n) of the fixed-lane Gram-Schmidt sweep.
 
 TEST(LivePrefixKrylov, MatchesRecordedFullLengthValues) {
   const ModelFile& q = bfs_queue();
@@ -470,10 +471,10 @@ TEST(LivePrefixKrylov, MatchesRecordedFullLengthValues) {
   const KrylovSolver krylov(q.chain, q.rewards, q.initial, options);
   const std::vector<double> grid{0.5, 1.5, 4.0};
   const std::int64_t matvecs[] = {62, 93, 155};
-  const double trr[] = {1.8128063003655945, 1.995577209235244,
-                        1.9998516772369792};
-  const double mrr[] = {1.2522151156622048, 1.7212621368199441,
-                        1.8949086294829365};
+  const double trr[] = {1.8128063003655952, 1.995577209235244,
+                        1.999851677236981};
+  const double mrr[] = {1.2522151156622048, 1.7212621368199439,
+                        1.8949086294829376};
 
   // Fresh and stale workspaces must agree with the record.
   const index_t n = q.chain.num_states();

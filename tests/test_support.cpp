@@ -38,6 +38,30 @@ TEST(Cli, ExplicitFalseFlag) {
   EXPECT_FALSE(args.get_bool("flag", true));
 }
 
+TEST(Cli, NumbersMustFillTheirValue) {
+  const char* argv[] = {"prog",       "--jobs=4x",  "--regenerative=abc",
+                        "--half=2.5", "--big=99999999999999999999",
+                        "--eps=1e-8", "--cap=1e9z", "--neg=-3",
+                        "--empty=",   "--bare"};
+  const CliArgs args(10, argv);
+  EXPECT_EQ(args.get_long("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("eps", 0.0), 1e-8);
+  for (const char* key : {"jobs", "regenerative", "half", "big", "empty",
+                          "bare"}) {
+    EXPECT_THROW((void)args.get_long(key, 0), contract_error) << key;
+  }
+  for (const char* key : {"regenerative", "cap", "empty", "bare"}) {
+    EXPECT_THROW((void)args.get_double(key, 0.0), contract_error) << key;
+  }
+  // The error names the option and the value it could not read.
+  try {
+    (void)args.get_long("jobs", 0);
+    FAIL() << "--jobs 4x was accepted";
+  } catch (const contract_error& e) {
+    EXPECT_STREQ(e.what(), "--jobs needs a whole number, got '4x'");
+  }
+}
+
 TEST(Table, AlignsColumns) {
   TextTable t({"a", "long-header"});
   t.add_row({"1", "2"});

@@ -87,6 +87,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -106,6 +107,18 @@
 namespace {
 
 using namespace rrl;
+
+// --regenerative <index> (callers handle "auto"): a state index, so a
+// negative value or one past index_t cannot wrap to another state or to
+// a sentinel.
+index_t regenerative_index(const CliArgs& args) {
+  const long value = args.get_long("regenerative", 0);
+  if (value < 0 || value > std::numeric_limits<index_t>::max()) {
+    throw contract_error("--regenerative needs auto or a state index, got '" +
+                         args.get_string("regenerative", "") + "'");
+  }
+  return static_cast<index_t>(value);
+}
 
 // Disk tier plumbing shared by study and batch modes: --cache-dir attaches
 // the on-disk artifact store to the solver cache (--cold keeps writing but
@@ -317,10 +330,7 @@ int run_batch(const CliArgs& args,
   spec.regenerative =
       regen_arg.empty()
           ? kRegenerativeFromModel
-          : (regen_arg == "auto"
-                 ? index_t{-1}
-                 : static_cast<index_t>(
-                       std::strtol(regen_arg.c_str(), nullptr, 10)));
+          : (regen_arg == "auto" ? index_t{-1} : regenerative_index(args));
 
   // Pre-validate the models with a friendlier message than the per-
   // scenario solver errors; the repository interns the parses, so
@@ -1009,8 +1019,7 @@ int run_cli(const CliArgs& args, char** argv) {
       regenerative = suggest_regenerative_state(model.chain);
       std::printf("regenerative state (auto): %d\n", regenerative);
     } else if (!regen_arg.empty()) {
-      regenerative = static_cast<index_t>(
-          std::strtol(regen_arg.c_str(), nullptr, 10));
+      regenerative = regenerative_index(args);
     }
 
     if (args.get_bool("bounds", false)) {
