@@ -16,10 +16,11 @@
 // V_{K,L} model and the transform coefficients are pure deterministic
 // functions of a schema (build_vmodel, TrrTransform), so import
 // re-materializes them and bit-identity is preserved without shipping the
-// redundant bytes. For SR/RSD the randomized DTMC (P transposed in CSR
-// gather form, self-loops, Lambda) IS the compiled state and is stored
-// whole; RSD's row-form P for the backward pass is re-derived by exact
-// transposition.
+// redundant bytes. For SR/RSD/Krylov the randomized DTMC (P transposed
+// in CSR gather form, self-loops, Lambda) IS the compiled state and is
+// stored whole; a warm solver adopts it by move in place of randomizing
+// its chain (markov/dtmc.hpp's LazyDtmc), and RSD's row-form P for the
+// backward pass is re-derived by exact transposition.
 //
 // Identity: `model_hash` (study/model_repository.hpp's content hash),
 // `solver` and `config` name the compilation inputs exactly — the disk
@@ -34,6 +35,7 @@
 
 #include "core/regenerative.hpp"
 #include "core/registry.hpp"
+#include "markov/dtmc.hpp"
 #include "sparse/csr.hpp"
 
 namespace rrl {
@@ -94,6 +96,13 @@ struct CompiledArtifact {
 [[nodiscard]] CompiledArtifact export_artifact(const TransientSolver& solver,
                                                std::uint64_t model_hash,
                                                const SolverConfig& config);
+
+/// SR/RSD/Krylov's compiled state, the randomized DTMC: export_dtmc
+/// copies it into the artifact; import_dtmc moves the artifact's DTMC
+/// into `dtmc` in place of its build (leaving nothing when the payload is
+/// not shaped for the chain, see LazyDtmc::adopt).
+void export_dtmc(const RandomizedDtmc& dtmc, CompiledArtifact& artifact);
+void import_dtmc(CompiledArtifact& artifact, LazyDtmc& dtmc);
 
 /// True iff the artifact's identity matches the requested compilation
 /// exactly (solver name, model content hash, every config field). The disk

@@ -235,22 +235,11 @@ KrylovSolver::KrylovSolver(const Ctmc& chain, std::vector<double> rewards,
 }
 
 void KrylovSolver::export_compiled(CompiledArtifact& artifact) const {
-  artifact.lambda = dtmc_.lambda();
-  artifact.dtmc_pt = dtmc_.transition_transposed();
-  const auto loops = dtmc_.self_loops();
-  artifact.self_loop.assign(loops.begin(), loops.end());
+  export_dtmc(dtmc_.get(), artifact);
 }
 
-void KrylovSolver::import_compiled(const CompiledArtifact& artifact) {
-  if (artifact.lambda <= 0.0 ||
-      artifact.dtmc_pt.rows() != chain_.num_states() ||
-      artifact.dtmc_pt.cols() != chain_.num_states() ||
-      artifact.self_loop.size() !=
-          static_cast<std::size_t>(chain_.num_states())) {
-    return;
-  }
-  dtmc_ = RandomizedDtmc::from_parts(artifact.dtmc_pt, artifact.self_loop,
-                                     artifact.lambda);
+void KrylovSolver::import_compiled(CompiledArtifact&& artifact) {
+  import_dtmc(artifact, dtmc_);
 }
 
 bool KrylovSolver::shares_pass(const SolveRequest& a,
@@ -277,12 +266,13 @@ void KrylovSolver::run_pass(std::span<const SolveRequest* const> requests,
                             std::span<SharedResult> results,
                             SolveWorkspace& workspace) const {
   const Stopwatch watch;
+  const RandomizedDtmc& dtmc = dtmc_.get();
   // The readers ask for one grid; the first one's stands for all.
   const std::vector<double>& times = requests[readers.front()]->times;
   const std::size_t num_points = times.size();
   bool any_mrr = false;
   for (const std::size_t k : readers) {
-    results[k].report = SolveReport::blank(num_points, dtmc_.lambda());
+    results[k].report = SolveReport::blank(num_points, dtmc.lambda());
     any_mrr = any_mrr || requests[k]->measure == MeasureKind::kMrr;
   }
 
@@ -305,7 +295,7 @@ void KrylovSolver::run_pass(std::span<const SolveRequest* const> requests,
   const double t_end = times[order.back()];
 
   const std::size_t n = static_cast<std::size_t>(chain_.num_states());
-  const double lambda = dtmc_.lambda();
+  const double lambda = dtmc.lambda();
   const double anorm = 2.0 * lambda;  // ||Q||_inf <= 2 Lambda
   const int m = std::min<int>(options_.max_dim,
                               static_cast<int>(chain_.num_states()));
@@ -340,14 +330,14 @@ void KrylovSolver::run_pass(std::span<const SolveRequest* const> requests,
 
   std::int64_t matvecs = 0;
   auto apply_a = [&](const double* in, double* out) {
-    live = std::max(live, dtmc_.reach(live));
+    live = std::max(live, dtmc.reach(live));
     len = static_cast<std::size_t>(live);
     const std::span<const double> in_span(in, n);
-    ThreadPool* const pool = workspace.pooled_spmv(dtmc_.leading_nnz(live));
+    ThreadPool* const pool = workspace.pooled_spmv(dtmc.leading_nnz(live));
     if (pool != nullptr) {
-      dtmc_.step(in_span, step_tmp, live, *pool);
+      dtmc.step(in_span, step_tmp, live, *pool);
     } else {
-      dtmc_.step(in_span, step_tmp, live);
+      dtmc.step(in_span, step_tmp, live);
     }
     for (std::size_t i = 0; i < len; ++i) {
       out[i] = lambda * (step_tmp[i] - in[i]);

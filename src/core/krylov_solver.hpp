@@ -129,7 +129,8 @@ class KrylovSolver : public TransientSolver {
 
   /// Its matvecs take a lent pool once P's stored entries reach the floor.
   [[nodiscard]] LentPoolUse lent_pool_use(const SolveRequest&) const override {
-    return dtmc_.transition_transposed().nnz() >= SolveWorkspace::kMinPooledNnz
+    return dtmc_.get().transition_transposed().nnz() >=
+                   SolveWorkspace::kMinPooledNnz
                ? LentPoolUse::kPart
                : LentPoolUse::kNone;
   }
@@ -144,10 +145,11 @@ class KrylovSolver : public TransientSolver {
 
   /// Compile -> execute split: the compiled state is the randomized DTMC,
   /// exactly as for SR/RSD (distinct solver name keys the cache).
+  void compile() const override { (void)dtmc_.get(); }
   void export_compiled(CompiledArtifact& artifact) const override;
-  void import_compiled(const CompiledArtifact& artifact) override;
+  void import_compiled(CompiledArtifact&& artifact) override;
 
-  [[nodiscard]] double lambda() const noexcept { return dtmc_.lambda(); }
+  [[nodiscard]] double lambda() const { return dtmc_.get().lambda(); }
 
  private:
   /// The adaptive pass answering requests[k] for every k in `readers`
@@ -163,7 +165,7 @@ class KrylovSolver : public TransientSolver {
   std::vector<index_t> reward_idx_;
   double r_max_ = 0.0;
   KrylovOptions options_;
-  RandomizedDtmc dtmc_;
+  LazyDtmc dtmc_;
 };
 
 }  // namespace rrl

@@ -62,16 +62,16 @@ void RegenerativeRandomization::export_compiled(
 }
 
 void RegenerativeRandomization::import_compiled(
-    const CompiledArtifact& artifact) {
-  for (const ArtifactSchemaEntry& e : artifact.schemas) {
+    CompiledArtifact&& artifact) {
+  for (ArtifactSchemaEntry& e : artifact.schemas) {
     // Structural sanity only (identity matching is the caller's job): a
     // schema for another regenerative state or with an empty series can
     // never be ours.
     if (e.schema.regenerative != regenerative_ || e.schema.main.a.empty()) {
       continue;
     }
-    schema_cache_.seed(e.t, e.eps, e.schema, /*want_transform=*/false,
-                       /*want_vmodel=*/true);
+    schema_cache_.seed(e.t, e.eps, std::move(e.schema),
+                       /*want_transform=*/false, /*want_vmodel=*/true);
   }
 }
 

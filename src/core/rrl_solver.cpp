@@ -1,6 +1,7 @@
 #include "core/rrl_solver.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/compiled_artifact.hpp"
 #include "laplace/error_control.hpp"
@@ -65,13 +66,13 @@ void RegenerativeRandomizationLaplace::export_compiled(
 }
 
 void RegenerativeRandomizationLaplace::import_compiled(
-    const CompiledArtifact& artifact) {
-  for (const ArtifactSchemaEntry& e : artifact.schemas) {
+    CompiledArtifact&& artifact) {
+  for (ArtifactSchemaEntry& e : artifact.schemas) {
     if (e.schema.regenerative != regenerative_ || e.schema.main.a.empty()) {
       continue;
     }
-    schema_cache_.seed(e.t, e.eps, e.schema, /*want_transform=*/true,
-                       /*want_vmodel=*/false);
+    schema_cache_.seed(e.t, e.eps, std::move(e.schema),
+                       /*want_transform=*/true, /*want_vmodel=*/false);
   }
 }
 

@@ -85,7 +85,7 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
   /// (t, eps)-keyed schemas; the transform evaluator is re-derived
   /// deterministically on import.
   void export_compiled(CompiledArtifact& artifact) const override;
-  void import_compiled(const CompiledArtifact& artifact) override;
+  void import_compiled(CompiledArtifact&& artifact) override;
 
   [[nodiscard]] TransientValue trr(double t) const;
   [[nodiscard]] TransientValue mrr(double t) const;

@@ -48,25 +48,11 @@ StandardRandomization::StandardRandomization(const Ctmc& chain,
 }
 
 void StandardRandomization::export_compiled(CompiledArtifact& artifact) const {
-  artifact.lambda = dtmc_.lambda();
-  artifact.dtmc_pt = dtmc_.transition_transposed();
-  const auto loops = dtmc_.self_loops();
-  artifact.self_loop.assign(loops.begin(), loops.end());
+  export_dtmc(dtmc_.get(), artifact);
 }
 
-void StandardRandomization::import_compiled(const CompiledArtifact& artifact) {
-  // Only adopt a payload that is structurally ours (identity matching is
-  // the caller's job — see artifact_matches); anything else is ignored and
-  // the construction-time DTMC stands.
-  if (artifact.lambda <= 0.0 ||
-      artifact.dtmc_pt.rows() != chain_.num_states() ||
-      artifact.dtmc_pt.cols() != chain_.num_states() ||
-      artifact.self_loop.size() !=
-          static_cast<std::size_t>(chain_.num_states())) {
-    return;
-  }
-  dtmc_ = RandomizedDtmc::from_parts(artifact.dtmc_pt, artifact.self_loop,
-                                     artifact.lambda);
+void StandardRandomization::import_compiled(CompiledArtifact&& artifact) {
+  import_dtmc(artifact, dtmc_);
 }
 
 TransientValue StandardRandomization::trr(double t) const {
@@ -84,6 +70,7 @@ std::vector<SharedResult> StandardRandomization::solve_shared(
     SolveWorkspace& workspace) const {
   const Stopwatch watch;
   std::vector<SharedResult> results(requests.size());
+  const RandomizedDtmc& dtmc = dtmc_.get();
 
   // One reader per request that has a pass to read: its per-point Poisson
   // mixtures with active-set retirement (shared with RSD), fed until its
@@ -96,11 +83,11 @@ std::vector<SharedResult> StandardRandomization::solve_shared(
     SolveReport& report = results[k].report;
     try {
       const double eps = validated_epsilon(request, options_.epsilon);
-      report = SolveReport::blank(request.times.size(), dtmc_.lambda());
+      report = SolveReport::blank(request.times.size(), dtmc.lambda());
       // All rewards zero: both measures are identically zero.
       if (r_max_ == 0.0) continue;
       GridSweep sweep(
-          dtmc_.lambda(), request.times, request.measure,
+          dtmc.lambda(), request.times, request.measure,
           [&](const PoissonDistribution& poisson) {
             return sr_truncation_point(poisson, request.measure,
                                        eps / r_max_);
@@ -136,16 +123,16 @@ std::vector<SharedResult> StandardRandomization::solve_shared(
             sweeps, n,
             sparse_reward_dot(indices_below(reward_idx_, live), rewards_, pi));
         if (n == pass) break;
-        live = std::max(live, dtmc_.reach(live));
+        live = std::max(live, dtmc.reach(live));
         // Row-partitioned stepping when the caller lent us a pool (small
         // batches on big models; bit-identical to the serial kernel) and
         // the live prefix is large enough to pay for it.
         ThreadPool* const pool =
-            workspace.pooled_spmv(dtmc_.leading_nnz(live));
+            workspace.pooled_spmv(dtmc.leading_nnz(live));
         if (pool != nullptr) {
-          dtmc_.step(pi, next, live, *pool);
+          dtmc.step(pi, next, live, *pool);
         } else {
-          dtmc_.step(pi, next, live);
+          dtmc.step(pi, next, live);
         }
         pi.swap(next);
       }

@@ -79,7 +79,8 @@ class StandardRandomization : public TransientSolver {
 
   /// Its steps take a lent pool once P's stored entries reach the floor.
   [[nodiscard]] LentPoolUse lent_pool_use(const SolveRequest&) const override {
-    return dtmc_.transition_transposed().nnz() >= SolveWorkspace::kMinPooledNnz
+    return dtmc_.get().transition_transposed().nnz() >=
+                   SolveWorkspace::kMinPooledNnz
                ? LentPoolUse::kHotLoop
                : LentPoolUse::kNone;
   }
@@ -93,9 +94,11 @@ class StandardRandomization : public TransientSolver {
       SolveWorkspace& workspace) const override;
 
   /// Compile → execute split: SR's compiled state is the randomized DTMC
-  /// (P transposed in CSR gather form, self-loops, Lambda).
+  /// (P transposed in CSR gather form, self-loops, Lambda), built on first
+  /// use or adopted from an import.
+  void compile() const override { (void)dtmc_.get(); }
   void export_compiled(CompiledArtifact& artifact) const override;
-  void import_compiled(const CompiledArtifact& artifact) override;
+  void import_compiled(CompiledArtifact&& artifact) override;
 
   /// Transient reward rate at time t (t >= 0).
   [[nodiscard]] TransientValue trr(double t) const;
@@ -103,7 +106,7 @@ class StandardRandomization : public TransientSolver {
   /// Mean reward rate over [0, t] (t > 0).
   [[nodiscard]] TransientValue mrr(double t) const;
 
-  [[nodiscard]] double lambda() const noexcept { return dtmc_.lambda(); }
+  [[nodiscard]] double lambda() const { return dtmc_.get().lambda(); }
 
  private:
   const Ctmc& chain_;
@@ -112,7 +115,7 @@ class StandardRandomization : public TransientSolver {
   std::vector<index_t> reward_idx_;
   double r_max_ = 0.0;
   SrOptions options_;
-  RandomizedDtmc dtmc_;
+  LazyDtmc dtmc_;
 };
 
 }  // namespace rrl

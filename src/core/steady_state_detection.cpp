@@ -18,11 +18,7 @@ RandomizationSteadyStateDetection::RandomizationSteadyStateDetection(
       rewards_(std::move(rewards)),
       initial_(std::move(initial)),
       options_(options),
-      dtmc_(chain, options.rate_factor),
-      p_(dtmc_.transition_transposed().transposed()) {
-  // The backward pass steps p_ as hard as SR steps the gather form:
-  // specialize it at compile time too (transposed() returns plain CSR).
-  p_.specialize();
+      dtmc_(chain, options.rate_factor, /*row_form=*/true) {
   RRL_EXPECTS(options_.epsilon > 0.0);
   RRL_EXPECTS(static_cast<index_t>(rewards_.size()) == chain.num_states());
   RRL_EXPECTS(chain.absorbing_states().empty());  // irreducible models only
@@ -32,28 +28,12 @@ RandomizationSteadyStateDetection::RandomizationSteadyStateDetection(
 
 void RandomizationSteadyStateDetection::export_compiled(
     CompiledArtifact& artifact) const {
-  artifact.lambda = dtmc_.lambda();
-  artifact.dtmc_pt = dtmc_.transition_transposed();
-  const auto loops = dtmc_.self_loops();
-  artifact.self_loop.assign(loops.begin(), loops.end());
+  export_dtmc(dtmc_.get(), artifact);
 }
 
 void RandomizationSteadyStateDetection::import_compiled(
-    const CompiledArtifact& artifact) {
-  if (artifact.lambda <= 0.0 ||
-      artifact.dtmc_pt.rows() != chain_.num_states() ||
-      artifact.dtmc_pt.cols() != chain_.num_states() ||
-      artifact.self_loop.size() !=
-          static_cast<std::size_t>(chain_.num_states())) {
-    return;
-  }
-  dtmc_ = RandomizedDtmc::from_parts(artifact.dtmc_pt, artifact.self_loop,
-                                     artifact.lambda);
-  // The backward-pass P is the exact transpose of the adopted gather form,
-  // same as at construction — including the derived kernel layout, which
-  // is rebuilt here rather than shipped in the artifact.
-  p_ = dtmc_.transition_transposed().transposed();
-  p_.specialize();
+    CompiledArtifact&& artifact) {
+  import_dtmc(artifact, dtmc_);
 }
 
 TransientValue RandomizationSteadyStateDetection::trr(double t) const {
@@ -71,6 +51,7 @@ std::vector<SharedResult> RandomizationSteadyStateDetection::solve_shared(
     SolveWorkspace& workspace) const {
   const Stopwatch watch;
   std::vector<SharedResult> results(requests.size());
+  const double lambda = dtmc_.get().lambda();
 
   // One reader per request that has a pass to read: its Poisson mixtures
   // (shared with SR), its own span tolerance, and the step it exits at
@@ -88,14 +69,14 @@ std::vector<SharedResult> RandomizationSteadyStateDetection::solve_shared(
     SolveReport& report = results[k].report;
     try {
       const double eps = validated_epsilon(request, options_.epsilon);
-      report = SolveReport::blank(request.times.size(), dtmc_.lambda());
+      report = SolveReport::blank(request.times.size(), lambda);
       for (TransientValue& p : report.points) p.stats.detection_step = -1;
       report.total.detection_step = -1;
       if (r_max_ == 0.0) continue;
       // Poisson truncation with eps/2 per point (the other eps/2 covers
       // detection), with the active-set retirement scan shared with SR.
       GridSweep sweep(
-          dtmc_.lambda(), request.times, request.measure,
+          lambda, request.times, request.measure,
           [&](const PoissonDistribution& poisson) {
             return poisson.right_truncation_point(eps / (2.0 * r_max_));
           },
@@ -124,7 +105,8 @@ std::vector<SharedResult> RandomizationSteadyStateDetection::solve_shared(
 
       // Row-partitioned stepping when the caller lent us a pool (small
       // batches on big models; bit-identical to the serial kernel).
-      ThreadPool* const pool = workspace.pooled_spmv(p_.nnz());
+      const CsrMatrix& p_rows = dtmc_.row_form();
+      ThreadPool* const pool = workspace.pooled_spmv(p_rows.nnz());
       for (std::int64_t n = 0;; ++n) {
         const double d = dot(initial_, w);
         // span(w_n) brackets every future coefficient d(m), m >= n: one
@@ -167,9 +149,9 @@ std::vector<SharedResult> RandomizationSteadyStateDetection::solve_shared(
 
         // w <- P w: gather product over the materialized row-form P.
         if (pool != nullptr) {
-          p_.mul_vec(w, next, *pool);
+          p_rows.mul_vec(w, next, *pool);
         } else {
-          p_.mul_vec(w, next);
+          p_rows.mul_vec(w, next);
         }
         w.swap(next);
       }

@@ -82,7 +82,7 @@ class RandomizationSteadyStateDetection : public TransientSolver {
 
   /// Its steps take a lent pool once P's stored entries reach the floor.
   [[nodiscard]] LentPoolUse lent_pool_use(const SolveRequest&) const override {
-    return p_.nnz() >= SolveWorkspace::kMinPooledNnz
+    return dtmc_.row_form().nnz() >= SolveWorkspace::kMinPooledNnz
                ? LentPoolUse::kHotLoop
                : LentPoolUse::kNone;
   }
@@ -95,16 +95,17 @@ class RandomizationSteadyStateDetection : public TransientSolver {
       std::span<const SolveRequest* const> requests,
       SolveWorkspace& workspace) const override;
 
-  /// Compile → execute split: RSD's compiled state is the randomized DTMC;
-  /// the row-form P for the backward pass is re-derived by exact
-  /// transposition on import.
+  /// Compile → execute split: RSD's compiled state is the randomized DTMC,
+  /// built on first use or adopted from an import; the row-form P for the
+  /// backward pass is derived from it by exact transposition either way.
+  void compile() const override { (void)dtmc_.get(); }
   void export_compiled(CompiledArtifact& artifact) const override;
-  void import_compiled(const CompiledArtifact& artifact) override;
+  void import_compiled(CompiledArtifact&& artifact) override;
 
   [[nodiscard]] TransientValue trr(double t) const;
   [[nodiscard]] TransientValue mrr(double t) const;
 
-  [[nodiscard]] double lambda() const noexcept { return dtmc_.lambda(); }
+  [[nodiscard]] double lambda() const { return dtmc_.get().lambda(); }
 
  private:
   const Ctmc& chain_;
@@ -112,15 +113,14 @@ class RandomizationSteadyStateDetection : public TransientSolver {
   std::vector<double> initial_;
   double r_max_ = 0.0;
   RsdOptions options_;
-  RandomizedDtmc dtmc_;
-  /// P in gather (row) form for the backward product w <- P w. The
-  /// randomized DTMC stores P transposed (the forward-stepping layout);
-  /// the backward pass used to run the scatter kernel over it, which
-  /// cannot be row-partitioned without write conflicts. Materializing P
-  /// once per solver (doubling the matrix memory) turns every backward
-  /// step into a gather product — the same kernel serial and pooled, so
-  /// results are identical for every worker count.
-  CsrMatrix p_;
+  /// The randomized DTMC with P in gather (row) form for the backward
+  /// product w <- P w. The DTMC stores P transposed (the forward-stepping
+  /// layout); the backward pass used to run the scatter kernel over it,
+  /// which cannot be row-partitioned without write conflicts.
+  /// Materializing P once per solver (doubling the matrix memory) turns
+  /// every backward step into a gather product — the same kernel serial
+  /// and pooled, so results are identical for every worker count.
+  LazyDtmc dtmc_;
 };
 
 }  // namespace rrl

@@ -204,6 +204,13 @@ class TransientSolver {
   /// would throw for the request.
   virtual void precompile(const SolveRequest& /*request*/) const {}
 
+  /// Run the request-independent compile step now instead of at first
+  /// use. SR, RSD and Krylov build their randomized DTMC lazily, so that
+  /// an import_compiled() before first use replaces the build; the solver
+  /// cache calls this on a cold miss, so the build is paid (and traced) as
+  /// the compile it is. The default does nothing. Thread-safe.
+  virtual void compile() const {}
+
   /// Compile → execute split (core/compiled_artifact.hpp). Append this
   /// solver's compiled state — the deterministic model-derived part of the
   /// work, re-usable across processes — to `artifact` (identity fields are
@@ -215,12 +222,13 @@ class TransientSolver {
   /// Adopt compiled state previously exported from an identically
   /// constructed solver (same model, method and config — callers verify
   /// with artifact_matches; entries a solver cannot use are ignored).
-  /// Because compilation is deterministic, an imported solver answers
-  /// every request bit-identically to one that compiled from scratch.
-  /// Must be called before the solver is shared across threads: the
-  /// artifact handoff is part of construction, not of the (concurrent)
-  /// execute phase.
-  virtual void import_compiled(const CompiledArtifact& /*artifact*/) {}
+  /// The artifact is handed over: a solver may move its arrays out (SR,
+  /// RSD and Krylov adopt the DTMC without a copy). Because compilation is
+  /// deterministic, an imported solver answers every request
+  /// bit-identically to one that compiled from scratch. Must be called
+  /// before the solver is shared across threads: the artifact handoff is
+  /// part of construction, not of the (concurrent) execute phase.
+  virtual void import_compiled(CompiledArtifact&& /*artifact*/) {}
 
   /// Single-point convenience on top of solve_grid; the returned stats are
   /// the full solve cost (the report's aggregate).

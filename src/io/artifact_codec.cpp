@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <span>
 #include <type_traits>
@@ -10,7 +11,7 @@
 #include <vector>
 
 #include "support/contracts.hpp"
-#include "support/fnv.hpp"
+#include "support/lane_checksum.hpp"
 
 namespace rrl {
 namespace {
@@ -23,30 +24,29 @@ constexpr std::uint16_t kEndianTag = 0x0102;
 }
 
 // --- Payload writer: appends native-byte-order scalars/arrays to a
-// buffer, which is checksummed and framed by write_artifact.
+// buffer, which is checksummed and framed by write_artifact. Without a
+// buffer it only counts, so the payload is sized before it is written.
 
 class Writer {
  public:
+  explicit Writer(std::string* buffer = nullptr) : buffer_(buffer) {}
+
   template <typename T>
   void scalar(T value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* bytes = reinterpret_cast<const char*>(&value);
-    buffer_.append(bytes, sizeof(T));
+    bytes(&value, sizeof(T));
   }
 
   template <typename T>
   void array(std::span<const T> values) {
     static_assert(std::is_trivially_copyable_v<T>);
     scalar<std::uint64_t>(values.size());
-    if (!values.empty()) {
-      buffer_.append(reinterpret_cast<const char*>(values.data()),
-                     values.size() * sizeof(T));
-    }
+    bytes(values.data(), values.size() * sizeof(T));
   }
 
   void string(const std::string& s) {
     scalar<std::uint64_t>(s.size());
-    buffer_.append(s);
+    bytes(s.data(), s.size());
   }
 
   void csr(const CsrMatrix& m) {
@@ -68,13 +68,52 @@ class Writer {
     scalar<std::uint8_t>(s.exact ? 1 : 0);
   }
 
-  [[nodiscard]] const std::string& buffer() const noexcept {
-    return buffer_;
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
-  std::string buffer_;
+  void bytes(const void* data, std::size_t n) {
+    if (buffer_ != nullptr && n > 0) {
+      buffer_->append(static_cast<const char*>(data), n);
+    }
+    size_ += n;
+  }
+
+  std::string* buffer_;
+  std::size_t size_ = 0;
 };
+
+void write_payload(Writer& payload, const CompiledArtifact& artifact) {
+  payload.string(artifact.solver);
+  payload.scalar<std::uint64_t>(artifact.model_hash);
+  payload.scalar<double>(artifact.config.epsilon);
+  payload.scalar<double>(artifact.config.rate_factor);
+  payload.scalar<index_t>(artifact.config.regenerative);
+  payload.scalar<std::int64_t>(artifact.config.step_cap);
+  payload.string(artifact.model_spec);
+  payload.scalar<index_t>(artifact.pre_lump_states);
+
+  payload.scalar<double>(artifact.lambda);
+  payload.csr(artifact.dtmc_pt);
+  payload.array(std::span<const double>(artifact.self_loop));
+
+  payload.scalar<std::uint64_t>(artifact.schemas.size());
+  for (const ArtifactSchemaEntry& entry : artifact.schemas) {
+    payload.scalar<double>(entry.t);
+    payload.scalar<double>(entry.eps);
+    const RegenerativeSchema& sch = entry.schema;
+    payload.scalar<double>(sch.lambda);
+    payload.scalar<double>(sch.alpha_r);
+    payload.scalar<double>(sch.r_max);
+    payload.scalar<index_t>(sch.regenerative);
+    payload.scalar<double>(sch.t);
+    payload.array(std::span<const index_t>(sch.absorbing));
+    payload.array(std::span<const double>(sch.f_rewards));
+    payload.series(sch.main);
+    payload.scalar<std::uint8_t>(sch.has_primed ? 1 : 0);
+    if (sch.has_primed) payload.series(sch.primed);
+    payload.scalar<std::uint8_t>(sch.capped ? 1 : 0);
+  }
+}
 
 // --- Payload reader: bounds-checked mirror of Writer. Every count is
 // validated against the remaining bytes BEFORE allocating, so a corrupt
@@ -172,39 +211,13 @@ class Reader {
 }  // namespace
 
 void write_artifact(std::ostream& out, const CompiledArtifact& artifact) {
-  Writer payload;
-  payload.string(artifact.solver);
-  payload.scalar<std::uint64_t>(artifact.model_hash);
-  payload.scalar<double>(artifact.config.epsilon);
-  payload.scalar<double>(artifact.config.rate_factor);
-  payload.scalar<index_t>(artifact.config.regenerative);
-  payload.scalar<std::int64_t>(artifact.config.step_cap);
-  payload.string(artifact.model_spec);
-  payload.scalar<index_t>(artifact.pre_lump_states);
+  Writer sizer;
+  write_payload(sizer, artifact);
+  std::string bytes;
+  bytes.reserve(sizer.size());
+  Writer payload(&bytes);
+  write_payload(payload, artifact);
 
-  payload.scalar<double>(artifact.lambda);
-  payload.csr(artifact.dtmc_pt);
-  payload.array(std::span<const double>(artifact.self_loop));
-
-  payload.scalar<std::uint64_t>(artifact.schemas.size());
-  for (const ArtifactSchemaEntry& entry : artifact.schemas) {
-    payload.scalar<double>(entry.t);
-    payload.scalar<double>(entry.eps);
-    const RegenerativeSchema& sch = entry.schema;
-    payload.scalar<double>(sch.lambda);
-    payload.scalar<double>(sch.alpha_r);
-    payload.scalar<double>(sch.r_max);
-    payload.scalar<index_t>(sch.regenerative);
-    payload.scalar<double>(sch.t);
-    payload.array(std::span<const index_t>(sch.absorbing));
-    payload.array(std::span<const double>(sch.f_rewards));
-    payload.series(sch.main);
-    payload.scalar<std::uint8_t>(sch.has_primed ? 1 : 0);
-    if (sch.has_primed) payload.series(sch.primed);
-    payload.scalar<std::uint8_t>(sch.capped ? 1 : 0);
-  }
-
-  const std::string& bytes = payload.buffer();
   out.write(kMagic, sizeof(kMagic));
   const std::uint32_t version = kArtifactFormatVersion;
   out.write(reinterpret_cast<const char*>(&version), sizeof(version));
@@ -213,7 +226,7 @@ void write_artifact(std::ostream& out, const CompiledArtifact& artifact) {
   const std::uint64_t length = bytes.size();
   out.write(reinterpret_cast<const char*>(&length), sizeof(length));
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  const std::uint64_t checksum = fnv1a(bytes);
+  const std::uint64_t checksum = lane_checksum(bytes);
   out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   if (!out) corrupt("stream write failed");
 }
@@ -256,14 +269,18 @@ CompiledArtifact read_artifact(std::istream& in) {
       corrupt("truncated payload");
     }
   }
-  std::vector<char> bytes(static_cast<std::size_t>(length));
-  in.read(bytes.data(), static_cast<std::streamsize>(length));
+  // Default-initialized: the read overwrites every byte, so a zero fill
+  // of a multi-megabyte payload would be wasted.
+  const std::unique_ptr<char[]> buffer(new char[length]);
+  const std::span<const char> bytes(buffer.get(),
+                                    static_cast<std::size_t>(length));
+  in.read(buffer.get(), static_cast<std::streamsize>(length));
   if (!in) corrupt("truncated payload");
   std::uint64_t checksum = 0;
   in.read(reinterpret_cast<char*>(&checksum), sizeof(checksum));
-  if (!in || checksum != fnv1a(bytes)) corrupt("checksum mismatch");
+  if (!in || checksum != lane_checksum(bytes)) corrupt("checksum mismatch");
 
-  Reader payload{std::span<const char>(bytes)};
+  Reader payload{bytes};
   CompiledArtifact artifact;
   artifact.solver = payload.string();
   artifact.model_hash = payload.scalar<std::uint64_t>();
@@ -316,6 +333,11 @@ void write_artifact_file(const std::string& path,
     throw contract_error("artifact codec: cannot open for writing: " + path);
   }
   write_artifact(out, artifact);
+  // A small artifact can sit whole in the stream's buffer, so only the
+  // final flush meets a full disk; an unchecked close would let the store
+  // publish a truncated file.
+  out.close();
+  if (!out) corrupt("stream write failed: " + path);
 }
 
 CompiledArtifact read_artifact_file(const std::string& path) {

@@ -16,7 +16,10 @@
 //                            a round trip is bit-exact — the foundation of
 //                            the "imported solver answers bit-identically"
 //                            guarantee)
-//   checksum  u64            FNV-1a over the payload
+//   checksum  u64            lane_checksum over the payload
+//                            (support/lane_checksum.hpp: four 64-bit
+//                            lanes, word at a time; any one changed
+//                            word always changes it)
 //
 // Matrices travel as their canonical CSR arrays ONLY: the specialized
 // kernel layout (sparse/sell.hpp) is derived data and is never
@@ -42,10 +45,11 @@ namespace rrl {
 /// Current format revision; bumped on any layout change so older builds
 /// reject newer files (and vice versa) instead of misreading them.
 /// History: 1 = initial layout; 2 = generated-model provenance
-/// (model_spec, pre_lump_states) after the config block. A version-1 blob
-/// under a version-2 reader degrades to a cache miss (cold compile),
-/// never to a misread.
-inline constexpr std::uint32_t kArtifactFormatVersion = 2;
+/// (model_spec, pre_lump_states) after the config block; 3 = the payload
+/// checksum is lane_checksum instead of byte-serial FNV-1a (same payload
+/// layout). An older blob under a newer reader degrades to a cache miss
+/// (cold compile), never to a misread.
+inline constexpr std::uint32_t kArtifactFormatVersion = 3;
 
 /// Serialize `artifact` to `out`. Throws contract_error if the stream
 /// fails.
@@ -57,7 +61,7 @@ void write_artifact(std::ostream& out, const CompiledArtifact& artifact);
 [[nodiscard]] CompiledArtifact read_artifact(std::istream& in);
 
 /// File-path conveniences (throw contract_error, including on open
-/// failure).
+/// failure and on a write that fails only when the file is closed).
 void write_artifact_file(const std::string& path,
                          const CompiledArtifact& artifact);
 [[nodiscard]] CompiledArtifact read_artifact_file(const std::string& path);

@@ -4,7 +4,7 @@
 #include <type_traits>
 
 #include "support/contracts.hpp"
-#include "support/fnv.hpp"
+#include "support/lane_checksum.hpp"
 
 namespace rrl {
 namespace {
@@ -98,7 +98,7 @@ std::string encode_frame(WireType type, std::string_view payload) {
   out.append(reinterpret_cast<const char*>(&length), sizeof(length));
   out.append(payload);
   const std::uint64_t checksum =
-      fnv1a({payload.data(), payload.size()});
+      lane_checksum({payload.data(), payload.size()});
   out.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   return out;
 }
@@ -146,7 +146,8 @@ std::optional<WireFrame> decode_frame(std::string_view buffer,
   cursor += static_cast<std::size_t>(length);
   std::uint64_t checksum = 0;
   read(&checksum, sizeof(checksum));
-  if (checksum != fnv1a({frame.payload.data(), frame.payload.size()})) {
+  if (checksum !=
+      lane_checksum({frame.payload.data(), frame.payload.size()})) {
     corrupt("checksum mismatch");
   }
   consumed = total;

@@ -13,7 +13,8 @@
 //   type      u16            WireType discriminator
 //   length    u64            payload byte count
 //   payload   length bytes   message-specific (below)
-//   checksum  u64            FNV-1a over the payload
+//   checksum  u64            lane_checksum over the payload, as in
+//                            artifact frames
 //
 // Messages (parent -> worker: assign, shutdown, artifact_data;
 // worker -> parent: hello, result, ping, artifact_request):
@@ -65,8 +66,9 @@ namespace rrl {
 /// Bumped on any frame or payload layout change so mismatched binaries
 /// refuse to talk instead of misreading each other. v2: TCP fleet —
 /// ping/artifact_request/artifact_data frames. v3: stats_report frames
-/// (fleet-wide observability aggregation).
-inline constexpr std::uint32_t kWireProtocolVersion = 3;
+/// (fleet-wide observability aggregation). v4: lane_checksum replaces
+/// byte-serial FNV-1a as the frame checksum.
+inline constexpr std::uint32_t kWireProtocolVersion = 4;
 
 enum class WireType : std::uint16_t {
   kHello = 1,     ///< worker -> parent: handshake

@@ -1,14 +1,18 @@
 #include "markov/dtmc.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/contracts.hpp"
+#include "support/metrics.hpp"
 
 namespace rrl {
 
 RandomizedDtmc::RandomizedDtmc(const Ctmc& chain, double rate_factor) {
   RRL_EXPECTS(chain.max_exit_rate() > 0.0);
   RRL_EXPECTS(rate_factor >= 1.0);
+  static metrics::Counter& builds = metrics::counter("rrl_dtmc_builds_total");
+  builds.add(1);
   lambda_ = rate_factor * chain.max_exit_rate();
 
   const auto n = static_cast<std::size_t>(chain.num_states());
@@ -98,6 +102,48 @@ index_t RandomizedDtmc::reach(index_t live) const {
   const auto it = std::lower_bound(first_col_min_.begin(),
                                    first_col_min_.end(), live);
   return static_cast<index_t>(it - first_col_min_.begin());
+}
+
+LazyDtmc::LazyDtmc(const Ctmc& chain, double rate_factor, bool row_form)
+    : chain_(chain), rate_factor_(rate_factor), want_row_form_(row_form) {
+  RRL_EXPECTS(chain.max_exit_rate() > 0.0);
+  RRL_EXPECTS(rate_factor >= 1.0);
+}
+
+const RandomizedDtmc& LazyDtmc::get() const {
+  std::call_once(once_,
+                 [this] { install(RandomizedDtmc(chain_, rate_factor_)); });
+  return *dtmc_;
+}
+
+const CsrMatrix& LazyDtmc::row_form() const {
+  RRL_EXPECTS(want_row_form_);
+  (void)get();
+  return p_;
+}
+
+bool LazyDtmc::adopt(CsrMatrix pt, std::vector<double> self_loop,
+                     double lambda) {
+  const index_t n = chain_.num_states();
+  if (lambda <= 0.0 || pt.rows() != n || pt.cols() != n ||
+      self_loop.size() != static_cast<std::size_t>(n)) {
+    return false;
+  }
+  // Spend the once-flag without building, so no later get() builds.
+  std::call_once(once_, [] {});
+  install(RandomizedDtmc::from_parts(std::move(pt), std::move(self_loop),
+                                     lambda));
+  return true;
+}
+
+void LazyDtmc::install(RandomizedDtmc dtmc) const {
+  dtmc_ = std::move(dtmc);
+  if (want_row_form_) {
+    // The exact transpose of the gather form, specialized like it: the
+    // backward pass steps P as hard as a forward pass steps P^T.
+    p_ = dtmc_->transition_transposed().transposed();
+    p_.specialize();
+  }
 }
 
 index_t leading_support(std::span<const double> x) noexcept {

@@ -18,6 +18,8 @@
 // buffers zero past it. A dense iterate simply runs at live = n.
 #pragma once
 
+#include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -110,6 +112,42 @@ class RandomizedDtmc {
   /// first_col_min_[j] = smallest column stored in P^T rows j..n-1 (n when
   /// they are all empty), size n + 1 — the suffix minimum reach() searches.
   std::vector<index_t> first_col_min_;
+};
+
+/// A chain's randomized DTMC, built once on first use, or adopted whole
+/// before that. SR, RSD and Krylov hold one, so a warm start (an
+/// artifact's DTMC handed over by import_compiled) replaces the build
+/// instead of following it, and a warm solver never randomizes its chain.
+/// With `row_form` the DTMC comes with P itself in gather (row) form,
+/// specialized: RSD's backward pass. get() and row_form() may race from
+/// any number of threads (std::call_once); adopt() must precede sharing,
+/// like every import.
+class LazyDtmc {
+ public:
+  /// Preconditions as RandomizedDtmc's, checked here, so a chain that
+  /// cannot be randomized fails at construction, not at first use.
+  LazyDtmc(const Ctmc& chain, double rate_factor, bool row_form = false);
+
+  /// The DTMC, built from the chain now unless built or adopted already.
+  [[nodiscard]] const RandomizedDtmc& get() const;
+
+  /// P in row form. Precondition: constructed with row_form.
+  [[nodiscard]] const CsrMatrix& row_form() const;
+
+  /// Adopt exported parts (RandomizedDtmc::from_parts) in place of the
+  /// build when they are shaped for this chain (lambda > 0, n x n, n
+  /// self-loops); otherwise adopt nothing and return false.
+  bool adopt(CsrMatrix pt, std::vector<double> self_loop, double lambda);
+
+ private:
+  void install(RandomizedDtmc dtmc) const;
+
+  const Ctmc& chain_;
+  double rate_factor_;
+  bool want_row_form_;
+  mutable std::once_flag once_;
+  mutable std::optional<RandomizedDtmc> dtmc_;
+  mutable CsrMatrix p_;
 };
 
 /// One past the last non-zero entry of x (0 for an all-zero x): the live

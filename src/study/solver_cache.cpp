@@ -36,9 +36,8 @@ CacheCounters& cache_counters() {
 }
 
 /// The artifact's (t, eps) schema keys, sorted — the flush-time "is the
-/// disk already current" comparison (sr/rsd artifacts compare as empty,
-/// which is correct: their DTMC payload is a pure function of the model
-/// and config, so an imported copy never needs rewriting).
+/// disk already current" comparison (empty for a DTMC payload, which
+/// flush_to_store never rewrites).
 std::vector<std::pair<double, double>> schema_keys(
     const CompiledArtifact& artifact) {
   std::vector<std::pair<double, double>> keys;
@@ -113,7 +112,8 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
   // Build under the lock: construction either throws (nothing cached) or
   // yields the immutable shared instance. The solver borrows the model's
   // chain, which the entry pins alongside it. The artifact import is part
-  // of construction — it must precede any sharing across threads.
+  // of construction — it must precede any sharing across threads — and
+  // hands the artifact over, so a DTMC payload is adopted, not copied.
   std::unique_ptr<TransientSolver> built;
   Entry entry{model, nullptr, false, {}};
   {
@@ -122,10 +122,11 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
     built = make_solver(solver_name, model->file.chain, model->file.rewards,
                         model->file.initial, config);
     if (artifact.has_value()) {
-      built->import_compiled(*artifact);
       entry.imported = true;
       entry.imported_keys = schema_keys(*artifact);
+      built->import_compiled(std::move(*artifact));
     } else {
+      built->compile();
       cache_counters().compiles.add(1);
     }
   }
@@ -156,6 +157,11 @@ std::size_t SolverCache::flush_to_store() {
   if (store_ == nullptr) return 0;
   std::size_t written = 0;
   for (const auto& [key, entry] : entries_) {
+    // A warm-started entry whose artifact carried no schemas holds a DTMC
+    // payload (SR, RSD, Krylov): a pure function of the model and config
+    // that never grows after import, so the disk copy is current. Decided
+    // before exporting, which would copy the whole DTMC to discard it.
+    if (entry.imported && entry.imported_keys.empty()) continue;
     SolverConfig config;
     config.epsilon = key.epsilon;
     config.rate_factor = key.rate_factor;

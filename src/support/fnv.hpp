@@ -1,12 +1,13 @@
 // FNV-1a 64-bit hashing, shared by every content-addressing site: the
-// model repository's content hash, the artifact codec's payload checksum,
-// and the artifact store's config-key file names. One implementation so
-// the three can never drift apart.
+// model repository's content hash, the artifact store's config-key file
+// names, the study plan's fingerprint and the lumping pass's block
+// signatures. One implementation so they can never drift apart. Payload
+// checksums (artifact and wire frames) use support/lane_checksum.hpp
+// instead: byte-serial FNV-1a costs ~13 ms per 9 MB payload.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 namespace rrl {
 
@@ -20,13 +21,6 @@ inline void fnv1a_mix(std::uint64_t& h, const void* data, std::size_t n) {
     h ^= bytes[i];
     h *= kFnv1aPrime;
   }
-}
-
-/// One-shot hash of a byte span.
-[[nodiscard]] inline std::uint64_t fnv1a(std::span<const char> bytes) {
-  std::uint64_t h = kFnv1aOffset;
-  fnv1a_mix(h, bytes.data(), bytes.size());
-  return h;
 }
 
 }  // namespace rrl

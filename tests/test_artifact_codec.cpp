@@ -3,20 +3,29 @@
 // compiled artifact, serialize, deserialize, import into a freshly
 // constructed solver — and the warm solver's answers are bit-identical to
 // the cold one's WITHOUT recompiling the schema. Plus rejection of every
-// corruption class: flipped payload bytes, truncation, bad magic, foreign
-// version, foreign endianness, trailing garbage.
+// corruption class: flipped payload bits, truncation at every length, bad
+// magic, foreign version, foreign endianness, trailing garbage — and of a
+// write that only fails when the file is closed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compiled_artifact.hpp"
 #include "io/artifact_codec.hpp"
 #include "models/multiproc.hpp"
 #include "models/raid5.hpp"
+#include "models/simple.hpp"
 #include "rrl.hpp"
+#include "support/fnv.hpp"
+#include "support/lane_checksum.hpp"
 
 namespace rrl {
 namespace {
@@ -74,12 +83,12 @@ TEST(ArtifactCodec, RoundTripSolvesBitIdenticallyForAllSolvers) {
       const CompiledArtifact exported =
           export_artifact(*cold, /*model_hash=*/1234, config);
       EXPECT_TRUE(artifact_matches(exported, name, 1234, config));
-      const CompiledArtifact imported = deserialized(serialized(exported));
+      CompiledArtifact imported = deserialized(serialized(exported));
       EXPECT_TRUE(artifact_matches(imported, name, 1234, config));
 
       auto warm = make_solver(name, model.chain, model.rewards,
                               model.initial, config);
-      warm->import_compiled(imported);
+      warm->import_compiled(std::move(imported));
       const SolveReport warm_trr = warm->solve_grid(SolveRequest::trr(grid));
       const SolveReport warm_mrr = warm->solve_grid(SolveRequest::mrr(grid));
 
@@ -190,6 +199,119 @@ TEST(ArtifactCodec, RejectsEveryCorruptionClass) {
   EXPECT_THROW((void)deserialized(grown), contract_error);
 }
 
+// Frame offsets (io/artifact_codec.hpp): magic 8, version 4, endian 2,
+// length 8, then the payload and its 8-byte checksum.
+constexpr std::size_t kHeaderBytes = 22;
+
+/// SR's artifact of a two-state chain: a payload of a few hundred bytes.
+CompiledArtifact small_artifact() {
+  const TwoStateModel m = make_two_state(1e-3, 1.0);
+  SolverConfig config;
+  config.epsilon = kEps;
+  const auto solver =
+      make_solver("sr", m.chain, {0.0, 1.0}, {1.0, 0.0}, config);
+  return export_artifact(*solver, 7, config);
+}
+
+TEST(ArtifactCodec, EverySingleBitFlipIsRejected) {
+  const std::string bytes = serialized(small_artifact());
+  ASSERT_NO_THROW((void)deserialized(bytes));
+  // Payload and checksum word: the checksum catches every flip before the
+  // payload is parsed, so each one fails as a checksum mismatch.
+  for (std::size_t offset = kHeaderBytes; offset < bytes.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[offset] = static_cast<char>(flipped[offset] ^ (1 << bit));
+      try {
+        (void)deserialized(flipped);
+        ADD_FAILURE() << "accepted a flip at byte " << offset << " bit "
+                      << bit;
+      } catch (const contract_error& e) {
+        EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
+                  std::string::npos)
+            << "byte " << offset << " bit " << bit << ": " << e.what();
+      }
+    }
+  }
+}
+
+TEST(ArtifactCodec, EveryTruncationIsRejected) {
+  const std::string bytes = serialized(small_artifact());
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    EXPECT_THROW((void)deserialized(bytes.substr(0, keep)), contract_error)
+        << "keep " << keep;
+  }
+}
+
+TEST(ArtifactCodec, PayloadsAcrossTheLaneTailSplitRoundTrip) {
+  // model_spec grows one byte at a time, so the payload takes 2 lane
+  // blocks + 8 consecutive lengths: every tail length, whole blocks on
+  // both sides of it.
+  const CompiledArtifact base = small_artifact();
+  const std::size_t base_payload = serialized(base).size() - kHeaderBytes - 8;
+  for (std::size_t extra = 0; extra <= 2 * kLaneBlockBytes + 7; ++extra) {
+    CompiledArtifact artifact = base;
+    artifact.model_spec = std::string(extra, 'q');
+    const std::string bytes = serialized(artifact);
+    ASSERT_EQ(bytes.size(), kHeaderBytes + base_payload + extra + 8);
+    const CompiledArtifact back = deserialized(bytes);
+    EXPECT_EQ(back.model_spec, artifact.model_spec);
+    EXPECT_EQ(back.self_loop, artifact.self_loop);
+    EXPECT_TRUE(std::ranges::equal(back.dtmc_pt.values(),
+                                   artifact.dtmc_pt.values()));
+    EXPECT_EQ(serialized(back), bytes) << "extra " << extra;
+  }
+}
+
+TEST(LaneChecksum, CatchesEveryBitFlipAtEveryLength) {
+  // Lengths 0 to two lane blocks + 7 cover no block, one and two, each
+  // with every tail: whole tail words and a zero-padded partial one.
+  std::string bytes;
+  for (std::size_t n = 0; n <= 2 * kLaneBlockBytes + 7; ++n) {
+    const std::uint64_t digest = lane_checksum(bytes);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = bytes;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        EXPECT_NE(lane_checksum(flipped), digest)
+            << "length " << n << " byte " << i << " bit " << bit;
+      }
+    }
+    // Length is mixed in: a trailing zero byte is not free.
+    EXPECT_NE(lane_checksum(bytes + '\0'), digest) << "length " << n;
+    bytes.push_back(static_cast<char>(n * 37 + 11));
+  }
+}
+
+TEST(ArtifactCodec, VersionTwoFnvBlobIsRefused) {
+  // What the previous format wrote for the same artifact: version 2 and an
+  // FNV-1a checksum over the unchanged payload layout.
+  std::string v2 = serialized(small_artifact());
+  const std::uint32_t version = 2;
+  std::memcpy(v2.data() + 8, &version, sizeof(version));
+  std::uint64_t fnv = kFnv1aOffset;
+  fnv1a_mix(fnv, v2.data() + kHeaderBytes, v2.size() - kHeaderBytes - 8);
+  std::memcpy(v2.data() + v2.size() - 8, &fnv, sizeof(fnv));
+  try {
+    (void)deserialized(v2);
+    ADD_FAILURE() << "a version-2 blob was accepted";
+  } catch (const contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ArtifactCodec, WriteToAFullDeviceThrows) {
+  // The whole artifact fits the stream's buffer, so only the final flush
+  // meets the full device.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  EXPECT_THROW(write_artifact_file("/dev/full", small_artifact()),
+               contract_error);
+}
+
 TEST(ArtifactCodec, ImportIgnoresForeignSchemas) {
   // A schema for another regenerative state must not be adopted (the
   // structural guard behind artifact_matches).
@@ -208,7 +330,7 @@ TEST(ArtifactCodec, ImportIgnoresForeignSchemas) {
 
   auto warm = make_solver("rrl", model.chain, model.rewards, model.initial,
                           config);
-  warm->import_compiled(artifact);
+  warm->import_compiled(std::move(artifact));
   const auto* rrl_warm =
       dynamic_cast<const RegenerativeRandomizationLaplace*>(warm.get());
   ASSERT_NE(rrl_warm, nullptr);

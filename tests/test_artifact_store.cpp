@@ -10,8 +10,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,6 +24,8 @@
 #include "models/multiproc.hpp"
 #include "rrl.hpp"
 #include "study/artifact_store.hpp"
+#include "support/fnv.hpp"
+#include "support/metrics.hpp"
 
 namespace rrl {
 namespace {
@@ -121,6 +125,10 @@ TEST(ArtifactStore, MissStaleAndCorruptAllDegradeToMisses) {
   EXPECT_TRUE(store.load(1, "rrl", config).has_value());
 }
 
+std::uint64_t dtmc_builds() {
+  return metrics::counter("rrl_dtmc_builds_total").value();
+}
+
 TEST(ArtifactStore, SolverCacheWarmStartSkipsCompilation) {
   const TempDir dir;
   const auto store =
@@ -137,45 +145,93 @@ TEST(ArtifactStore, SolverCacheWarmStartSkipsCompilation) {
   config.regenerative = multi.initial_state;
   const SolveRequest request = SolveRequest::trr({10.0, 1000.0});
 
-  // Cold "process": compile, solve, flush.
-  ModelRepository repo_cold;
-  const auto model_cold = repo_cold.adopt("multiproc", file);
-  SolverCache cold;
-  cold.attach_store(store);
-  const auto solver_cold = cold.get_or_build(model_cold, "rrl", config);
-  const SolveReport report_cold = solver_cold->solve_grid(request);
-  EXPECT_EQ(cold.stats().disk_hits, 0u);
-  EXPECT_EQ(cold.stats().disk_misses, 1u);
-  EXPECT_EQ(cold.flush_to_store(), 1u);
+  for (const std::string name : {"sr", "rsd", "krylov", "rrl"}) {
+    // Cold "process": compile, solve, flush.
+    ModelRepository repo_cold;
+    const auto model_cold = repo_cold.adopt("multiproc", file);
+    SolverCache cold;
+    cold.attach_store(store);
+    const auto solver_cold = cold.get_or_build(model_cold, name, config);
+    const SolveReport report_cold = solver_cold->solve_grid(request);
+    EXPECT_EQ(cold.stats().disk_hits, 0u) << name;
+    EXPECT_EQ(cold.stats().disk_misses, 1u) << name;
+    EXPECT_EQ(cold.flush_to_store(), 1u) << name;
 
-  // Warm "process": fresh repository and cache, shared directory.
-  ModelRepository repo_warm;
-  const auto model_warm = repo_warm.adopt("multiproc", file);
-  SolverCache warm;
-  warm.attach_store(store);
-  const auto solver_warm = warm.get_or_build(model_warm, "rrl", config);
-  EXPECT_EQ(warm.stats().disk_hits, 1u);
-  const SolveReport report_warm = solver_warm->solve_grid(request);
-  EXPECT_EQ(report_warm.values(), report_cold.values());
+    // Warm "process": fresh repository and cache, shared directory. No
+    // chain is randomized: SR, RSD and Krylov adopt the stored DTMC, RRL
+    // answers from its seeded schema memo.
+    const std::uint64_t builds = dtmc_builds();
+    ModelRepository repo_warm;
+    const auto model_warm = repo_warm.adopt("multiproc", file);
+    SolverCache warm;
+    warm.attach_store(store);
+    const auto solver_warm = warm.get_or_build(model_warm, name, config);
+    EXPECT_EQ(warm.stats().disk_hits, 1u) << name;
+    const SolveReport report_warm = solver_warm->solve_grid(request);
+    EXPECT_EQ(report_warm.values(), report_cold.values()) << name;
+    EXPECT_EQ(report_warm.total.dtmc_steps, report_cold.total.dtmc_steps)
+        << name;
+    EXPECT_EQ(dtmc_builds(), builds) << name;
+    // Nothing new to publish: the warm entry's state is the disk's.
+    EXPECT_EQ(warm.flush_to_store(), 0u) << name;
 
-  // The warm solver answered from the seeded memo: no schema compile.
-  const auto* rrl_warm =
-      dynamic_cast<const RegenerativeRandomizationLaplace*>(
-          solver_warm.get());
-  ASSERT_NE(rrl_warm, nullptr);
-  EXPECT_EQ(rrl_warm->schema_cache_stats().misses, 0u);
-  EXPECT_GE(rrl_warm->schema_cache_stats().seeded, 1u);
+    if (name == "rrl") {
+      const auto* rrl_warm =
+          dynamic_cast<const RegenerativeRandomizationLaplace*>(
+              solver_warm.get());
+      ASSERT_NE(rrl_warm, nullptr);
+      EXPECT_EQ(rrl_warm->schema_cache_stats().misses, 0u);
+      EXPECT_GE(rrl_warm->schema_cache_stats().seeded, 1u);
+    }
 
-  // Cold mode: reads disabled, the compile runs again, the store is
-  // refreshed.
-  SolverCache refreshed;
-  refreshed.attach_store(store, /*read=*/false);
-  const auto solver_refreshed =
-      refreshed.get_or_build(model_warm, "rrl", config);
-  EXPECT_EQ(refreshed.stats().disk_hits, 0u);
-  EXPECT_EQ(refreshed.stats().disk_misses, 0u);  // never consulted
-  EXPECT_EQ(solver_refreshed->solve_grid(request).values(),
-            report_cold.values());
+    // Cold mode: reads disabled, the compile runs again, the store is
+    // refreshed.
+    SolverCache refreshed;
+    refreshed.attach_store(store, /*read=*/false);
+    const auto solver_refreshed =
+        refreshed.get_or_build(model_warm, name, config);
+    EXPECT_EQ(refreshed.stats().disk_hits, 0u) << name;
+    EXPECT_EQ(refreshed.stats().disk_misses, 0u) << name;  // never consulted
+    EXPECT_EQ(solver_refreshed->solve_grid(request).values(),
+              report_cold.values())
+        << name;
+  }
+}
+
+TEST(ArtifactStore, VersionTwoEntryIsAMissAndGcRemovesIt) {
+  // An entry the previous format wrote (version 2, FNV-1a checksum, same
+  // payload layout) at a live key: a miss counted invalid, then swept.
+  const TempDir dir;
+  const ArtifactStore store(dir.path.string());
+  const MultiprocModel model = build_multiproc_availability({});
+  SolverConfig config;
+  config.epsilon = 1e-8;
+  config.regenerative = model.initial_state;
+  ASSERT_TRUE(store.store(sample_artifact(model, config, 1)));
+  const std::string path = store.entry_path(1, "rrl", config);
+  std::string blob;
+  {
+    std::ifstream in(path, std::ios::binary);
+    blob.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kHeaderBytes = 22;  // magic, version, endian, length
+  const std::uint32_t version = 2;
+  std::memcpy(blob.data() + 8, &version, sizeof(version));
+  std::uint64_t fnv = kFnv1aOffset;
+  fnv1a_mix(fnv, blob.data() + kHeaderBytes, blob.size() - kHeaderBytes - 8);
+  std::memcpy(blob.data() + blob.size() - 8, &fnv, sizeof(fnv));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  }
+
+  EXPECT_FALSE(store.load(1, "rrl", config).has_value());
+  EXPECT_EQ(store.stats().invalid, 1u);
+  const ArtifactGcStats gc = store.gc();
+  EXPECT_EQ(gc.scanned, 1u);
+  EXPECT_EQ(gc.removed_invalid, 1u);
+  EXPECT_FALSE(fs::exists(path));
 }
 
 TEST(ArtifactStoreGc, SweepRemovesTempAndInvalidEntries) {

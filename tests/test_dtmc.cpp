@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "models/simple.hpp"
 #include "sparse/vector_ops.hpp"
 #include "support/contracts.hpp"
+#include "support/metrics.hpp"
 
 namespace rrl {
 namespace {
@@ -87,6 +93,67 @@ TEST(Dtmc, RejectsAllAbsorbingChain) {
 TEST(Dtmc, RejectsRateFactorBelowOne) {
   const auto m = make_two_state(1.0, 1.0);
   EXPECT_THROW(RandomizedDtmc(m.chain, 0.5), contract_error);
+}
+
+std::uint64_t dtmc_builds() {
+  return metrics::counter("rrl_dtmc_builds_total").value();
+}
+
+TEST(LazyDtmc, BuildsOnceOnFirstUseFromAnyThread) {
+  const auto m = make_mm1k(2.0, 3.0, 50);
+  const std::uint64_t before = dtmc_builds();
+  const LazyDtmc lazy(m.chain, 1.0, /*row_form=*/true);
+  EXPECT_EQ(dtmc_builds(), before);  // construction builds nothing
+
+  std::vector<const RandomizedDtmc*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < seen.size(); ++k) {
+    threads.emplace_back([&, k] { seen[k] = &lazy.get(); });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(dtmc_builds(), before + 1);
+  for (const RandomizedDtmc* d : seen) EXPECT_EQ(d, seen.front());
+
+  // Bit for bit the eager build, row form included.
+  const RandomizedDtmc eager(m.chain);
+  const CsrMatrix& pt = lazy.get().transition_transposed();
+  EXPECT_EQ(lazy.get().lambda(), eager.lambda());
+  EXPECT_TRUE(std::ranges::equal(pt.values(),
+                                 eager.transition_transposed().values()));
+  const CsrMatrix p = eager.transition_transposed().transposed();
+  EXPECT_TRUE(std::ranges::equal(lazy.row_form().col_idx(), p.col_idx()));
+  EXPECT_TRUE(std::ranges::equal(lazy.row_form().values(), p.values()));
+}
+
+TEST(LazyDtmc, AdoptBeforeFirstUseReplacesTheBuild) {
+  const auto m = make_mm1k(2.0, 3.0, 50);
+  const RandomizedDtmc donor(m.chain);
+  const auto loops = donor.self_loops();
+  const std::uint64_t before = dtmc_builds();
+
+  LazyDtmc lazy(m.chain, 1.0, /*row_form=*/true);
+  ASSERT_TRUE(lazy.adopt(donor.transition_transposed(),
+                         std::vector<double>(loops.begin(), loops.end()),
+                         donor.lambda()));
+  EXPECT_TRUE(std::ranges::equal(lazy.get().transition_transposed().values(),
+                                 donor.transition_transposed().values()));
+  EXPECT_EQ(lazy.row_form().nnz(), donor.transition_transposed().nnz());
+  EXPECT_EQ(dtmc_builds(), before);  // the chain was never randomized
+}
+
+TEST(LazyDtmc, AdoptRefusesPartsShapedForAnotherChain) {
+  const auto m = make_mm1k(2.0, 3.0, 5);
+  const auto other = make_mm1k(2.0, 3.0, 6);
+  const RandomizedDtmc donor(other.chain);
+  const auto loops = donor.self_loops();
+  LazyDtmc lazy(m.chain, 1.0);
+  EXPECT_FALSE(lazy.adopt(donor.transition_transposed(),
+                          std::vector<double>(loops.begin(), loops.end()),
+                          donor.lambda()));
+  EXPECT_EQ(lazy.get().num_states(), 6);  // built from its own chain
+  // A chain that cannot be randomized fails at construction.
+  const Ctmc dead = Ctmc::from_transitions(2, {{0, 1, 0.0}});
+  EXPECT_THROW(LazyDtmc(dead, 1.0), contract_error);
 }
 
 }  // namespace

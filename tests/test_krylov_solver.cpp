@@ -8,6 +8,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compiled_artifact.hpp"
@@ -142,13 +143,13 @@ TEST(KrylovSolver, ArtifactRoundTripIsBitIdentical) {
   std::ostringstream out(std::ios::binary);
   write_artifact(out, exported);
   std::istringstream in(out.str(), std::ios::binary);
-  const CompiledArtifact restored = read_artifact(in);
+  CompiledArtifact restored = read_artifact(in);
   EXPECT_EQ(restored.model_spec, "k_of_n demo=1");
   EXPECT_EQ(restored.pre_lump_states, 123);
 
   const auto warm = make_solver("krylov", model.chain, model.rewards,
                                 model.initial, config);
-  warm->import_compiled(restored);
+  warm->import_compiled(std::move(restored));
   const SolveReport warm_trr = warm->solve_grid(SolveRequest::trr(grid));
   ASSERT_EQ(warm_trr.points.size(), cold_trr.points.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
