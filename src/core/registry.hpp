@@ -7,9 +7,10 @@
 //   auto solver = rrl::make_solver("rrl", chain, rewards, initial);
 //   auto report = solver->solve_grid(rrl::SolveRequest::trr(ts));
 //
-// The four built-in methods are pre-registered under "sr", "rsd", "rr" and
-// "rrl"; downstream code can register additional methods (or replace a
-// built-in, e.g. with an instrumented wrapper) via register_solver().
+// The five built-in methods are pre-registered under "sr", "rsd", "rr",
+// "rrl" and "krylov"; downstream code can register additional methods (or
+// replace a built-in, e.g. with an instrumented wrapper) via
+// register_solver().
 #pragma once
 
 #include <functional>
@@ -31,7 +32,7 @@ struct SolverConfig {
   /// Lambda = rate_factor * max exit rate (1.0 = the paper's choice).
   double rate_factor = 1.0;
   /// Regenerative state for rr/rrl; < 0 selects one automatically with
-  /// suggest_regenerative_state(). Ignored by sr/rsd.
+  /// suggest_regenerative_state(). Ignored by sr/rsd/krylov.
   index_t regenerative = -1;
   /// Safety step cap; < 0 disables. Applied to the randomization pass of
   /// sr/rsd, to the V-solve of rr, and to the schema of rr/rrl.
@@ -55,7 +56,7 @@ void register_solver(const std::string& name, SolverFactory factory,
 [[nodiscard]] bool solver_registered(const std::string& name);
 
 /// All registered names in registration order; the built-ins come first
-/// ("sr", "rsd", "rr", "rrl").
+/// ("sr", "rsd", "rr", "rrl", "krylov").
 [[nodiscard]] std::vector<std::string> registered_solvers();
 
 /// The registered names as one comma-separated string (for error/usage

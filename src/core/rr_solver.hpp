@@ -7,16 +7,14 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
 
-#include "core/regenerative.hpp"
-#include "core/schema_cache.hpp"
-#include "core/solver.hpp"
-#include "core/transient_solver.hpp"
-#include "markov/ctmc.hpp"
+#include "core/regenerative_solver.hpp"
+#include "core/standard_randomization.hpp"
+#include "core/vmodel.hpp"
 
 namespace rrl {
 
@@ -30,12 +28,22 @@ struct RrOptions {
   std::int64_t vmodel_step_cap = -1;
 };
 
+/// RR's object derived from each memoized schema: V_{K,L} and the
+/// standard-randomization solver that steps it (rate factor 1, the
+/// V-solve step cap). The solver randomizes V on the key's first pass and
+/// every later pass reads that DTMC. Neither copyable nor movable: `sr`
+/// refers to `model`.
+struct VModelPass {
+  VModelPass(const RegenerativeSchema& schema, std::int64_t step_cap);
+
+  VModel model;
+  StandardRandomization sr;
+};
+
 /// Regenerative randomization solver bound to one model + measure.
-class RegenerativeRandomization : public TransientSolver {
+class RegenerativeRandomization : public RegenerativeSolver {
  public:
-  /// Preconditions: paper structure (S strongly connected, f_i absorbing);
-  /// `regenerative_state` in S; rewards >= 0; `initial` a distribution with
-  /// no mass on absorbing states.
+  /// Preconditions: as RegenerativeSolver's.
   RegenerativeRandomization(const Ctmc& chain, std::vector<double> rewards,
                             std::vector<double> initial,
                             index_t regenerative_state, RrOptions options = {});
@@ -79,50 +87,13 @@ class RegenerativeRandomization : public TransientSolver {
       std::span<const SolveRequest* const> requests,
       SolveWorkspace& workspace) const override;
 
-  /// Memoizes the schema and V-model solve_grid(request) runs on.
-  void precompile(const SolveRequest& request) const override;
-
-  /// Compile → execute split: RR's compiled state is the memoized
-  /// (t, eps)-keyed schemas; the V_{K,L} model is re-derived
-  /// deterministically on import.
-  void export_compiled(CompiledArtifact& artifact) const override;
-  void import_compiled(CompiledArtifact&& artifact) override;
-
-  [[nodiscard]] TransientValue trr(double t) const;
-  [[nodiscard]] TransientValue mrr(double t) const;
-
-  /// The schema computed for time horizon t (exposed for analysis).
-  [[nodiscard]] RegenerativeSchema schema(double t) const;
-
-  /// The compiled artifact (schema + materialized V-model) for horizon t
-  /// at error budget eps, through the memo: the compile step of each
-  /// V-pass solve_shared() runs, public for analysis and tests.
-  [[nodiscard]] std::shared_ptr<const CompiledSchema> compiled_for(
-      double t, double eps) const;
-
-  /// Hit/miss accounting of the memoized schema artifact (see
-  /// core/schema_cache.hpp).
-  [[nodiscard]] SchemaCacheStats schema_cache_stats() const {
-    return schema_cache_.stats();
-  }
-
  private:
-  [[nodiscard]] RegenerativeOptions schema_options(double eps) const;
   /// The V-pass answering requests[k] for every k in `readers`
   /// (validated, sharing one compiled schema at effective eps `eps`).
   void run_pass(std::span<const SolveRequest* const> requests,
                 std::span<const std::size_t> readers, double eps,
                 std::span<SharedResult> results,
                 SolveWorkspace& workspace) const;
-
-  const Ctmc& chain_;
-  std::vector<double> rewards_;
-  std::vector<double> initial_;
-  index_t regenerative_;
-  RrOptions options_;
-  // Memoized compiled artifact; internally synchronized, so the solver
-  // remains shareable across concurrent solve_grid() calls.
-  SchemaCache schema_cache_;
 };
 
 }  // namespace rrl

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/compiled_artifact.hpp"
 #include "laplace/error_control.hpp"
 #include "markov/poisson.hpp"
 #include "support/stopwatch.hpp"
@@ -15,86 +14,17 @@ RegenerativeRandomizationLaplace::RegenerativeRandomizationLaplace(
     const Ctmc& chain, std::vector<double> rewards,
     std::vector<double> initial, index_t regenerative_state,
     RrlOptions options)
-    : chain_(chain),
-      rewards_(std::move(rewards)),
-      initial_(std::move(initial)),
-      regenerative_(regenerative_state),
+    : RegenerativeSolver(
+          chain, std::move(rewards), std::move(initial), regenerative_state,
+          {options.epsilon, options.rate_factor, options.schema_step_cap},
+          [](CompiledSchema& compiled) {
+            compiled.transform =
+                std::make_shared<const TrrTransform>(compiled.schema);
+          }),
+      r_max_(max_reward(rewards_)),
       options_(options) {
-  RRL_EXPECTS(options_.epsilon > 0.0);
   RRL_EXPECTS(options_.t_multiplier > 0.0);
   RRL_EXPECTS(options_.max_terms > CrumpOptions{}.min_terms);
-  RRL_EXPECTS(static_cast<index_t>(rewards_.size()) == chain.num_states());
-  check_distribution(initial_, chain.num_states());
-  r_max_ = max_reward(rewards_);
-}
-
-RegenerativeSchema RegenerativeRandomizationLaplace::schema(double t) const {
-  return compute_regenerative_schema(chain_, rewards_, initial_,
-                                     regenerative_, t,
-                                     schema_options(options_.epsilon));
-}
-
-RegenerativeOptions RegenerativeRandomizationLaplace::schema_options(
-    double eps) const {
-  RegenerativeOptions opts;
-  opts.epsilon = eps;
-  opts.rate_factor = options_.rate_factor;
-  opts.step_cap = options_.schema_step_cap;
-  return opts;
-}
-
-std::shared_ptr<const CompiledSchema>
-RegenerativeRandomizationLaplace::compiled_schema(double t, double eps) const {
-  const RegenerativeOptions opts = schema_options(eps);
-  return schema_cache_.get(
-      t, eps, /*want_transform=*/true, /*want_vmodel=*/false,
-      [&] {
-        return compute_regenerative_schema(chain_, rewards_, initial_,
-                                           regenerative_, t, opts);
-      },
-      [&](const RegenerativeSchema& longer) {
-        return truncate_regenerative_schema(longer, t, opts);
-      });
-}
-
-void RegenerativeRandomizationLaplace::export_compiled(
-    CompiledArtifact& artifact) const {
-  for (const SchemaCache::Entry& e : schema_cache_.snapshot()) {
-    artifact.schemas.push_back(
-        ArtifactSchemaEntry{e.t, e.eps, e.compiled->schema});
-  }
-}
-
-void RegenerativeRandomizationLaplace::import_compiled(
-    CompiledArtifact&& artifact) {
-  for (ArtifactSchemaEntry& e : artifact.schemas) {
-    if (e.schema.regenerative != regenerative_ || e.schema.main.a.empty()) {
-      continue;
-    }
-    schema_cache_.seed(e.t, e.eps, std::move(e.schema),
-                       /*want_transform=*/true, /*want_vmodel=*/false);
-  }
-}
-
-void RegenerativeRandomizationLaplace::precompile(
-    const SolveRequest& request) const {
-  const double eps = validated_epsilon(request, options_.epsilon);
-  const double t_max =
-      *std::max_element(request.times.begin(), request.times.end());
-  // The same early outs as solve_grid: all-zero rewards and t = 0 alone
-  // need no schema.
-  if (r_max_ == 0.0 || t_max == 0.0) return;
-  (void)compiled_schema(t_max, eps);
-}
-
-TransientValue RegenerativeRandomizationLaplace::trr(double t) const {
-  RRL_EXPECTS(t >= 0.0);
-  return solve_point(t, MeasureKind::kTrr);
-}
-
-TransientValue RegenerativeRandomizationLaplace::mrr(double t) const {
-  RRL_EXPECTS(t > 0.0);
-  return solve_point(t, MeasureKind::kMrr);
 }
 
 double RegenerativeRandomizationLaplace::truncation_error_bound(
@@ -146,48 +76,22 @@ TransientValue RegenerativeRandomizationLaplace::invert(
 }
 
 RegenerativeRandomizationLaplace::Bounds
-RegenerativeRandomizationLaplace::trr_bounds(double t) const {
+RegenerativeRandomizationLaplace::bounds(double t, MeasureKind kind) const {
   RRL_EXPECTS(t > 0.0);
   Bounds b;
   if (r_max_ == 0.0) return b;
   const Stopwatch watch;
-  const auto compiled = compiled_schema(t, options_.epsilon);
+  const auto compiled = compiled_for(t, epsilon());
   const RegenerativeSchema& sch = compiled->schema;
-  const TrrTransform& transform = *compiled->transform;
-  TransientValue v = invert(transform, t, MeasureKind::kTrr,
-                            options_.epsilon);
-  const double trunc = truncation_error_bound(sch, t);
-  // The truncation is one-sided (reward is only lost). The inversion's
+  const TransientValue v = invert(*compiled->transform, t, kind, epsilon());
+  // The truncation is one-sided (reward is only lost); for MRR it is a
+  // time average of TRR truncation errors, each below the bound at the
+  // horizon (the bound is increasing in t). The inversion's
   // discretization error is rigorously below eps/4, but its series
   // truncation is controlled by a tolerance heuristic (the paper's eps/100
   // with a factor-25 reserve), so the full eps is granted on both sides.
-  const double inv_err = options_.epsilon;
-  b.value = v.value;
-  b.lower = std::max(0.0, v.value - inv_err);
-  b.upper = std::min(r_max_, v.value + trunc + inv_err);
-  b.stats = v.stats;
-  b.stats.dtmc_steps = sch.dtmc_steps();
-  b.stats.lambda = sch.lambda;
-  b.stats.capped = sch.capped;
-  b.stats.seconds = watch.seconds();
-  return b;
-}
-
-RegenerativeRandomizationLaplace::Bounds
-RegenerativeRandomizationLaplace::mrr_bounds(double t) const {
-  RRL_EXPECTS(t > 0.0);
-  Bounds b;
-  if (r_max_ == 0.0) return b;
-  const Stopwatch watch;
-  const auto compiled = compiled_schema(t, options_.epsilon);
-  const RegenerativeSchema& sch = compiled->schema;
-  const TrrTransform& transform = *compiled->transform;
-  TransientValue v = invert(transform, t, MeasureKind::kMrr,
-                            options_.epsilon);
-  // MRR truncation error is a time average of TRR truncation errors, each
-  // below the bound at the horizon (the bound is increasing in t).
   const double trunc = truncation_error_bound(sch, t);
-  const double inv_err = options_.epsilon;
+  const double inv_err = epsilon();
   b.value = v.value;
   b.lower = std::max(0.0, v.value - inv_err);
   b.upper = std::min(r_max_, v.value + trunc + inv_err);
@@ -202,7 +106,7 @@ RegenerativeRandomizationLaplace::mrr_bounds(double t) const {
 SolveReport RegenerativeRandomizationLaplace::solve_grid(
     const SolveRequest& request, SolveWorkspace& workspace) const {
   const Stopwatch watch;
-  const double eps = validated_epsilon(request, options_.epsilon);
+  const double eps = validated_epsilon(request, epsilon());
   const std::size_t m = request.times.size();
 
   SolveReport report;
@@ -214,8 +118,7 @@ SolveReport RegenerativeRandomizationLaplace::solve_grid(
 
   // TRR(0) needs no transform: it is the initial reward rate.
   const auto reward_idx = nonzero_reward_states(rewards_);
-  const double t_max =
-      *std::max_element(request.times.begin(), request.times.end());
+  const double t_max = std::ranges::max(request.times);
   if (t_max == 0.0) {
     for (TransientValue& p : report.points) {
       p.value = sparse_reward_dot(reward_idx, rewards_, initial_);
@@ -232,7 +135,7 @@ SolveReport RegenerativeRandomizationLaplace::solve_grid(
   // cut from the longest memoized series when it fits, so repeated sweeps
   // — the other measure, a different grid resolution or eps, the study
   // subsystem's shared solvers — pay the K model steps once.
-  const auto compiled = compiled_schema(t_max, eps);
+  const auto compiled = compiled_for(t_max, eps);
   const RegenerativeSchema& sch = compiled->schema;
   const TrrTransform& transform = *compiled->transform;
 

@@ -17,11 +17,9 @@
 
 #include <vector>
 
-#include "core/regenerative.hpp"
+#include "core/regenerative_solver.hpp"
 #include "core/rrl_transform.hpp"
-#include "core/schema_cache.hpp"
 #include "core/solver.hpp"
-#include "core/transient_solver.hpp"
 #include "laplace/crump.hpp"
 #include "markov/ctmc.hpp"
 
@@ -43,9 +41,9 @@ struct RrlOptions {
 };
 
 /// RRL solver bound to one model + measure.
-class RegenerativeRandomizationLaplace : public TransientSolver {
+class RegenerativeRandomizationLaplace : public RegenerativeSolver {
  public:
-  /// Preconditions: same as RegenerativeRandomization.
+  /// Preconditions: as RegenerativeSolver's.
   RegenerativeRandomizationLaplace(const Ctmc& chain,
                                    std::vector<double> rewards,
                                    std::vector<double> initial,
@@ -78,17 +76,6 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
       const SolveRequest& request) const override {
     return request.times.size() > 2 ? LentPoolUse::kPart : LentPoolUse::kNone;
   }
-  /// Memoizes the schema and transform solve_grid(request) runs on.
-  void precompile(const SolveRequest& request) const override;
-
-  /// Compile → execute split: RRL's compiled state is the memoized
-  /// (t, eps)-keyed schemas; the transform evaluator is re-derived
-  /// deterministically on import.
-  void export_compiled(CompiledArtifact& artifact) const override;
-  void import_compiled(CompiledArtifact&& artifact) override;
-
-  [[nodiscard]] TransientValue trr(double t) const;
-  [[nodiscard]] TransientValue mrr(double t) const;
 
   /// Rigorous bracketing of the measure (the bounds flavour of the paper's
   /// reference [2]). The V_K truncation only discards non-negative reward
@@ -101,38 +88,22 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
     double upper = 0.0;  ///< rigorous upper bound
     SolverStats stats;
   };
-  [[nodiscard]] Bounds trr_bounds(double t) const;
-  [[nodiscard]] Bounds mrr_bounds(double t) const;
-
-  /// The schema computed for time horizon t (exposed for analysis and for
-  /// the ablation benches).
-  [[nodiscard]] RegenerativeSchema schema(double t) const;
-
-  /// Hit/miss accounting of the memoized schema+transform artifact (one
-  /// compilation is shared by every solve over the same (t_max, eps); see
-  /// core/schema_cache.hpp).
-  [[nodiscard]] SchemaCacheStats schema_cache_stats() const {
-    return schema_cache_.stats();
-  }
+  /// The bounds of `kind` at t > 0, at the constructed eps.
+  [[nodiscard]] Bounds bounds(double t, MeasureKind kind) const;
 
  private:
-  [[nodiscard]] RegenerativeOptions schema_options(double eps) const;
-  [[nodiscard]] std::shared_ptr<const CompiledSchema> compiled_schema(
-      double t, double eps) const;
+  /// All-zero rewards and t = 0 alone need no schema (solve_grid's early
+  /// outs).
+  [[nodiscard]] bool needs_schema(double t_max) const override {
+    return r_max_ != 0.0 && t_max != 0.0;
+  }
   [[nodiscard]] TransientValue invert(const TrrTransform& transform, double t,
                                       MeasureKind kind, double eps) const;
   [[nodiscard]] double truncation_error_bound(const RegenerativeSchema& sch,
                                               double t) const;
 
-  const Ctmc& chain_;
-  std::vector<double> rewards_;
-  std::vector<double> initial_;
-  index_t regenerative_;
   double r_max_ = 0.0;
   RrlOptions options_;
-  // Memoized compiled artifact; internally synchronized, so the solver
-  // remains shareable across concurrent solve_grid() calls.
-  SchemaCache schema_cache_;
 };
 
 }  // namespace rrl

@@ -27,38 +27,25 @@ SchemaCounters& schema_counters() {
 
 }  // namespace
 
-std::shared_ptr<CompiledSchema> SchemaCache::compile(
-    RegenerativeSchema schema, bool want_transform, bool want_vmodel) {
+std::shared_ptr<const CompiledSchema> SchemaCache::compile(
+    RegenerativeSchema schema) const {
   auto compiled = std::make_shared<CompiledSchema>();
   compiled->schema = std::move(schema);
-  if (want_transform) {
-    compiled->transform =
-        std::make_shared<const TrrTransform>(compiled->schema);
-  }
-  if (want_vmodel) {
-    compiled->vmodel =
-        std::make_shared<const VModel>(build_vmodel(compiled->schema));
-  }
+  if (derive_) derive_(*compiled);
   return compiled;
 }
 
-bool SchemaCache::satisfies(const CompiledSchema& compiled,
-                            bool want_transform, bool want_vmodel) {
-  return (!want_transform || compiled.transform != nullptr) &&
-         (!want_vmodel || compiled.vmodel != nullptr);
+SchemaCache::Slot* SchemaCache::find(double t, double eps) const {
+  for (Slot& s : slots_) {
+    if (s.t == t && s.eps == eps) return &s;
+  }
+  return nullptr;
 }
 
 void SchemaCache::insert(
     double t, double eps,
     std::shared_ptr<const CompiledSchema> compiled) const {
-  for (Slot& s : slots_) {
-    if (s.t == t && s.eps == eps) {
-      s.compiled = std::move(compiled);
-      s.last_used = ++clock_;
-      return;
-    }
-  }
-  if (slots_.size() >= capacity_) {
+  if (slots_.size() >= kCapacity) {
     const auto oldest = std::min_element(
         slots_.begin(), slots_.end(),
         [](const Slot& a, const Slot& b) { return a.last_used < b.last_used; });
@@ -68,32 +55,23 @@ void SchemaCache::insert(
 }
 
 std::shared_ptr<const CompiledSchema> SchemaCache::get(
-    double t, double eps, bool want_transform, bool want_vmodel,
-    const Builder& build, const Cutter& cut) const {
+    double t, double eps, const Builder& build, const Cutter& cut) const {
   std::unique_lock<std::mutex> lock(mutex_);
-  // Every caller of one cache passes the same wants (RR wants the V-model,
-  // RRL wants the transform), so a hit's derived objects match the
-  // request; the satisfies() guard merely rebuilds if that ever changed.
   // A miss behind an in-flight build waits for it to land, then looks
   // again: the key may be there now, or cuttable from what landed.
   for (;;) {
-    for (Slot& s : slots_) {
-      if (s.t == t && s.eps == eps &&
-          satisfies(*s.compiled, want_transform, want_vmodel)) {
-        ++stats_.hits;
-        schema_counters().hits.add(1);
-        s.last_used = ++clock_;
-        return s.compiled;
-      }
+    if (Slot* s = find(t, eps)) {
+      schema_counters().hits.add(1);
+      s->last_used = ++clock_;
+      return s->compiled;
     }
-    if (!building_ || capacity_ == 0) break;
+    if (!building_) break;
     landed_.wait(lock);
   }
 
-  // This miss owns the flight (a capacity-0 cache retains nothing to wait
-  // for or cut from, so its misses just build). The longest retained
-  // entry is the one most likely to contain the key.
-  building_ = capacity_ > 0;
+  // This miss owns the flight. The longest retained entry is the one most
+  // likely to contain the key.
+  building_ = true;
   std::shared_ptr<const CompiledSchema> longest;
   if (cut) {
     for (const Slot& s : slots_) {
@@ -107,7 +85,7 @@ std::shared_ptr<const CompiledSchema> SchemaCache::get(
   }
   lock.unlock();
 
-  std::shared_ptr<CompiledSchema> fresh;
+  std::shared_ptr<const CompiledSchema> fresh;
   bool was_cut = false;
   try {
     const trace::Span span("schema.build");
@@ -115,7 +93,7 @@ std::shared_ptr<const CompiledSchema> SchemaCache::get(
     if (longest != nullptr) schema = cut(longest->schema);
     was_cut = schema.has_value();
     if (!was_cut) schema = build();
-    fresh = compile(std::move(*schema), want_transform, want_vmodel);
+    fresh = compile(std::move(*schema));
   } catch (...) {
     lock.lock();
     building_ = false;
@@ -127,27 +105,20 @@ std::shared_ptr<const CompiledSchema> SchemaCache::get(
   if (was_cut) schema_counters().cuts.add(1);
 
   lock.lock();
-  ++stats_.misses;
-  if (was_cut) ++stats_.cuts;
-  if (capacity_ > 0) insert(t, eps, fresh);
+  insert(t, eps, fresh);
   building_ = false;
   lock.unlock();
   landed_.notify_all();
   return fresh;
 }
 
-void SchemaCache::seed(double t, double eps, RegenerativeSchema schema,
-                       bool want_transform, bool want_vmodel) const {
-  if (capacity_ == 0) return;
+void SchemaCache::seed(double t, double eps,
+                       RegenerativeSchema schema) const {
   // Derive outside the lock, like a miss.
-  std::shared_ptr<CompiledSchema> compiled =
-      compile(std::move(schema), want_transform, want_vmodel);
+  std::shared_ptr<const CompiledSchema> compiled = compile(std::move(schema));
 
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (Slot& s : slots_) {
-    if (s.t == t && s.eps == eps) return;  // identical by determinism
-  }
-  ++stats_.seeded;
+  if (find(t, eps) != nullptr) return;  // identical by determinism
   schema_counters().seeded.add(1);
   insert(t, eps, std::move(compiled));
 }
@@ -167,16 +138,6 @@ std::vector<SchemaCache::Entry> SchemaCache::snapshot() const {
     out.push_back(Entry{s.t, s.eps, std::move(s.compiled)});
   }
   return out;
-}
-
-SchemaCacheStats SchemaCache::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::size_t SchemaCache::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return slots_.size();
 }
 
 LeaderSchedule::LeaderSchedule(std::span<const CompileDemand> demands)

@@ -1,13 +1,15 @@
 // Memo for the compiled regenerative artifact of RR/RRL.
 //
 // The dominant one-time cost of the regenerative methods is the schema —
-// K (+ L) model-sized DTMC steps — plus the derived execute-side objects
-// assembled from it: the explicit V_{K,L} model for RR and the transform
-// evaluator for RRL. All of it depends only on (time horizon, epsilon) for
-// a fixed (chain, rewards, initial, regenerative state, options), so a
-// solver answering many requests over the same horizon (a batch varying
-// measure or grid resolution, the study subsystem's shared solvers)
-// recomputes an identical artifact per request. SchemaCache memoizes it.
+// K (+ L) model-sized DTMC steps — plus the one execute-side object its
+// solver derives from it: RR's V_{K,L} pass, RRL's transform evaluator.
+// All of it depends only on (time horizon, epsilon) for a fixed (chain,
+// rewards, initial, regenerative state, options), so a solver answering
+// many requests over the same horizon (a batch varying measure or grid
+// resolution, the study subsystem's shared solvers) recomputes an
+// identical artifact per request. SchemaCache memoizes it. Which object
+// is derived is fixed when the memo is constructed: every artifact of one
+// memo carries the same kind.
 //
 // One series per solver. Entries are keyed by the exact (t, eps) pair a
 // schema was requested for, and a hit returns that key's artifact. The
@@ -18,24 +20,24 @@
 // function, truncate_regenerative_schema for RR/RRL) and steps the chain
 // only when that entry stops too early. Either way the stored artifact is
 // the one a fresh solver would build, so results and exported artifacts
-// stay bit-identical to fresh-solver runs. The derived V-model/transform
-// are pure functions of the schema — which is also why seed() can
-// re-materialize them from a deserialized schema (io/artifact_codec)
-// without breaking bit-identity: warm-starting a solver is pre-populating
-// this memo.
+// stay bit-identical to fresh-solver runs. The derived object is a pure
+// function of the schema — which is also why seed() can re-materialize it
+// from a deserialized schema (io/artifact_codec) without breaking
+// bit-identity: warm-starting a solver is pre-populating this memo.
 //
-// Threading: the cache is the only mutable state inside RR/RRL solvers and
+// Threading: the memo is the only mutable state inside RR/RRL solvers and
 // is internally synchronized, preserving the solver layer's share-one-
 // instance-across-workers contract. Materializing is single-flight per
-// cache: one miss at a time builds or cuts, outside the lock, and a miss
+// memo: one miss at a time builds or cuts, outside the lock, and a miss
 // arriving meanwhile waits for it to land and then looks again for a hit
 // or a cut. N workers missing one key step it once, and a worker behind a
 // longer build cuts from it instead of stepping its own. Different solvers'
-// caches never wait on each other; callers hand out each solver's most
-// demanding request first (LeaderSchedule) so the others cut. The store is
-// a small clock-stamped pool (capacity entries, least recently used
-// evicted) to bound memory: schemas are O(K) series and only a handful of
-// horizons are live in any real sweep.
+// memos never wait on each other; callers hand out each solver's most
+// demanding request first (LeaderSchedule) so the others cut. The store
+// holds kCapacity entries, the least recently used evicted beyond that, to
+// bound memory: schemas are O(K) series and only a handful of horizons are
+// live in any real sweep. Hits, builds, cuts and seeds are counted by the
+// process-wide rrl_cache_schema_* metrics (support/metrics.hpp).
 #pragma once
 
 #include <condition_variable>
@@ -45,33 +47,23 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/regenerative.hpp"
-#include "core/rrl_transform.hpp"
-#include "core/vmodel.hpp"
 
 namespace rrl {
 
-/// The compiled artifact: the schema plus the derived execute-side objects
-/// its owner asked for. `vmodel` is null for solvers that never asked for
-/// one (RRL), `transform` likewise (RR).
+class TrrTransform;  // core/rrl_transform.hpp
+struct VModelPass;   // core/rr_solver.hpp
+
+/// The compiled artifact: the schema plus the execute-side object its
+/// memo derives from it — `vmodel` in RR's memo, `transform` in RRL's; the
+/// other one (both, in a memo that derives nothing) stays null.
 struct CompiledSchema {
   RegenerativeSchema schema;
-  std::shared_ptr<const VModel> vmodel;
+  std::shared_ptr<const VModelPass> vmodel;
   std::shared_ptr<const TrrTransform> transform;
-};
-
-/// Hit/miss accounting (monotone; read under the cache's own lock).
-/// `misses` counts every key materialized here, stepped or cut; `cuts`
-/// the misses served by cutting a longer retained schema. `seeded` counts
-/// entries imported from a previously exported artifact (the disk tier's
-/// warm-start path) rather than computed here.
-struct SchemaCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t cuts = 0;
-  std::size_t seeded = 0;
 };
 
 class SchemaCache {
@@ -82,36 +74,31 @@ class SchemaCache {
   /// first.
   using Cutter = std::function<std::optional<RegenerativeSchema>(
       const RegenerativeSchema& longer)>;
+  /// Sets the derived object on an artifact whose schema is in place; a
+  /// pure function of that schema.
+  using Derive = std::function<void(CompiledSchema& compiled)>;
 
-  /// Default number of entries retained; the least recently used entry is
-  /// evicted beyond the capacity.
-  static constexpr std::size_t kDefaultCapacity = 8;
+  /// Entries retained; the least recently used entry is evicted beyond
+  /// this.
+  static constexpr std::size_t kCapacity = 8;
 
-  /// A cache holding at most `capacity` entries. Capacity 0 is legal and
-  /// degenerates to "always compute": get() builds and returns without
-  /// retaining or waiting on anything (every call a miss), seed() is a
-  /// no-op.
-  explicit SchemaCache(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
+  /// A memo whose artifacts carry what `derive` sets (the schema alone
+  /// when it is empty).
+  explicit SchemaCache(Derive derive = {}) : derive_(std::move(derive)) {}
 
   /// The artifact for exactly (t, eps): a memoized copy when one exists,
   /// otherwise cut(longest retained schema) or, when that is nullopt or
   /// `cut` is empty, build() — invoked without the lock held, one miss at
-  /// a time — inserted under the key. `want_transform` / `want_vmodel`
-  /// additionally guarantee the respective derived object is non-null on
-  /// the returned artifact (callers of one cache always pass the same
-  /// values: RR wants the V-model, RRL wants the transform).
+  /// a time — inserted under the key.
   [[nodiscard]] std::shared_ptr<const CompiledSchema> get(
-      double t, double eps, bool want_transform, bool want_vmodel,
-      const Builder& build, const Cutter& cut = {}) const;
+      double t, double eps, const Builder& build,
+      const Cutter& cut = {}) const;
 
   /// Pre-populate the (t, eps) entry from an already computed schema (the
-  /// artifact import path); the requested derived objects are
-  /// re-materialized from it. An existing entry for the key is kept as is
-  /// (it is bit-identical by determinism). Counts in stats().seeded, not
-  /// as a hit or miss.
-  void seed(double t, double eps, RegenerativeSchema schema,
-            bool want_transform, bool want_vmodel) const;
+  /// artifact import path); the derived object is re-materialized from
+  /// it. An existing entry for the key is kept as is (it is bit-identical
+  /// by determinism) and not counted as seeded.
+  void seed(double t, double eps, RegenerativeSchema schema) const;
 
   /// One retained entry, for artifact export.
   struct Entry {
@@ -120,14 +107,10 @@ class SchemaCache {
     std::shared_ptr<const CompiledSchema> compiled;
   };
   /// The current entries in increasing (t, eps) order: which entries a
-  /// cache holds depends on its call history, but the order they are
+  /// memo holds depends on its call history, but the order they are
   /// exported in does not, so equal contents write byte-identical
   /// artifacts however concurrent workers interleaved their calls.
   [[nodiscard]] std::vector<Entry> snapshot() const;
-
-  [[nodiscard]] SchemaCacheStats stats() const;
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const;
 
  private:
   struct Slot {
@@ -137,26 +120,23 @@ class SchemaCache {
     std::uint64_t last_used = 0;
   };
 
-  /// Materialize the derived objects the caller asked for (outside the
-  /// lock; pure function of the schema).
-  [[nodiscard]] static std::shared_ptr<CompiledSchema> compile(
-      RegenerativeSchema schema, bool want_transform, bool want_vmodel);
-  [[nodiscard]] static bool satisfies(const CompiledSchema& compiled,
-                                      bool want_transform, bool want_vmodel);
-  /// Insert under the lock, replacing an entry with the same key or else
-  /// evicting the least recently used slot when at capacity. Caller must
-  /// hold mutex_.
+  /// Wrap a schema with its derived object (outside the lock).
+  [[nodiscard]] std::shared_ptr<const CompiledSchema> compile(
+      RegenerativeSchema schema) const;
+  /// The slot holding exactly (t, eps), or null. Caller must hold mutex_.
+  [[nodiscard]] Slot* find(double t, double eps) const;
+  /// Insert under the lock, evicting the least recently used slot when
+  /// full. Caller must hold mutex_ and have found no slot for the key.
   void insert(double t, double eps,
               std::shared_ptr<const CompiledSchema> compiled) const;
 
-  std::size_t capacity_ = kDefaultCapacity;
+  Derive derive_;
   mutable std::mutex mutex_;
   /// Signalled when an in-flight build lands (or fails).
   mutable std::condition_variable landed_;
   mutable bool building_ = false;
   mutable std::vector<Slot> slots_;
   mutable std::uint64_t clock_ = 0;
-  mutable SchemaCacheStats stats_;
 };
 
 /// One iteration of a parallel loop that compiles through shared solvers:

@@ -55,16 +55,6 @@ void StandardRandomization::import_compiled(CompiledArtifact&& artifact) {
   import_dtmc(artifact, dtmc_);
 }
 
-TransientValue StandardRandomization::trr(double t) const {
-  RRL_EXPECTS(t >= 0.0);
-  return solve_point(t, MeasureKind::kTrr);
-}
-
-TransientValue StandardRandomization::mrr(double t) const {
-  RRL_EXPECTS(t > 0.0);
-  return solve_point(t, MeasureKind::kMrr);
-}
-
 std::vector<SharedResult> StandardRandomization::solve_shared(
     std::span<const SolveRequest* const> requests,
     SolveWorkspace& workspace) const {

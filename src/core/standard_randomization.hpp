@@ -100,12 +100,6 @@ class StandardRandomization : public TransientSolver {
   void export_compiled(CompiledArtifact& artifact) const override;
   void import_compiled(CompiledArtifact&& artifact) override;
 
-  /// Transient reward rate at time t (t >= 0).
-  [[nodiscard]] TransientValue trr(double t) const;
-
-  /// Mean reward rate over [0, t] (t > 0).
-  [[nodiscard]] TransientValue mrr(double t) const;
-
   [[nodiscard]] double lambda() const { return dtmc_.get().lambda(); }
 
  private:

@@ -36,16 +36,6 @@ void RandomizationSteadyStateDetection::import_compiled(
   import_dtmc(artifact, dtmc_);
 }
 
-TransientValue RandomizationSteadyStateDetection::trr(double t) const {
-  RRL_EXPECTS(t >= 0.0);
-  return solve_point(t, MeasureKind::kTrr);
-}
-
-TransientValue RandomizationSteadyStateDetection::mrr(double t) const {
-  RRL_EXPECTS(t > 0.0);
-  return solve_point(t, MeasureKind::kMrr);
-}
-
 std::vector<SharedResult> RandomizationSteadyStateDetection::solve_shared(
     std::span<const SolveRequest* const> requests,
     SolveWorkspace& workspace) const {

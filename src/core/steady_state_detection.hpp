@@ -102,9 +102,6 @@ class RandomizationSteadyStateDetection : public TransientSolver {
   void export_compiled(CompiledArtifact& artifact) const override;
   void import_compiled(CompiledArtifact&& artifact) override;
 
-  [[nodiscard]] TransientValue trr(double t) const;
-  [[nodiscard]] TransientValue mrr(double t) const;
-
   [[nodiscard]] double lambda() const { return dtmc_.get().lambda(); }
 
  private:

@@ -1,4 +1,4 @@
-// Uniform interface over the transient solvers (SR, RSD, RR, RRL).
+// Uniform interface over the transient solvers (SR, RSD, RR, RRL, Krylov).
 //
 // The paper's whole evaluation (Tables 1-2, Figures 3-4) runs the *same*
 // rewarded CTMC through every method over a *sweep* of time points. This
@@ -140,7 +140,7 @@ class TransientSolver {
  public:
   virtual ~TransientSolver() = default;
 
-  /// Registry name of the method ("sr", "rsd", "rr", "rrl").
+  /// Registry name of the method ("sr", "rsd", "rr", "rrl", "krylov").
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// One-line human-readable description of the method.
@@ -242,6 +242,18 @@ class TransientSolver {
     TransientValue out = report.points.front();
     out.stats = report.total;
     return out;
+  }
+
+  /// Transient reward rate at time t >= 0 (solve_point).
+  [[nodiscard]] TransientValue trr(double t) const {
+    RRL_EXPECTS(t >= 0.0);
+    return solve_point(t, MeasureKind::kTrr);
+  }
+
+  /// Mean reward rate over [0, t], t > 0 (solve_point).
+  [[nodiscard]] TransientValue mrr(double t) const {
+    RRL_EXPECTS(t > 0.0);
+    return solve_point(t, MeasureKind::kMrr);
   }
 
  protected:

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/compiled_artifact.hpp"
 #include "core/standard_randomization.hpp"
 #include "models/simple.hpp"
 #include "support/contracts.hpp"
+#include "support/metrics.hpp"
 
 namespace rrl {
 namespace {
@@ -107,6 +109,60 @@ TEST(Rr, RejectsInvalidRegenerativeState) {
   alpha[0] = 1.0;
   const RegenerativeRandomization rr(m.chain, rewards, alpha, 3);
   EXPECT_THROW((void)rr.trr(1.0), contract_error);  // state 3 is absorbing
+}
+
+std::uint64_t dtmc_builds() {
+  return metrics::counter("rrl_dtmc_builds_total").value();
+}
+
+TEST(Rr, VModelIsRandomizedOncePerKey) {
+  // The first pass builds the chain's DTMC (the schema) and V_{K,L}'s;
+  // later passes on the same (t_max, eps) read both from the memo.
+  const auto c = make_random_ctmc(
+      {.num_states = 18, .num_absorbing = 1, .seed = 3});
+  std::vector<double> rewards(18, 0.0);
+  rewards[17] = 1.0;
+  std::vector<double> alpha(18, 0.0);
+  alpha[0] = 1.0;
+  const RegenerativeRandomization rr(c, rewards, alpha, 0);
+  const std::uint64_t before = dtmc_builds();
+  const SolveReport first = rr.solve_grid(SolveRequest::trr({1.0, 20.0}));
+  EXPECT_EQ(dtmc_builds(), before + 2);
+  const SolveReport again = rr.solve_grid(SolveRequest::trr({1.0, 20.0}));
+  (void)rr.solve_grid(SolveRequest::mrr({5.0, 20.0}));
+  EXPECT_EQ(dtmc_builds(), before + 2);
+  EXPECT_EQ(again.values(), first.values());
+}
+
+TEST(Rr, WarmSolverRandomizesOnlyItsVModels) {
+  // Schemas imported from an artifact: no chain DTMC, and each key's
+  // V_{K,L} randomized once however many passes read it.
+  const auto c = make_random_ctmc(
+      {.num_states = 18, .num_absorbing = 1, .seed = 3});
+  std::vector<double> rewards(18, 0.0);
+  rewards[17] = 1.0;
+  std::vector<double> alpha(18, 0.0);
+  alpha[0] = 1.0;
+  const std::vector<SolveRequest> requests = {
+      SolveRequest::trr({1.0, 20.0}), SolveRequest::mrr({20.0}),
+      SolveRequest::trr({2.0, 8.0}, 1e-8), SolveRequest::mrr({8.0}, 1e-8)};
+  const RegenerativeRandomization cold(c, rewards, alpha, 0);
+  std::vector<SolveReport> cold_reports;
+  for (const SolveRequest& r : requests) {
+    cold_reports.push_back(cold.solve_grid(r));
+  }
+  CompiledArtifact artifact;
+  cold.export_compiled(artifact);
+  ASSERT_EQ(artifact.schemas.size(), 2u);
+
+  RegenerativeRandomization warm(c, rewards, alpha, 0);
+  warm.import_compiled(std::move(artifact));
+  const std::uint64_t before = dtmc_builds();
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(warm.solve_grid(requests[i]).values(), cold_reports[i].values())
+        << i;
+  }
+  EXPECT_EQ(dtmc_builds(), before + 2);
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ TEST(RrlBounds, BracketTheTrueValue) {
   const RegenerativeRandomizationLaplace solver(m.chain, {0.0, 1.0},
                                                 {1.0, 0.0}, 0);
   for (const double t : {1.0, 100.0, 1e4}) {
-    const auto b = solver.trr_bounds(t);
+    const auto b = solver.bounds(t, MeasureKind::kTrr);
     const double truth = m.unavailability(t);
     EXPECT_LE(b.lower, truth) << "t=" << t;
     EXPECT_GE(b.upper, truth) << "t=" << t;
@@ -34,7 +34,7 @@ TEST(RrlBounds, MrrBracket) {
   const RegenerativeRandomizationLaplace solver(m.chain, {0.0, 1.0},
                                                 {1.0, 0.0}, 0);
   for (const double t : {10.0, 1e3}) {
-    const auto b = solver.mrr_bounds(t);
+    const auto b = solver.bounds(t, MeasureKind::kMrr);
     const double truth = m.interval_unavailability(t);
     EXPECT_LE(b.lower, truth + 1e-15) << "t=" << t;
     EXPECT_GE(b.upper, truth - 1e-15) << "t=" << t;
@@ -48,7 +48,7 @@ TEST(RrlBounds, RespectRewardRange) {
   std::vector<double> alpha(4, 0.0);
   alpha[0] = 1.0;
   const RegenerativeRandomizationLaplace solver(m.chain, reward, alpha, 0);
-  const auto b = solver.trr_bounds(50.0);  // UR(50) ~ 1
+  const auto b = solver.bounds(50.0, MeasureKind::kTrr);  // UR(50) ~ 1
   EXPECT_GE(b.lower, 0.0);
   EXPECT_LE(b.upper, 1.0);  // clipped at r_max
 }
@@ -125,7 +125,8 @@ TEST(RrlBounds, RejectsNonPositiveTime) {
   const auto m = make_two_state(1e-3, 1.0);
   const RegenerativeRandomizationLaplace solver(m.chain, {0.0, 1.0},
                                                 {1.0, 0.0}, 0);
-  EXPECT_THROW((void)solver.trr_bounds(0.0), contract_error);
+  EXPECT_THROW((void)solver.bounds(0.0, MeasureKind::kTrr), contract_error);
+  EXPECT_THROW((void)solver.bounds(0.0, MeasureKind::kMrr), contract_error);
 }
 
 }  // namespace

@@ -247,6 +247,16 @@ TEST(SchemaSeries, RefusesKeysTheSourceStopsShortOf) {
 // ---------------------------------------------------------------------------
 // SchemaCache: cuts, single flight, artifacts.
 
+/// Growth of a process-wide schema memo counter (rrl_cache_schema_<name>_
+/// total) since construction.
+struct SchemaCounts {
+  metrics::MetricsSnapshot before = metrics::snapshot();
+  [[nodiscard]] std::uint64_t operator()(const std::string& name) const {
+    const std::string counter = "rrl_cache_schema_" + name + "_total";
+    return metrics::snapshot().value(counter) - before.value(counter);
+  }
+};
+
 /// A real builder/cutter pair over one model, counting builder calls.
 struct SchemaSource {
   const Model* model = nullptr;
@@ -265,7 +275,7 @@ struct SchemaSource {
   }
   std::shared_ptr<const CompiledSchema> get(const SchemaCache& cache,
                                             double t, double eps) {
-    return cache.get(t, eps, false, false, builder(t, eps), cutter(t, eps));
+    return cache.get(t, eps, builder(t, eps), cutter(t, eps));
   }
 };
 
@@ -273,7 +283,7 @@ TEST(SchemaCacheCuts, CutCountsAsOneBuildAndOneCut) {
   const Model m = raid_model(false);
   SchemaSource source{&m};
   const SchemaCache cache;
-  const metrics::MetricsSnapshot before = metrics::snapshot();
+  const SchemaCounts counts;
 
   (void)source.get(cache, 1e3, 1e-12);  // stepped
   const auto cut = source.get(cache, 1e3, 1e-8);
@@ -281,23 +291,16 @@ TEST(SchemaCacheCuts, CutCountsAsOneBuildAndOneCut) {
   EXPECT_EQ(source.builds.load(), 1);
   expect_same_schema(cut->schema, fresh(m, 1e3, 1e-8), "cache cut");
 
-  const SchemaCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.cuts, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  const metrics::MetricsSnapshot after = metrics::snapshot();
-  EXPECT_EQ(after.value("rrl_cache_schema_builds_total") -
-                before.value("rrl_cache_schema_builds_total"),
-            2u);
-  EXPECT_EQ(after.value("rrl_cache_schema_cuts_total") -
-                before.value("rrl_cache_schema_cuts_total"),
-            1u);
+  EXPECT_EQ(counts("builds"), 2u);
+  EXPECT_EQ(counts("cuts"), 1u);
+  EXPECT_EQ(counts("hits"), 1u);
 }
 
 TEST(SchemaCacheCuts, ConcurrentMissesOnOneKeyBuildOnce) {
   const Model m = cycle_model();
   constexpr int kThreads = 6;
   const SchemaCache cache;
+  const SchemaCounts counts;
   std::latch arrived(kThreads);
   std::atomic<int> builds{0};
   // The builder holds its flight until every thread has arrived, and a
@@ -312,19 +315,19 @@ TEST(SchemaCacheCuts, ConcurrentMissesOnOneKeyBuildOnce) {
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&] {
       arrived.count_down();
-      (void)cache.get(10.0, 1e-12, false, false, build,
-                      SchemaSource::cutter(10.0, 1e-12));
+      (void)cache.get(10.0, 1e-12, build, SchemaSource::cutter(10.0, 1e-12));
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(builds.load(), 1);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, static_cast<std::size_t>(kThreads - 1));
+  EXPECT_EQ(counts("builds"), 1u);
+  EXPECT_EQ(counts("hits"), static_cast<std::uint64_t>(kThreads - 1));
 }
 
 TEST(SchemaCacheCuts, TighterKeyWaitsForTheFlightThenLooserKeyCuts) {
   const Model m = raid_model(false);
   const SchemaCache cache;
+  const SchemaCounts counts;
   std::mutex events_mutex;
   std::vector<std::string> events;
   const auto note = [&](const std::string& event) {
@@ -336,7 +339,7 @@ TEST(SchemaCacheCuts, TighterKeyWaitsForTheFlightThenLooserKeyCuts) {
 
   std::thread loose([&] {
     (void)cache.get(
-        10.0, 1e-8, false, false,
+        10.0, 1e-8,
         [&] {
           note("loose start");
           loose_started.count_down();
@@ -349,7 +352,7 @@ TEST(SchemaCacheCuts, TighterKeyWaitsForTheFlightThenLooserKeyCuts) {
   loose_started.wait();
   std::thread tight([&] {
     (void)cache.get(
-        1e3, 1e-12, false, false,
+        1e3, 1e-12,
         [&] {
           note("tight start");
           return fresh(m, 1e3, 1e-12);
@@ -364,42 +367,20 @@ TEST(SchemaCacheCuts, TighterKeyWaitsForTheFlightThenLooserKeyCuts) {
   tight.join();
   EXPECT_EQ(events, (std::vector<std::string>{"loose start", "loose end",
                                               "tight start"}));
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().cuts, 0u);  // the loose series was too short
+  EXPECT_EQ(counts("builds"), 2u);
+  EXPECT_EQ(counts("cuts"), 0u);  // the loose series was too short
 
   // A third, looser key cuts from the tight series.
   const auto third = cache.get(
-      100.0, 1e-10, false, false,
+      100.0, 1e-10,
       [&] {
         note("third start");
         return fresh(m, 100.0, 1e-10);
       },
       SchemaSource::cutter(100.0, 1e-10));
   EXPECT_EQ(events.size(), 3u);
-  EXPECT_EQ(cache.stats().cuts, 1u);
+  EXPECT_EQ(counts("cuts"), 1u);
   expect_same_schema(third->schema, fresh(m, 100.0, 1e-10), "third key");
-}
-
-TEST(SchemaCacheCuts, CapacityZeroAlwaysBuilds) {
-  const Model m = cycle_model();
-  SchemaSource source{&m};
-  const SchemaCache cache(0);
-  (void)source.get(cache, 10.0, 1e-12);
-  (void)source.get(cache, 10.0, 1e-12);
-  (void)source.get(cache, 1.0, 1e-8);
-  EXPECT_EQ(source.builds.load(), 3);
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.stats().cuts, 0u);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-SchemaCacheStats schema_stats(const TransientSolver& solver) {
-  if (const auto* rr =
-          dynamic_cast<const RegenerativeRandomization*>(&solver)) {
-    return rr->schema_cache_stats();
-  }
-  return dynamic_cast<const RegenerativeRandomizationLaplace&>(solver)
-      .schema_cache_stats();
 }
 
 std::string artifact_bytes(const CompiledArtifact& artifact) {
@@ -419,10 +400,11 @@ TEST(SchemaCacheCuts, CutFilledCacheExportsFreshBuildBytes) {
     config.regenerative = m.regenerative;
     const auto shared =
         make_solver(name, m.chain, m.rewards, m.initial, config);
+    const SchemaCounts counts;
     for (const auto& [t, eps] : keys) {
       (void)shared->solve_grid(SolveRequest::trr({t}, eps));
     }
-    EXPECT_EQ(schema_stats(*shared).cuts, keys.size() - 1) << name;
+    EXPECT_EQ(counts("cuts"), keys.size() - 1) << name;
     const CompiledArtifact cut = export_artifact(*shared, 7, config);
     ASSERT_EQ(cut.schemas.size(), keys.size());
 
@@ -518,13 +500,13 @@ TEST(LeadersFirst, SharedSolverStepsOneSchemaAndCutsTheRest) {
     for (const int jobs : {4, 1}) {
       const std::shared_ptr<const TransientSolver> shared =
           make_solver(name, m.chain, m.rewards, m.initial, config);
+      const SchemaCounts counts;
       const SweepReport report =
           run_sweep(one_solver_batch(m, name, shared, jobs));
       const std::string where = name + " jobs=" + std::to_string(jobs);
       expect_same_reports(report, fresh_report, where);
-      const SchemaCacheStats stats = schema_stats(*shared);
-      EXPECT_EQ(stats.misses, 3u) << where;
-      EXPECT_EQ(stats.cuts, 2u) << where;
+      EXPECT_EQ(counts("builds"), 3u) << where;
+      EXPECT_EQ(counts("cuts"), 2u) << where;
     }
   }
 }
@@ -540,11 +522,12 @@ TEST(LeadersFirst, PrecompileMemoizesExactlySolveGridsSchema) {
     const auto solver =
         make_solver(name, m.chain, m.rewards, m.initial, config);
     const SolveRequest request = SolveRequest::mrr({1.0, 50.0, 10.0}, 1e-9);
+    const SchemaCounts counts;
     solver->precompile(request);
-    EXPECT_EQ(schema_stats(*solver).misses, 1u) << name;
+    EXPECT_EQ(counts("builds"), 1u) << name;
     (void)solver->solve_grid(request);
-    EXPECT_EQ(schema_stats(*solver).misses, 1u) << name;
-    EXPECT_EQ(schema_stats(*solver).hits, 1u) << name;
+    EXPECT_EQ(counts("builds"), 1u) << name;
+    EXPECT_EQ(counts("hits"), 1u) << name;
     const CompiledArtifact artifact = export_artifact(*solver, 7, config);
     ASSERT_EQ(artifact.schemas.size(), 1u) << name;
     EXPECT_EQ(artifact.schemas[0].t, 50.0) << name;
@@ -553,12 +536,13 @@ TEST(LeadersFirst, PrecompileMemoizesExactlySolveGridsSchema) {
         << name;
   }
   // rrl's solve_grid needs no schema at t = 0 alone or with zero rewards.
+  const SchemaCounts counts;
   const auto rrl = make_solver("rrl", m.chain, m.rewards, m.initial, config);
   rrl->precompile(SolveRequest::trr({0.0}));
   std::vector<double> zero(m.rewards.size(), 0.0);
   const auto zero_rrl = make_solver("rrl", m.chain, zero, m.initial, config);
   zero_rrl->precompile(SolveRequest::trr({10.0}));
-  EXPECT_EQ(schema_stats(*rrl).misses + schema_stats(*zero_rrl).misses, 0u);
+  EXPECT_EQ(counts("builds"), 0u);
 }
 
 TEST(LeadersFirst, ScheduleOrdersLeadersByChainSizeThenIndex) {

@@ -611,7 +611,7 @@ SolveReport reference_rr(const RegenerativeRandomization& rr,
                          std::int64_t vmodel_step_cap) {
   const auto compiled = rr.compiled_for(
       *std::max_element(request.times.begin(), request.times.end()), eps);
-  const VModel& v = *compiled->vmodel;
+  const VModel& v = compiled->vmodel->model;
   SrOptions options;
   options.epsilon = eps / 2.0;
   options.step_cap = vmodel_step_cap;

@@ -654,8 +654,8 @@ TEST(RandomizationBatch, RrSharesOnePassPerSchemaKeyBitwise) {
   std::vector<SolveReport> solo;
   for (const SolveRequest& r : requests) solo.push_back(rr->solve_grid(r));
   // Distinct horizons, identical truncated V-models.
-  const auto& va = rr->compiled_for(5.0, 1e-10)->vmodel->chain;
-  const auto& vb = rr->compiled_for(9.0, 1e-10)->vmodel->chain;
+  const auto& va = rr->compiled_for(5.0, 1e-10)->vmodel->model.chain;
+  const auto& vb = rr->compiled_for(9.0, 1e-10)->vmodel->model.chain;
   ASSERT_EQ(va.num_states(), vb.num_states());
   ASSERT_EQ(va.num_transitions(), vb.num_transitions());
   ASSERT_EQ(0, std::memcmp(va.rates().values().data(),

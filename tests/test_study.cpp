@@ -19,6 +19,7 @@
 #include "models/multiproc.hpp"
 #include "models/raid5.hpp"
 #include "rrl.hpp"
+#include "support/metrics.hpp"
 
 namespace rrl {
 namespace {
@@ -331,21 +332,26 @@ TEST(SchemaCache, MemoizesPerHorizonAndEpsilon) {
   const RegenerativeRandomizationLaplace solver(f.chain, f.rewards,
                                                 f.initial, f.regenerative,
                                                 opt);
+  const auto counter = [](const char* name) {
+    return metrics::counter(name).value();
+  };
+  const std::uint64_t builds = counter("rrl_cache_schema_builds_total");
+  const std::uint64_t hits = counter("rrl_cache_schema_hits_total");
   const SolveRequest trr = SolveRequest::trr({10.0, 100.0});
   const SolveReport a = solver.solve_grid(trr);
-  EXPECT_EQ(solver.schema_cache_stats().misses, 1u);
-  EXPECT_EQ(solver.schema_cache_stats().hits, 0u);
+  EXPECT_EQ(counter("rrl_cache_schema_builds_total"), builds + 1);
+  EXPECT_EQ(counter("rrl_cache_schema_hits_total"), hits);
 
   // Same horizon: the other measure and a grid sharing t_max both hit.
   const SolveReport b = solver.solve_grid(SolveRequest::mrr({100.0}));
   const SolveReport c = solver.solve_grid(SolveRequest::trr({5.0, 100.0}));
-  EXPECT_EQ(solver.schema_cache_stats().misses, 1u);
-  EXPECT_EQ(solver.schema_cache_stats().hits, 2u);
+  EXPECT_EQ(counter("rrl_cache_schema_builds_total"), builds + 1);
+  EXPECT_EQ(counter("rrl_cache_schema_hits_total"), hits + 2);
 
   // A different epsilon or horizon compiles a new artifact.
   (void)solver.solve_grid(SolveRequest::trr({100.0}, 1e-6));
   (void)solver.solve_grid(SolveRequest::trr({200.0}));
-  EXPECT_EQ(solver.schema_cache_stats().misses, 3u);
+  EXPECT_EQ(counter("rrl_cache_schema_builds_total"), builds + 3);
 
   // Memoized answers are bit-identical to a fresh solver's.
   const RegenerativeRandomizationLaplace fresh(f.chain, f.rewards, f.initial,

@@ -481,25 +481,30 @@ TEST(Workspace, RepeatedSolveGridReuseAgreesWithFreshSolver) {
 
 TEST(Workspace, SharedSolverConcurrentWorkspaces) {
   // One solver instance, many concurrent solve_grid calls with per-worker
-  // workspaces: the documented threading contract.
+  // workspaces: the documented threading contract. The calls race the
+  // solver's first use, so SR's DTMC and RR's memoized schema and V-model
+  // DTMC are built under contention, then read by every call.
   const Model multi = multiproc_model();
   SolverConfig config;
   config.epsilon = kEps;
   config.regenerative = multi.regenerative;
-  const auto solver = make_solver("sr", multi.chain, multi.rewards,
-                                  multi.initial, config);
   const std::vector<double> grid = log_time_grid(1.0, 200.0, 4);
-  const SolveReport reference = solver->solve_grid(SolveRequest::trr(grid));
-
-  ThreadPool pool(4);
-  std::vector<SolveWorkspace> workspaces(4);
-  std::vector<SolveReport> reports(16);
-  pool.parallel_for(reports.size(), [&](std::size_t i, std::size_t worker) {
-    reports[i] = solver->solve_grid(SolveRequest::trr(grid),
-                                    workspaces[worker]);
-  });
-  for (const SolveReport& report : reports) {
-    EXPECT_EQ(report.values(), reference.values());
+  for (const std::string name : {"sr", "rr"}) {
+    const SolveReport reference =
+        make_solver(name, multi.chain, multi.rewards, multi.initial, config)
+            ->solve_grid(SolveRequest::trr(grid));
+    const auto solver = make_solver(name, multi.chain, multi.rewards,
+                                    multi.initial, config);
+    ThreadPool pool(4);
+    std::vector<SolveWorkspace> workspaces(4);
+    std::vector<SolveReport> reports(16);
+    pool.parallel_for(reports.size(), [&](std::size_t i, std::size_t worker) {
+      reports[i] = solver->solve_grid(SolveRequest::trr(grid),
+                                      workspaces[worker]);
+    });
+    for (const SolveReport& report : reports) {
+      EXPECT_EQ(report.values(), reference.values()) << name;
+    }
   }
 }
 

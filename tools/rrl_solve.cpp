@@ -267,8 +267,9 @@ int solve_with_bounds(const ModelFile& model, index_t regenerative,
   const RegenerativeRandomizationLaplace solver(
       model.chain, model.rewards, model.initial, regenerative, opt);
   TextTable table({"t", "value", "lower", "upper", "steps"});
+  const MeasureKind kind = want_mrr ? MeasureKind::kMrr : MeasureKind::kTrr;
   for (const double t : ts) {
-    const auto b = want_mrr ? solver.mrr_bounds(t) : solver.trr_bounds(t);
+    const auto b = solver.bounds(t, kind);
     table.add_row({fmt_sig(t, 6), fmt_sci(b.value, 9), fmt_sci(b.lower, 9),
                    fmt_sci(b.upper, 9), std::to_string(b.stats.dtmc_steps)});
   }
