@@ -1,7 +1,5 @@
 #include "core/compiled_artifact.hpp"
 
-#include <utility>
-
 #include "core/transient_solver.hpp"
 
 namespace rrl {
@@ -15,18 +13,6 @@ CompiledArtifact export_artifact(const TransientSolver& solver,
   artifact.config = config;
   solver.export_compiled(artifact);
   return artifact;
-}
-
-void export_dtmc(const RandomizedDtmc& dtmc, CompiledArtifact& artifact) {
-  artifact.lambda = dtmc.lambda();
-  artifact.dtmc_pt = dtmc.transition_transposed();
-  const auto loops = dtmc.self_loops();
-  artifact.self_loop.assign(loops.begin(), loops.end());
-}
-
-void import_dtmc(CompiledArtifact& artifact, LazyDtmc& dtmc) {
-  (void)dtmc.adopt(std::move(artifact.dtmc_pt),
-                   std::move(artifact.self_loop), artifact.lambda);
 }
 
 bool artifact_matches(const CompiledArtifact& artifact,

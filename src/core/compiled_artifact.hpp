@@ -3,9 +3,9 @@
 //
 // Every solver in this library separates into a deterministic COMPILE step
 // (model-derived state that is expensive or repeated: the randomized DTMC
-// in CSR gather form for SR/RSD, the regenerative schema — and with it the
-// V-model and the TRR transform coefficients — for RR/RRL) and a cheap
-// EXECUTE step (the per-request sweep over the compiled state). The
+// in CSR gather form for SR/RSD/Krylov, the regenerative schema — and with
+// it the V-model and the TRR transform coefficients — for RR/RRL) and a
+// cheap EXECUTE step (the per-request sweep over the compiled state). The
 // artifact captures exactly the compile half in plain data, so it can be
 // handed across process boundaries: serialized by io/artifact_codec,
 // persisted by the study subsystem's disk tier (study/artifact_store), and
@@ -19,7 +19,7 @@
 // redundant bytes. For SR/RSD/Krylov the randomized DTMC (P transposed
 // in CSR gather form, self-loops, Lambda) IS the compiled state and is
 // stored whole; a warm solver adopts it by move in place of randomizing
-// its chain (markov/dtmc.hpp's LazyDtmc), and RSD's row-form P for the
+// its chain (core/randomized_solver.hpp), and RSD's row-form P for the
 // backward pass is re-derived by exact transposition.
 //
 // Identity: `model_hash` (study/model_repository.hpp's content hash),
@@ -35,7 +35,6 @@
 
 #include "core/regenerative.hpp"
 #include "core/registry.hpp"
-#include "markov/dtmc.hpp"
 #include "sparse/csr.hpp"
 
 namespace rrl {
@@ -50,7 +49,7 @@ struct ArtifactSchemaEntry {
 /// The compiled state of one solver instance, in plain serializable data.
 struct CompiledArtifact {
   /// Registry name of the method the artifact was compiled by ("sr",
-  /// "rsd", "rr", "rrl", ...).
+  /// "rsd", "rr", "rrl", "krylov", ...).
   std::string solver;
   /// Content hash of the source model (see hash_model); 0 when the
   /// producer did not know it (direct export outside the study layer).
@@ -72,12 +71,12 @@ struct CompiledArtifact {
   /// one.
   index_t pre_lump_states = -1;
 
-  /// SR/RSD: randomization rate Lambda (0 when the artifact carries no
-  /// DTMC payload).
+  /// SR/RSD/Krylov: randomization rate Lambda (0 when the artifact
+  /// carries no DTMC payload).
   double lambda = 0.0;
-  /// SR/RSD: P transposed in CSR gather form (empty otherwise).
+  /// SR/RSD/Krylov: P transposed in CSR gather form (empty otherwise).
   CsrMatrix dtmc_pt;
-  /// SR/RSD: per-state self-loop probabilities 1 - exit(i)/Lambda.
+  /// SR/RSD/Krylov: per-state self-loop probabilities 1 - exit(i)/Lambda.
   std::vector<double> self_loop;
 
   /// RR/RRL: the memoized schemas, one per (t, eps) horizon solved.
@@ -96,13 +95,6 @@ struct CompiledArtifact {
 [[nodiscard]] CompiledArtifact export_artifact(const TransientSolver& solver,
                                                std::uint64_t model_hash,
                                                const SolverConfig& config);
-
-/// SR/RSD/Krylov's compiled state, the randomized DTMC: export_dtmc
-/// copies it into the artifact; import_dtmc moves the artifact's DTMC
-/// into `dtmc` in place of its build (leaving nothing when the payload is
-/// not shaped for the chain, see LazyDtmc::adopt).
-void export_dtmc(const RandomizedDtmc& dtmc, CompiledArtifact& artifact);
-void import_dtmc(CompiledArtifact& artifact, LazyDtmc& dtmc);
 
 /// True iff the artifact's identity matches the requested compilation
 /// exactly (solver name, model content hash, every config field). The disk

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/compiled_artifact.hpp"
 #include "sparse/vector_ops.hpp"
 #include "support/stopwatch.hpp"
 
@@ -221,44 +220,24 @@ double subtract_then_dot(double h, const double* v, const double* next,
 KrylovSolver::KrylovSolver(const Ctmc& chain, std::vector<double> rewards,
                            std::vector<double> initial,
                            KrylovOptions options)
-    : chain_(chain),
-      rewards_(std::move(rewards)),
-      initial_(std::move(initial)),
-      options_(options),
-      dtmc_(chain, options.rate_factor) {
-  RRL_EXPECTS(options_.epsilon > 0.0);
+    : RandomizedSolver(chain, std::move(rewards), std::move(initial),
+                       options.epsilon, options.rate_factor,
+                       LentPoolUse::kPart),
+      options_(options) {
   RRL_EXPECTS(options_.max_dim >= 1);
-  RRL_EXPECTS(static_cast<index_t>(rewards_.size()) == chain.num_states());
-  check_distribution(initial_, chain.num_states());
-  reward_idx_ = nonzero_reward_states(rewards_);
-  r_max_ = max_reward(rewards_);
-}
-
-void KrylovSolver::export_compiled(CompiledArtifact& artifact) const {
-  export_dtmc(dtmc_.get(), artifact);
-}
-
-void KrylovSolver::import_compiled(CompiledArtifact&& artifact) {
-  import_dtmc(artifact, dtmc_);
 }
 
 bool KrylovSolver::shares_pass(const SolveRequest& a,
                                const SolveRequest& b) const {
-  const auto effective_eps = [this](const SolveRequest& r) {
-    return r.epsilon > 0.0 ? r.epsilon : options_.epsilon;
-  };
-  return effective_eps(a) == effective_eps(b) && a.times == b.times;
+  return effective_epsilon(a) == effective_epsilon(b) && a.times == b.times;
 }
 
 std::vector<SharedResult> KrylovSolver::solve_shared(
     std::span<const SolveRequest* const> requests,
     SolveWorkspace& workspace) const {
-  return solve_in_groups(
-      requests, options_.epsilon,
-      [&](std::span<const std::size_t> readers, double eps,
-          std::span<SharedResult> results) {
-        run_pass(requests, readers, eps, results, workspace);
-      });
+  return solve_in_groups(requests, [&](auto readers, double eps, auto out) {
+    run_pass(requests, readers, eps, out, workspace);
+  });
 }
 
 void KrylovSolver::run_pass(std::span<const SolveRequest* const> requests,

@@ -19,9 +19,9 @@
 // The matvecs reuse the existing uniformization machinery: A v = Q^T v =
 // Lambda * (P^T v - v) with P^T the randomized DTMC's CSR gather matrix,
 // so every SpMV dispatches through the vectorized kernels
-// (sparse/spmv_kernels.hpp), and the compile -> execute split is shared
-// with SR/RSD — export/import carry (Lambda, P^T, self-loops) and an
-// imported solver answers bit-identically.
+// (sparse/spmv_kernels.hpp), and the compile -> execute split is SR's and
+// RSD's (core/randomized_solver.hpp) — export/import carry (Lambda, P^T,
+// self-loops) and an imported solver answers bit-identically.
 //
 // Measures: TRR(t) = r . w(t) is read off whenever a substep lands on a
 // grid time (substeps are clipped to grid times, so values are evaluated
@@ -73,10 +73,9 @@
 #include <string_view>
 #include <vector>
 
+#include "core/randomized_solver.hpp"
 #include "core/solver.hpp"
-#include "core/transient_solver.hpp"
 #include "markov/ctmc.hpp"
-#include "markov/dtmc.hpp"
 
 namespace rrl {
 
@@ -96,7 +95,9 @@ struct KrylovOptions {
   int max_dim = 30;
 };
 
-class KrylovSolver : public TransientSolver {
+/// Its matvecs are the part of a solve a lent pool carries; the
+/// orthogonalization and the small dense exponentials stay on the caller.
+class KrylovSolver : public RandomizedSolver {
  public:
   KrylovSolver(const Ctmc& chain, std::vector<double> rewards,
                std::vector<double> initial, KrylovOptions options = {});
@@ -111,45 +112,21 @@ class KrylovSolver : public TransientSolver {
     return kDescription;
   }
 
-  /// One adaptive pass from t = 0 to the largest grid time; every grid
-  /// point is evaluated exactly when the pass crosses it, so the whole
-  /// grid costs one sweep (same amortization contract as SR/RSD). This is
-  /// solve_shared with one request.
-  using TransientSolver::solve_grid;
-  [[nodiscard]] SolveReport solve_grid(
-      const SolveRequest& request, SolveWorkspace& workspace) const override {
-    return solve_alone(request, workspace);
-  }
-
   /// The iterate, substeps, rejections and step cap depend on eps and the
   /// grid but not on the measure: requests with the same effective eps
   /// and an equal `times` vector share one pass.
   [[nodiscard]] bool shares_pass(const SolveRequest& a,
                                  const SolveRequest& b) const override;
 
-  /// Its matvecs take a lent pool once P's stored entries reach the floor.
-  [[nodiscard]] LentPoolUse lent_pool_use(const SolveRequest&) const override {
-    return dtmc_.get().transition_transposed().nnz() >=
-                   SolveWorkspace::kMinPooledNnz
-               ? LentPoolUse::kPart
-               : LentPoolUse::kNone;
-  }
-
-  /// One Arnoldi pass per group of requests that share it: TRR reads
-  /// r . w and MRR the phi_1 integral at each grid time (the phi_1
-  /// exponential runs when any reader is MRR). Each report is bitwise its
-  /// solve_grid report.
+  /// One adaptive pass from t = 0 to the largest grid time per group of
+  /// requests that share it; every grid point is evaluated exactly when
+  /// the pass crosses it, so the whole grid costs one sweep (same
+  /// amortization contract as SR/RSD). TRR reads r . w and MRR the phi_1
+  /// integral at each grid time (the phi_1 exponential runs when any
+  /// reader is MRR). Each report is bitwise its solve_grid report.
   [[nodiscard]] std::vector<SharedResult> solve_shared(
       std::span<const SolveRequest* const> requests,
       SolveWorkspace& workspace) const override;
-
-  /// Compile -> execute split: the compiled state is the randomized DTMC,
-  /// exactly as for SR/RSD (distinct solver name keys the cache).
-  void compile() const override { (void)dtmc_.get(); }
-  void export_compiled(CompiledArtifact& artifact) const override;
-  void import_compiled(CompiledArtifact&& artifact) override;
-
-  [[nodiscard]] double lambda() const { return dtmc_.get().lambda(); }
 
  private:
   /// The adaptive pass answering requests[k] for every k in `readers`
@@ -159,13 +136,7 @@ class KrylovSolver : public TransientSolver {
                 std::span<SharedResult> results,
                 SolveWorkspace& workspace) const;
 
-  const Ctmc& chain_;
-  std::vector<double> rewards_;
-  std::vector<double> initial_;
-  std::vector<index_t> reward_idx_;
-  double r_max_ = 0.0;
   KrylovOptions options_;
-  LazyDtmc dtmc_;
 };
 
 }  // namespace rrl

@@ -13,16 +13,11 @@ RegenerativeSolver::RegenerativeSolver(const Ctmc& chain,
                                        index_t regenerative_state,
                                        const RegenerativeOptions& options,
                                        SchemaCache::Derive derive)
-    : chain_(chain),
-      rewards_(std::move(rewards)),
-      initial_(std::move(initial)),
+    : TransientSolver(chain, std::move(rewards), std::move(initial),
+                      options.epsilon),
       regenerative_(regenerative_state),
       schema_options_(options),
-      schema_cache_(std::move(derive)) {
-  RRL_EXPECTS(options.epsilon > 0.0);
-  RRL_EXPECTS(static_cast<index_t>(rewards_.size()) == chain.num_states());
-  check_distribution(initial_, chain.num_states());
-}
+      schema_cache_(std::move(derive)) {}
 
 RegenerativeSchema RegenerativeSolver::schema(double t) const {
   return compute_regenerative_schema(chain_, rewards_, initial_,
@@ -45,7 +40,7 @@ std::shared_ptr<const CompiledSchema> RegenerativeSolver::compiled_for(
 }
 
 void RegenerativeSolver::precompile(const SolveRequest& request) const {
-  const double eps = validated_epsilon(request, epsilon());
+  const double eps = validated_epsilon(request);
   const double t_max = std::ranges::max(request.times);
   if (needs_schema(t_max)) (void)compiled_for(t_max, eps);
 }

@@ -4,9 +4,9 @@
 // randomized chain (the paper's Section 2) and differ only in how they
 // read the resulting schema: RR randomizes the explicit V_{K,L}, RRL
 // inverts its closed-form transform. RegenerativeSolver owns what that
-// shared half needs — the chain, rewards, initial vector, regenerative
-// state, schema options and the (t, eps)-keyed memo (core/schema_cache) —
-// and implements the memoized build-or-cut lookup, precompile and the
+// shared half needs beyond the rewarded chain — the regenerative state,
+// schema options and the (t, eps)-keyed memo (core/schema_cache) — and
+// implements the memoized build-or-cut lookup, precompile and the
 // artifact export/import once. A derived solver names the one object it
 // derives from each schema when it constructs this base, and keeps only
 // its execute half.
@@ -45,10 +45,10 @@ class RegenerativeSolver : public TransientSolver {
       double t, double eps) const;
 
  protected:
-  /// Preconditions: paper structure (S strongly connected, f_i absorbing);
-  /// `regenerative_state` in S; rewards >= 0; `initial` a distribution with
-  /// no mass on absorbing states; options.epsilon > 0. Every artifact of
-  /// the memo carries what `derive` sets on it.
+  /// Preconditions: TransientSolver's; paper structure (S strongly
+  /// connected, f_i absorbing); `regenerative_state` in S; no initial mass
+  /// on absorbing states. Every artifact of the memo carries what `derive`
+  /// sets on it.
   RegenerativeSolver(const Ctmc& chain, std::vector<double> rewards,
                      std::vector<double> initial, index_t regenerative_state,
                      const RegenerativeOptions& options,
@@ -60,14 +60,6 @@ class RegenerativeSolver : public TransientSolver {
     return true;
   }
 
-  /// The constructed eps: a request's when it carries none.
-  [[nodiscard]] double epsilon() const noexcept {
-    return schema_options_.epsilon;
-  }
-
-  const Ctmc& chain_;
-  std::vector<double> rewards_;
-  std::vector<double> initial_;
   index_t regenerative_;
 
  private:

@@ -29,22 +29,16 @@ RegenerativeRandomization::RegenerativeRandomization(
 bool RegenerativeRandomization::shares_pass(const SolveRequest& a,
                                             const SolveRequest& b) const {
   if (a.times.empty() || b.times.empty()) return false;
-  const auto schema_key = [this](const SolveRequest& r) {
-    return std::make_pair(r.epsilon > 0.0 ? r.epsilon : epsilon(),
-                          std::ranges::max(r.times));
-  };
-  return schema_key(a) == schema_key(b);
+  return effective_epsilon(a) == effective_epsilon(b) &&
+         std::ranges::max(a.times) == std::ranges::max(b.times);
 }
 
 std::vector<SharedResult> RegenerativeRandomization::solve_shared(
     std::span<const SolveRequest* const> requests,
     SolveWorkspace& workspace) const {
-  return solve_in_groups(
-      requests, epsilon(),
-      [&](std::span<const std::size_t> readers, double eps,
-          std::span<SharedResult> results) {
-        run_pass(requests, readers, eps, results, workspace);
-      });
+  return solve_in_groups(requests, [&](auto readers, double eps, auto out) {
+    run_pass(requests, readers, eps, out, workspace);
+  });
 }
 
 void RegenerativeRandomization::run_pass(

@@ -60,29 +60,22 @@ class RegenerativeRandomization : public RegenerativeSolver {
     return kDescription;
   }
 
-  /// Amortized sweep: ONE schema computed at the largest grid time (valid
-  /// for the smaller times because the truncation bound decreases in K for
-  /// every fixed t) and ONE standard-randomization pass of V_{K,L} feeding
-  /// all grid points — the dominant K model-sized DTMC steps and the
-  /// ~Lambda*t_max V-steps are both paid once for the whole grid. The
-  /// workspace buffers carry the V-model solve's vector iterates. This is
-  /// solve_shared with one request.
-  using TransientSolver::solve_grid;
-  [[nodiscard]] SolveReport solve_grid(
-      const SolveRequest& request, SolveWorkspace& workspace) const override {
-    return solve_alone(request, workspace);
-  }
-
   /// The V-pass depends only on the compiled schema: requests with the
   /// same effective eps and the same largest time share it (an empty grid
   /// shares with nothing).
   [[nodiscard]] bool shares_pass(const SolveRequest& a,
                                  const SolveRequest& b) const override;
 
-  /// One compile and one V-pass per group of requests that share it: the
+  /// Amortized sweep: ONE schema computed at the largest grid time (valid
+  /// for the smaller times because the truncation bound decreases in K for
+  /// every fixed t) and ONE standard-randomization pass of V_{K,L} feeding
+  /// all grid points — the dominant K model-sized DTMC steps and the
+  /// ~Lambda*t_max V-steps are both paid once for the whole grid. One
+  /// compile and one V-pass per group of requests that share it: the
   /// group's V_{K,L} is solved by standard randomization at eps/2, every
   /// member a reader of that one iterate (StandardRandomization::
-  /// solve_shared). Each report is bitwise its solve_grid report.
+  /// solve_shared), whose vector iterates the workspace buffers carry.
+  /// Each report is bitwise its solve_grid report.
   [[nodiscard]] std::vector<SharedResult> solve_shared(
       std::span<const SolveRequest* const> requests,
       SolveWorkspace& workspace) const override;

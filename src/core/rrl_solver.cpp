@@ -21,7 +21,6 @@ RegenerativeRandomizationLaplace::RegenerativeRandomizationLaplace(
             compiled.transform =
                 std::make_shared<const TrrTransform>(compiled.schema);
           }),
-      r_max_(max_reward(rewards_)),
       options_(options) {
   RRL_EXPECTS(options_.t_multiplier > 0.0);
   RRL_EXPECTS(options_.max_terms > CrumpOptions{}.min_terms);
@@ -103,77 +102,78 @@ RegenerativeRandomizationLaplace::bounds(double t, MeasureKind kind) const {
   return b;
 }
 
-SolveReport RegenerativeRandomizationLaplace::solve_grid(
-    const SolveRequest& request, SolveWorkspace& workspace) const {
-  const Stopwatch watch;
-  const double eps = validated_epsilon(request, epsilon());
-  const std::size_t m = request.times.size();
-
-  SolveReport report;
-  report.points.resize(m);
-  if (r_max_ == 0.0) {
-    report.total.seconds = watch.seconds();
-    return report;  // all rewards zero => measure identically zero
-  }
-
-  // TRR(0) needs no transform: it is the initial reward rate.
-  const auto reward_idx = nonzero_reward_states(rewards_);
-  const double t_max = std::ranges::max(request.times);
-  if (t_max == 0.0) {
-    for (TransientValue& p : report.points) {
-      p.value = sparse_reward_dot(reward_idx, rewards_, initial_);
+std::vector<SharedResult> RegenerativeRandomizationLaplace::solve_shared(
+    std::span<const SolveRequest* const> requests,
+    SolveWorkspace& workspace) const {
+  // No two requests share a pass: each group is one request.
+  return solve_in_groups(requests, [&](auto readers, double eps, auto out) {
+    const Stopwatch watch;
+    const SolveRequest& request = *requests[readers.front()];
+    SolveReport& report = out[readers.front()].report;
+    const std::size_t m = request.times.size();
+    report.points.resize(m);
+    if (r_max_ == 0.0) {
+      report.total.seconds = watch.seconds();
+      return;  // all rewards zero => measure identically zero
     }
-    report.total.seconds = watch.seconds();
-    return report;
-  }
 
-  // One schema for the whole sweep, computed at the largest time: for
-  // t < t_max the truncation bound at K(t_max) is only smaller
-  // (E[(N(Lambda t) - K)^+] decreases in K), so the longer series remains
-  // within budget at every requested time. The compiled artifact (schema +
-  // transform evaluator) is memoized per (t_max, eps), and a new key is
-  // cut from the longest memoized series when it fits, so repeated sweeps
-  // — the other measure, a different grid resolution or eps, the study
-  // subsystem's shared solvers — pay the K model steps once.
-  const auto compiled = compiled_for(t_max, eps);
-  const RegenerativeSchema& sch = compiled->schema;
-  const TrrTransform& transform = *compiled->transform;
+    // TRR(0) needs no transform: it is the initial reward rate.
+    const double t_max = std::ranges::max(request.times);
+    if (t_max == 0.0) {
+      for (TransientValue& p : report.points) {
+        p.value = sparse_reward_dot(reward_idx_, rewards_, initial_);
+      }
+      report.total.seconds = watch.seconds();
+      return;
+    }
 
-  // The inversions are independent per time point: each reads the
-  // transform through const methods and writes its own slot, so a lent
-  // pool may spread them (pooled_loop() is null inside a sweep worker).
-  const auto invert_point = [&](std::size_t i) {
-    const Stopwatch point_watch;
-    const double t = request.times[i];
-    if (t == 0.0) {
-      report.points[i].value =
-          sparse_reward_dot(reward_idx, rewards_, initial_);
+    // One schema for the whole sweep, computed at the largest time: for
+    // t < t_max the truncation bound at K(t_max) is only smaller
+    // (E[(N(Lambda t) - K)^+] decreases in K), so the longer series remains
+    // within budget at every requested time. The compiled artifact (schema +
+    // transform evaluator) is memoized per (t_max, eps), and a new key is
+    // cut from the longest memoized series when it fits, so repeated sweeps
+    // — the other measure, a different grid resolution or eps, the study
+    // subsystem's shared solvers — pay the K model steps once.
+    const auto compiled = compiled_for(t_max, eps);
+    const RegenerativeSchema& sch = compiled->schema;
+    const TrrTransform& transform = *compiled->transform;
+
+    // The inversions are independent per time point: each reads the
+    // transform through const methods and writes its own slot, so a lent
+    // pool may spread them (pooled_loop() is null inside a sweep worker).
+    const auto invert_point = [&](std::size_t i) {
+      const Stopwatch point_watch;
+      const double t = request.times[i];
+      if (t == 0.0) {
+        report.points[i].value =
+            sparse_reward_dot(reward_idx_, rewards_, initial_);
+      } else {
+        report.points[i] = invert(transform, t, request.measure, eps);
+      }
+      report.points[i].stats.dtmc_steps = sch.dtmc_steps();
+      report.points[i].stats.lambda = sch.lambda;
+      report.points[i].stats.capped = sch.capped;
+      report.points[i].stats.seconds = point_watch.seconds();
+    };
+    ThreadPool* const pool = workspace.pooled_loop();
+    if (pool != nullptr && lent_pool_use(request) != LentPoolUse::kNone) {
+      pool->parallel_for(m, invert_point);
     } else {
-      report.points[i] = invert(transform, t, request.measure, eps);
+      for (std::size_t i = 0; i < m; ++i) invert_point(i);
     }
-    report.points[i].stats.dtmc_steps = sch.dtmc_steps();
-    report.points[i].stats.lambda = sch.lambda;
-    report.points[i].stats.capped = sch.capped;
-    report.points[i].stats.seconds = point_watch.seconds();
-  };
-  ThreadPool* const pool = workspace.pooled_loop();
-  if (pool != nullptr && lent_pool_use(request) != LentPoolUse::kNone) {
-    pool->parallel_for(m, invert_point);
-  } else {
-    for (std::size_t i = 0; i < m; ++i) invert_point(i);
-  }
 
-  report.total.dtmc_steps = sch.dtmc_steps();
-  report.total.lambda = sch.lambda;
-  report.total.capped = sch.capped;
-  for (const TransientValue& p : report.points) {
-    report.total.abscissae += p.stats.abscissae;
-    report.total.laplace_seconds += p.stats.laplace_seconds;
-    report.total.inversion_converged =
-        report.total.inversion_converged && p.stats.inversion_converged;
-  }
-  report.total.seconds = watch.seconds();
-  return report;
+    report.total.dtmc_steps = sch.dtmc_steps();
+    report.total.lambda = sch.lambda;
+    report.total.capped = sch.capped;
+    for (const TransientValue& p : report.points) {
+      report.total.abscissae += p.stats.abscissae;
+      report.total.laplace_seconds += p.stats.laplace_seconds;
+      report.total.inversion_converged =
+          report.total.inversion_converged && p.stats.inversion_converged;
+    }
+    report.total.seconds = watch.seconds();
+  });
 }
 
 }  // namespace rrl

@@ -15,6 +15,7 @@
 // headline speedup over RR (which steps V_{K,L} ~ Lambda*t times) and SR.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/regenerative_solver.hpp"
@@ -66,12 +67,13 @@ class RegenerativeRandomizationLaplace : public RegenerativeSolver {
   /// numerical inversion per point (the dominant K model-sized DTMC steps
   /// are paid once for the whole grid). Valid because the truncation bound
   /// is decreasing in K for every fixed t, so the K(t_max) series
-  /// over-covers smaller t. The inversions work on schema-sized series, not
-  /// model-sized vectors, so RRL reads no workspace buffer; a grid of more
-  /// than two points spreads its inversions over the workspace's lent pool.
-  using TransientSolver::solve_grid;
-  [[nodiscard]] SolveReport solve_grid(
-      const SolveRequest& request, SolveWorkspace& workspace) const override;
+  /// over-covers smaller t. Every request is its own group: the inversions
+  /// work on schema-sized series, not model-sized vectors, so RRL reads no
+  /// workspace buffer; a grid of more than two points spreads its
+  /// inversions over the workspace's lent pool.
+  [[nodiscard]] std::vector<SharedResult> solve_shared(
+      std::span<const SolveRequest* const> requests,
+      SolveWorkspace& workspace) const override;
   [[nodiscard]] LentPoolUse lent_pool_use(
       const SolveRequest& request) const override {
     return request.times.size() > 2 ? LentPoolUse::kPart : LentPoolUse::kNone;
@@ -102,7 +104,6 @@ class RegenerativeRandomizationLaplace : public RegenerativeSolver {
   [[nodiscard]] double truncation_error_bound(const RegenerativeSchema& sch,
                                               double t) const;
 
-  double r_max_ = 0.0;
   RrlOptions options_;
 };
 

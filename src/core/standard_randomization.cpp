@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/compiled_artifact.hpp"
 #include "core/grid_sweep.hpp"
 #include "markov/poisson.hpp"
 #include "sparse/vector_ops.hpp"
@@ -35,25 +34,10 @@ StandardRandomization::StandardRandomization(const Ctmc& chain,
                                              std::vector<double> rewards,
                                              std::vector<double> initial,
                                              SrOptions options)
-    : chain_(chain),
-      rewards_(std::move(rewards)),
-      initial_(std::move(initial)),
-      options_(options),
-      dtmc_(chain, options.rate_factor) {
-  RRL_EXPECTS(options_.epsilon > 0.0);
-  RRL_EXPECTS(static_cast<index_t>(rewards_.size()) == chain.num_states());
-  check_distribution(initial_, chain.num_states());
-  reward_idx_ = nonzero_reward_states(rewards_);
-  r_max_ = max_reward(rewards_);
-}
-
-void StandardRandomization::export_compiled(CompiledArtifact& artifact) const {
-  export_dtmc(dtmc_.get(), artifact);
-}
-
-void StandardRandomization::import_compiled(CompiledArtifact&& artifact) {
-  import_dtmc(artifact, dtmc_);
-}
+    : RandomizedSolver(chain, std::move(rewards), std::move(initial),
+                       options.epsilon, options.rate_factor,
+                       LentPoolUse::kHotLoop),
+      options_(options) {}
 
 std::vector<SharedResult> StandardRandomization::solve_shared(
     std::span<const SolveRequest* const> requests,
@@ -72,7 +56,7 @@ std::vector<SharedResult> StandardRandomization::solve_shared(
     const SolveRequest& request = *requests[k];
     SolveReport& report = results[k].report;
     try {
-      const double eps = validated_epsilon(request, options_.epsilon);
+      const double eps = validated_epsilon(request);
       report = SolveReport::blank(request.times.size(), dtmc.lambda());
       // All rewards zero: both measures are identically zero.
       if (r_max_ == 0.0) continue;

@@ -7,14 +7,12 @@
 // steps: the cost the paper's new variant is designed to avoid.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
+#include "core/randomized_solver.hpp"
 #include "core/solver.hpp"
-#include "core/transient_solver.hpp"
 #include "markov/ctmc.hpp"
-#include "markov/dtmc.hpp"
 
 namespace rrl {
 
@@ -41,8 +39,9 @@ struct SrOptions {
 };
 
 /// Standard randomization solver bound to one (chain, rewards, initial
-/// distribution) triple; trr/mrr may be called for many time points.
-class StandardRandomization : public TransientSolver {
+/// distribution) triple; trr/mrr may be called for many time points. Its
+/// steps are the hot loop a lent pool carries.
+class StandardRandomization : public RandomizedSolver {
  public:
   StandardRandomization(const Ctmc& chain, std::vector<double> rewards,
                         std::vector<double> initial, SrOptions options = {});
@@ -59,17 +58,6 @@ class StandardRandomization : public TransientSolver {
     return kDescription;
   }
 
-  /// Amortized sweep: ONE randomization pass over the Pi-vector; at every
-  /// step the reward coefficient d(n) feeds each grid point's Poisson
-  /// mixture, so the whole grid costs the truncation point of the largest
-  /// time instead of the sum over points. This is solve_shared with one
-  /// request.
-  using TransientSolver::solve_grid;
-  [[nodiscard]] SolveReport solve_grid(
-      const SolveRequest& request, SolveWorkspace& workspace) const override {
-    return solve_alone(request, workspace);
-  }
-
   /// The iterate pi_0 P^n is the same for every request, so one pass
   /// answers any set of them.
   [[nodiscard]] bool shares_pass(const SolveRequest& /*a*/,
@@ -77,39 +65,19 @@ class StandardRandomization : public TransientSolver {
     return true;
   }
 
-  /// Its steps take a lent pool once P's stored entries reach the floor.
-  [[nodiscard]] LentPoolUse lent_pool_use(const SolveRequest&) const override {
-    return dtmc_.get().transition_transposed().nnz() >=
-                   SolveWorkspace::kMinPooledNnz
-               ? LentPoolUse::kHotLoop
-               : LentPoolUse::kNone;
-  }
-
-  /// One iterate, many readers: each step's d(n) feeds every request's
-  /// GridSweep still inside its truncation point, and the pass ends at
-  /// the longest one. Every reader sees the products and dots its solo
-  /// pass would, so each report is bitwise its solve_grid report.
+  /// Amortized sweep: ONE randomization pass over the Pi-vector; at every
+  /// step the reward coefficient d(n) feeds each grid point's Poisson
+  /// mixture of every request still inside its truncation point, so a
+  /// grid costs the truncation point of its largest time instead of the
+  /// sum over points, and the pass ends at the longest request. Every
+  /// reader sees the products and dots its solo pass would, so each
+  /// report is bitwise its solve_grid report.
   [[nodiscard]] std::vector<SharedResult> solve_shared(
       std::span<const SolveRequest* const> requests,
       SolveWorkspace& workspace) const override;
 
-  /// Compile → execute split: SR's compiled state is the randomized DTMC
-  /// (P transposed in CSR gather form, self-loops, Lambda), built on first
-  /// use or adopted from an import.
-  void compile() const override { (void)dtmc_.get(); }
-  void export_compiled(CompiledArtifact& artifact) const override;
-  void import_compiled(CompiledArtifact&& artifact) override;
-
-  [[nodiscard]] double lambda() const { return dtmc_.get().lambda(); }
-
  private:
-  const Ctmc& chain_;
-  std::vector<double> rewards_;
-  std::vector<double> initial_;
-  std::vector<index_t> reward_idx_;
-  double r_max_ = 0.0;
   SrOptions options_;
-  LazyDtmc dtmc_;
 };
 
 }  // namespace rrl

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/compiled_artifact.hpp"
 #include "core/grid_sweep.hpp"
 #include "markov/poisson.hpp"
 #include "sparse/vector_ops.hpp"
@@ -14,26 +13,11 @@ namespace rrl {
 RandomizationSteadyStateDetection::RandomizationSteadyStateDetection(
     const Ctmc& chain, std::vector<double> rewards,
     std::vector<double> initial, RsdOptions options)
-    : chain_(chain),
-      rewards_(std::move(rewards)),
-      initial_(std::move(initial)),
-      options_(options),
-      dtmc_(chain, options.rate_factor, /*row_form=*/true) {
-  RRL_EXPECTS(options_.epsilon > 0.0);
-  RRL_EXPECTS(static_cast<index_t>(rewards_.size()) == chain.num_states());
+    : RandomizedSolver(chain, std::move(rewards), std::move(initial),
+                       options.epsilon, options.rate_factor,
+                       LentPoolUse::kHotLoop, /*row_form=*/true),
+      options_(options) {
   RRL_EXPECTS(chain.absorbing_states().empty());  // irreducible models only
-  check_distribution(initial_, chain.num_states());
-  r_max_ = max_reward(rewards_);
-}
-
-void RandomizationSteadyStateDetection::export_compiled(
-    CompiledArtifact& artifact) const {
-  export_dtmc(dtmc_.get(), artifact);
-}
-
-void RandomizationSteadyStateDetection::import_compiled(
-    CompiledArtifact&& artifact) {
-  import_dtmc(artifact, dtmc_);
 }
 
 std::vector<SharedResult> RandomizationSteadyStateDetection::solve_shared(
@@ -58,10 +42,8 @@ std::vector<SharedResult> RandomizationSteadyStateDetection::solve_shared(
     const SolveRequest& request = *requests[k];
     SolveReport& report = results[k].report;
     try {
-      const double eps = validated_epsilon(request, options_.epsilon);
+      const double eps = validated_epsilon(request);
       report = SolveReport::blank(request.times.size(), lambda);
-      for (TransientValue& p : report.points) p.stats.detection_step = -1;
-      report.total.detection_step = -1;
       if (r_max_ == 0.0) continue;
       // Poisson truncation with eps/2 per point (the other eps/2 covers
       // detection), with the active-set retirement scan shared with SR.

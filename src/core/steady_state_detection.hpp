@@ -22,10 +22,9 @@
 #include <span>
 #include <vector>
 
+#include "core/randomized_solver.hpp"
 #include "core/solver.hpp"
-#include "core/transient_solver.hpp"
 #include "markov/ctmc.hpp"
-#include "markov/dtmc.hpp"
 
 namespace rrl {
 
@@ -42,7 +41,13 @@ struct RsdOptions {
 };
 
 /// Steady-state-detecting randomization solver for irreducible models.
-class RandomizationSteadyStateDetection : public TransientSolver {
+/// Its steps are the hot loop a lent pool carries. The backward product
+/// w <- P w runs over P in row form, which the DTMC (storing P transposed,
+/// the forward-stepping layout) materializes once per solver: the scatter
+/// kernel over P^T cannot be row-partitioned without write conflicts,
+/// while the gather product is the same kernel serial and pooled, so
+/// results are identical for every worker count.
+class RandomizationSteadyStateDetection : public RandomizedSolver {
  public:
   /// Precondition: `chain` is irreducible (A = 0).
   RandomizationSteadyStateDetection(const Ctmc& chain,
@@ -62,17 +67,6 @@ class RandomizationSteadyStateDetection : public TransientSolver {
     return kDescription;
   }
 
-  /// Amortized sweep: ONE backward pass w_n = P^n r shared by every grid
-  /// point (the coefficients d(n) = alpha . w_n are time-independent), and
-  /// a single span-seminorm detection folds the remaining Poisson mass of
-  /// every still-active point at once. This is solve_shared with one
-  /// request.
-  using TransientSolver::solve_grid;
-  [[nodiscard]] SolveReport solve_grid(
-      const SolveRequest& request, SolveWorkspace& workspace) const override {
-    return solve_alone(request, workspace);
-  }
-
   /// The iterate P^n r is the same for every request, so one pass answers
   /// any set of them.
   [[nodiscard]] bool shares_pass(const SolveRequest& /*a*/,
@@ -80,44 +74,20 @@ class RandomizationSteadyStateDetection : public TransientSolver {
     return true;
   }
 
-  /// Its steps take a lent pool once P's stored entries reach the floor.
-  [[nodiscard]] LentPoolUse lent_pool_use(const SolveRequest&) const override {
-    return dtmc_.row_form().nnz() >= SolveWorkspace::kMinPooledNnz
-               ? LentPoolUse::kHotLoop
-               : LentPoolUse::kNone;
-  }
-
-  /// One iterate, many readers: each step's d(n) = alpha . w_n and
-  /// span(w_n) are computed once; every request keeps its own truncation,
-  /// detection tolerance, fold step and exit step, and the pass ends when
-  /// the last request exits. Each report is bitwise its solve_grid report.
+  /// Amortized sweep: ONE backward pass w_n = P^n r shared by every grid
+  /// point of every request (the coefficients d(n) = alpha . w_n are
+  /// time-independent), with d(n) and span(w_n) computed once per step.
+  /// Every request keeps its own truncation, detection tolerance, fold
+  /// step and exit step: a single span-seminorm detection folds the
+  /// remaining Poisson mass of all its still-active points at once, and
+  /// the pass ends when the last request exits. Each report is bitwise
+  /// its solve_grid report.
   [[nodiscard]] std::vector<SharedResult> solve_shared(
       std::span<const SolveRequest* const> requests,
       SolveWorkspace& workspace) const override;
 
-  /// Compile → execute split: RSD's compiled state is the randomized DTMC,
-  /// built on first use or adopted from an import; the row-form P for the
-  /// backward pass is derived from it by exact transposition either way.
-  void compile() const override { (void)dtmc_.get(); }
-  void export_compiled(CompiledArtifact& artifact) const override;
-  void import_compiled(CompiledArtifact&& artifact) override;
-
-  [[nodiscard]] double lambda() const { return dtmc_.get().lambda(); }
-
  private:
-  const Ctmc& chain_;
-  std::vector<double> rewards_;
-  std::vector<double> initial_;
-  double r_max_ = 0.0;
   RsdOptions options_;
-  /// The randomized DTMC with P in gather (row) form for the backward
-  /// product w <- P w. The DTMC stores P transposed (the forward-stepping
-  /// layout); the backward pass used to run the scatter kernel over it,
-  /// which cannot be row-partitioned without write conflicts.
-  /// Materializing P once per solver (doubling the matrix memory) turns
-  /// every backward step into a gather product — the same kernel serial
-  /// and pooled, so results are identical for every worker count.
-  LazyDtmc dtmc_;
 };
 
 }  // namespace rrl

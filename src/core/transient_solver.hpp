@@ -7,8 +7,8 @@
 // stats per time, plus the aggregate work of the sweep), implemented by
 // every solver behind the abstract TransientSolver base.
 //
-// The grid entry point solve_grid() is a first-class *amortized* hot path,
-// not a loop over single solves:
+// solve_shared() is every solver's one execute entry, and each request's
+// grid is answered by an *amortized* pass, not a loop over single solves:
 //   SR   one randomization pass; every step's d(n) = r . (alpha P^n) feeds
 //        the Poisson mixtures of all grid points at once;
 //   RSD  one backward pass w_n = P^n r shared by all points, with a single
@@ -16,7 +16,8 @@
 //   RR   one schema + one V_{K,L} randomization pass for the whole grid;
 //   RRL  one schema, one numerical inversion per point.
 // For SR/RSD/RR this makes an m-point sweep cost essentially one solve at
-// the largest time instead of m solves.
+// the largest time instead of m solves. solve_grid() is solve_shared()
+// with one request.
 //
 // solve_shared() widens the same idea across requests: a request's
 // measure, eps and grid decide how a pass is READ, not always what it
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "core/solver.hpp"
+#include "markov/ctmc.hpp"
 #include "sparse/workspace.hpp"
 
 namespace rrl {
@@ -133,9 +135,9 @@ enum class LentPoolUse { kNone, kPart, kHotLoop };
 /// their model at construction (see the registry for by-name construction).
 ///
 /// Threading contract: solvers are immutable after construction, so ONE
-/// solver instance may serve concurrent solve_grid() calls — provided every
-/// calling thread brings its own SolveWorkspace (the per-solve mutable
-/// state). The sweep engine relies on exactly this.
+/// solver instance may serve concurrent solve_shared() calls — provided
+/// every calling thread brings its own SolveWorkspace (the per-solve
+/// mutable state). The sweep engine relies on exactly this.
 class TransientSolver {
  public:
   virtual ~TransientSolver() = default;
@@ -146,14 +148,28 @@ class TransientSolver {
   /// One-line human-readable description of the method.
   [[nodiscard]] virtual std::string_view description() const noexcept = 0;
 
-  /// Solve the whole request with the method's amortized sweep, using the
-  /// caller's reusable buffers for the model-sized vector iterates. Safe to
+  /// One pass, many readers: result i answers *requests[i], bitwise equal
+  /// to solve_grid(*requests[i]) (timings aside). Each request is
+  /// validated on its own; one that throws records its exception in its
+  /// own result and the others still run. A method whose pass serves
+  /// several requests (shares_pass) steps it once for all of them. The
+  /// caller's workspace carries the model-sized vector iterates. Safe to
   /// call concurrently on one solver with distinct workspaces.
-  [[nodiscard]] virtual SolveReport solve_grid(
-      const SolveRequest& request, SolveWorkspace& workspace) const = 0;
+  [[nodiscard]] virtual std::vector<SharedResult> solve_shared(
+      std::span<const SolveRequest* const> requests,
+      SolveWorkspace& workspace) const = 0;
 
-  /// Convenience overload with a throwaway workspace. (Derived classes
-  /// re-expose it with `using TransientSolver::solve_grid;`.)
+  /// solve_shared with one request, its exception rethrown.
+  [[nodiscard]] SolveReport solve_grid(const SolveRequest& request,
+                                       SolveWorkspace& workspace) const {
+    const SolveRequest* const one = &request;
+    SharedResult result =
+        std::move(solve_shared({&one, 1}, workspace).front());
+    if (result.error) std::rethrow_exception(result.error);
+    return std::move(result.report);
+  }
+
+  /// Convenience overload with a throwaway workspace.
   [[nodiscard]] SolveReport solve_grid(const SolveRequest& request) const {
     SolveWorkspace workspace;
     return solve_grid(request, workspace);
@@ -171,27 +187,6 @@ class TransientSolver {
   /// What a lent pool would carry of solve_grid(request) (see run_sweep).
   [[nodiscard]] virtual LentPoolUse lent_pool_use(const SolveRequest&) const {
     return LentPoolUse::kNone;
-  }
-
-  /// One pass, many readers: result i answers *requests[i], bitwise equal
-  /// to solve_grid(*requests[i]) (timings aside). Each request is
-  /// validated on its own; one that throws records its exception in its
-  /// own result and the others still run. A method whose pass serves
-  /// several requests (shares_pass) steps it once for all of them; the
-  /// default runs solve_grid once per request. Safe to call concurrently
-  /// with distinct workspaces.
-  [[nodiscard]] virtual std::vector<SharedResult> solve_shared(
-      std::span<const SolveRequest* const> requests,
-      SolveWorkspace& workspace) const {
-    std::vector<SharedResult> results(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      try {
-        results[i].report = solve_grid(*requests[i], workspace);
-      } catch (...) {
-        results[i].error = std::current_exception();
-      }
-    }
-    return results;
   }
 
   /// The compile half of solve_grid(request), run ahead of it: the
@@ -257,33 +252,51 @@ class TransientSolver {
   }
 
  protected:
-  /// Shared solve_grid() entry validation: non-empty grid, per-point time
-  /// sign per measure (t >= 0 for TRR, t > 0 for MRR), and resolution of
-  /// the request epsilon against the solver's constructed one. Returns the
+  /// Binds the rewarded chain. Preconditions: one reward r >= 0 per state,
+  /// `initial` a distribution over the states, epsilon > 0.
+  TransientSolver(const Ctmc& chain, std::vector<double> rewards,
+                  std::vector<double> initial, double epsilon)
+      : chain_(chain),
+        rewards_(std::move(rewards)),
+        initial_(std::move(initial)),
+        reward_idx_(nonzero_reward_states(rewards_)),
+        r_max_(max_reward(rewards_)),
+        epsilon_(epsilon) {
+    RRL_EXPECTS(epsilon_ > 0.0);
+    RRL_EXPECTS(static_cast<index_t>(rewards_.size()) == chain.num_states());
+    check_distribution(initial_, chain.num_states());
+  }
+
+  /// The constructed eps: a request's when it carries none.
+  [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
+
+  /// The eps a request is answered at: its own, else the constructed one.
+  [[nodiscard]] double effective_epsilon(
+      const SolveRequest& request) const noexcept {
+    return request.epsilon > 0.0 ? request.epsilon : epsilon_;
+  }
+
+  /// Entry validation of one request: non-empty grid and per-point time
+  /// sign per measure (t >= 0 for TRR, t > 0 for MRR). Returns the
   /// effective epsilon.
-  [[nodiscard]] static double validated_epsilon(const SolveRequest& request,
-                                                double constructed_epsilon) {
+  [[nodiscard]] double validated_epsilon(const SolveRequest& request) const {
     RRL_EXPECTS(!request.times.empty());
     for (const double t : request.times) {
       RRL_EXPECTS(request.measure == MeasureKind::kTrr ? t >= 0.0 : t > 0.0);
     }
-    const double eps =
-        request.epsilon > 0.0 ? request.epsilon : constructed_epsilon;
-    RRL_EXPECTS(eps > 0.0);
-    return eps;
+    return effective_epsilon(request);
   }
 
   /// solve_shared of a method whose pass depends on the request (Krylov,
-  /// RR): requests are taken in order, each with every later request that
-  /// shares its pass, and `pass(readers, eps, results)` answers one such
-  /// group — `readers` are the members that passed entry validation, `eps`
-  /// their common effective epsilon. A member failing validation, or a
-  /// group whose pass throws, records the exception in its own results
+  /// RR, RRL): requests are taken in order, each with every later request
+  /// that shares its pass, and `pass(readers, eps, results)` answers one
+  /// such group — `readers` are the members that passed entry validation,
+  /// `eps` their common effective epsilon. A member failing validation, or
+  /// a group whose pass throws, records the exception in its own results
   /// only.
   template <typename Pass>
   [[nodiscard]] std::vector<SharedResult> solve_in_groups(
-      std::span<const SolveRequest* const> requests,
-      double constructed_epsilon, Pass&& pass) const {
+      std::span<const SolveRequest* const> requests, Pass&& pass) const {
     std::vector<SharedResult> results(requests.size());
     std::vector<std::uint8_t> grouped(requests.size(), 0);
     std::vector<std::size_t> readers;
@@ -298,7 +311,7 @@ class TransientSolver {
         }
         grouped[j] = 1;
         try {
-          eps = validated_epsilon(*requests[j], constructed_epsilon);
+          eps = validated_epsilon(*requests[j]);
           readers.push_back(j);
         } catch (...) {
           results[j].error = std::current_exception();
@@ -317,16 +330,17 @@ class TransientSolver {
     return results;
   }
 
-  /// solve_grid of a method whose solve_shared is its only loop: one
-  /// reader, its exception rethrown.
-  [[nodiscard]] SolveReport solve_alone(const SolveRequest& request,
-                                        SolveWorkspace& workspace) const {
-    const SolveRequest* const one = &request;
-    SharedResult result =
-        std::move(solve_shared({&one, 1}, workspace).front());
-    if (result.error) std::rethrow_exception(result.error);
-    return std::move(result.report);
-  }
+  /// The rewarded chain every method solves: the chain (borrowed; it must
+  /// outlive the solver), one reward rate per state, the initial
+  /// distribution, the states of nonzero reward (ascending) and r_max.
+  const Ctmc& chain_;
+  std::vector<double> rewards_;
+  std::vector<double> initial_;
+  std::vector<index_t> reward_idx_;
+  double r_max_;
+
+ private:
+  double epsilon_;
 };
 
 /// `count` log-spaced time points covering [lo, hi] inclusive (count >= 1;

@@ -80,11 +80,7 @@ std::optional<CompiledArtifact> ArtifactStore::load(
     const SolverConfig& config) const {
   const std::string path = entry_path(model_hash, solver, config);
   std::error_code ec;
-  if (!fs::exists(path, ec) || ec) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.misses;
-    return std::nullopt;
-  }
+  if (!fs::exists(path, ec) || ec) return std::nullopt;
   try {
     const trace::Span span("artifact.load");
     CompiledArtifact artifact = read_artifact_file(path);
@@ -96,16 +92,11 @@ std::optional<CompiledArtifact> ArtifactStore::load(
     // still serves hits, it just ages like nobody used it.
     std::error_code touch_ec;
     fs::last_write_time(path, fs::file_time_type::clock::now(), touch_ec);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.hits;
     store_counters().loads.add(1);
     return artifact;
   } catch (const std::exception&) {
     // Corrupt, truncated, foreign or stale: a miss, never an error — the
     // caller recompiles and a later store() replaces the bad file.
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.misses;
-    ++stats_.invalid;
     store_counters().invalid.add(1);
     return std::nullopt;
   }
@@ -134,8 +125,6 @@ bool ArtifactStore::store(const CompiledArtifact& artifact) const {
     fs::remove(temp, ec);
     return false;  // cache write lost; correctness unaffected
   }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.stores;
   store_counters().stores.add(1);
   return true;
 }
@@ -229,11 +218,6 @@ ArtifactGcStats ArtifactStore::gc(std::uint64_t cap_bytes) const {
     ec.clear();
   }
   return out;
-}
-
-ArtifactStoreStats ArtifactStore::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 }  // namespace rrl

@@ -41,22 +41,12 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 
 #include "core/compiled_artifact.hpp"
 
 namespace rrl {
-
-/// Two-tier accounting of the disk side (monotone).
-struct ArtifactStoreStats {
-  std::size_t hits = 0;     ///< loads that returned a verified artifact
-  std::size_t misses = 0;   ///< loads that found no usable file
-  std::size_t invalid = 0;  ///< subset of misses: file present but
-                            ///< corrupt/stale/foreign
-  std::size_t stores = 0;   ///< artifacts written
-};
 
 /// Outcome of one gc() sweep.
 struct ArtifactGcStats {
@@ -105,12 +95,8 @@ class ArtifactStore {
   /// eviction order ties break by path so sweeps are deterministic.
   ArtifactGcStats gc(std::uint64_t cap_bytes = 0) const;
 
-  [[nodiscard]] ArtifactStoreStats stats() const;
-
  private:
   std::string root_;
-  mutable std::mutex mutex_;
-  mutable ArtifactStoreStats stats_;
 };
 
 }  // namespace rrl

@@ -74,7 +74,6 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
-    ++stats_.hits;
     cache_counters().mem_hits.add(1);
     if (tier != nullptr) *tier = CacheTier::kMemory;
     return it->second.solver;
@@ -88,10 +87,8 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
     artifact = store_->load(key.model_hash, solver_name, config);
     if (artifact.has_value()) {
       resolved = CacheTier::kDisk;
-      ++stats_.disk_hits;
       cache_counters().disk_hits.add(1);
     } else {
-      ++stats_.disk_misses;
       cache_counters().disk_misses.add(1);
     }
   }
@@ -102,10 +99,8 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
     artifact = fetcher_(key);
     if (artifact.has_value()) {
       resolved = CacheTier::kFetched;
-      ++stats_.fetch_hits;
       cache_counters().fetch_hits.add(1);
     } else {
-      ++stats_.fetch_misses;
       cache_counters().fetch_misses.add(1);
     }
   }
@@ -131,7 +126,6 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
     }
   }
   std::shared_ptr<const TransientSolver> solver = std::move(built);
-  ++stats_.misses;
   if (tier != nullptr) {
     *tier = entry.imported ? resolved : CacheTier::kCompiled;
   }
@@ -215,16 +209,10 @@ std::size_t SolverCache::flush_to_store() {
     }
     if (store_->store(artifact)) {
       ++written;
-      ++stats_.disk_stores;
       cache_counters().disk_stores.add(1);
     }
   }
   return written;
-}
-
-SolverCacheStats SolverCache::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 std::size_t SolverCache::size() const {

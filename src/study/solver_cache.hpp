@@ -98,22 +98,6 @@ enum class CacheTier {
   }
 }
 
-/// Tiered hit/miss accounting (monotone). `misses` counts every memory
-/// miss; `disk_hits` the subset warm-started from the disk tier,
-/// `disk_misses` the subset that consulted the disk and came up empty
-/// (both stay 0 without an attached store). `fetch_hits`/`fetch_misses`
-/// are the same split for the fetcher hook — a remote worker's
-/// parent-served artifact pulls — consulted only after a disk miss.
-struct SolverCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t disk_hits = 0;
-  std::size_t disk_misses = 0;
-  std::size_t disk_stores = 0;
-  std::size_t fetch_hits = 0;
-  std::size_t fetch_misses = 0;
-};
-
 /// A last-chance artifact source consulted after memory and disk both
 /// miss (remote workers wire this to an artifact_request round trip with
 /// the parent). Returning nullopt means "not available, compile cold" —
@@ -161,8 +145,6 @@ class SolverCache {
   /// written.
   std::size_t flush_to_store();
 
-  [[nodiscard]] SolverCacheStats stats() const;
-
   /// Number of compiled solvers held.
   [[nodiscard]] std::size_t size() const;
 
@@ -181,7 +163,6 @@ class SolverCache {
 
   mutable std::mutex mutex_;
   std::map<SolverCacheKey, Entry> entries_;
-  SolverCacheStats stats_;
   std::shared_ptr<const ArtifactStore> store_;
   bool read_disk_ = true;
   ArtifactFetcher fetcher_;

@@ -913,10 +913,13 @@ int run_worker_loop(const StudyPlan& plan, SolverCache& cache,
     }
 
     if (frame->type == WireType::kShutdown) {
-      const SolverCacheStats stats = cache.stats();
-      if (stats.fetch_hits > 0 || stats.fetch_misses > 0) {
-        std::fprintf(stderr, "worker: artifact fetch %zu hits / %zu misses\n",
-                     stats.fetch_hits, stats.fetch_misses);
+      const metrics::MetricsSnapshot snap = metrics::snapshot();
+      const std::uint64_t hits = snap.value("rrl_cache_fetch_hits_total");
+      const std::uint64_t misses = snap.value("rrl_cache_fetch_misses_total");
+      if (hits > 0 || misses > 0) {
+        std::fprintf(stderr, "worker: artifact fetch %llu hits / %llu misses\n",
+                     static_cast<unsigned long long>(hits),
+                     static_cast<unsigned long long>(misses));
       }
       return 0;
     }

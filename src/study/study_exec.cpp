@@ -16,7 +16,6 @@ ExecutedSlice execute_scenarios(const StudyPlan& plan,
       metrics::counter("rrl_exec_scenarios_total");
   slices.add(1);
   scenarios_in.add(positions.size());
-  const SolverCacheStats cache_before = cache.stats();
 
   ExecutedSlice slice;
   slice.scenarios.reserve(positions.size());
@@ -69,18 +68,6 @@ ExecutedSlice execute_scenarios(const StudyPlan& plan,
     slice.sweep = run_sweep(batch);
   }
   slice.jobs = slice.sweep.jobs;
-
-  const SolverCacheStats cache_after = cache.stats();
-  slice.cache.hits = cache_after.hits - cache_before.hits;
-  slice.cache.misses = cache_after.misses - cache_before.misses;
-  slice.cache.disk_hits = cache_after.disk_hits - cache_before.disk_hits;
-  slice.cache.disk_misses =
-      cache_after.disk_misses - cache_before.disk_misses;
-  slice.cache.disk_stores =
-      cache_after.disk_stores - cache_before.disk_stores;
-  slice.cache.fetch_hits = cache_after.fetch_hits - cache_before.fetch_hits;
-  slice.cache.fetch_misses =
-      cache_after.fetch_misses - cache_before.fetch_misses;
 
   // The plan (and the cache entries) pin the models the sweep borrowed
   // chains from; both outlive the returned slice in every caller.

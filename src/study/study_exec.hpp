@@ -40,7 +40,6 @@ struct ExecutedSlice {
   std::vector<StudyScenario> scenarios;  ///< the slice, ascending order
   SweepReport sweep;                     ///< results[i] <-> scenarios[i]
   std::vector<CacheTier> tiers;          ///< where solvers[i] came from
-  SolverCacheStats cache;  ///< this slice's delta of the cache's counters
   int jobs = 1;
 };
 

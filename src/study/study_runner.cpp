@@ -39,7 +39,6 @@ StudyRun run_study(const StudySpec& spec, ModelRepository& repository,
   run.grids = plan.grids;
   run.total_scenarios = plan.total_scenarios;
   run.shard = options.shard;
-  run.cache = slice.cache;
   run.jobs = slice.jobs;
   return run;
 }

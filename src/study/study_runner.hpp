@@ -66,7 +66,6 @@ struct StudyRun {
   std::vector<std::vector<double>> grids;  ///< the spec's grids (for rows)
   std::uint64_t total_scenarios = 0;     ///< full expansion size
   ShardSpec shard;
-  SolverCacheStats cache;  ///< this run's delta of the cache's counters
   int jobs = 1;
 
   /// Report rows in canonical order (one per grid point, or one per

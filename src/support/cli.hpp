@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -110,9 +111,9 @@ class CliArgs {
 }
 
 /// Parses a separated list of doubles ("1,10,100" or "1:1e5:20"). Empty
-/// tokens are skipped; a token that is not entirely numeric ("10;100",
-/// "20x") is skipped too rather than silently truncated at the first bad
-/// character, so malformed input surfaces as a missing value.
+/// tokens are skipped; a token that is not entirely a finite number
+/// ("10;100", "20x", "inf", "nan") throws contract_error naming it, rather
+/// than being truncated at the first bad character or dropped.
 [[nodiscard]] inline std::vector<double> parse_double_list(
     const std::string& spec, char separator = ',') {
   std::vector<double> values;
@@ -120,7 +121,10 @@ class CliArgs {
     const char* str = token.c_str();
     char* parsed_end = nullptr;
     const double v = std::strtod(str, &parsed_end);
-    if (parsed_end != str && *parsed_end == '\0') values.push_back(v);
+    if (parsed_end == str || *parsed_end != '\0' || !std::isfinite(v)) {
+      throw contract_error("'" + token + "' is not a finite number");
+    }
+    values.push_back(v);
   }
   return values;
 }

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "counter_delta.hpp"
 #include "io/artifact_codec.hpp"
 #include "io/model_format.hpp"
 #include "models/multiproc.hpp"
@@ -70,6 +71,9 @@ TEST(ArtifactStore, StoreThenLoadRoundTrips) {
   config.regenerative = model.initial_state;
   const CompiledArtifact artifact = sample_artifact(model, config, 42);
 
+  const CounterDelta stores("rrl_artifact_stores_total");
+  const CounterDelta loads("rrl_artifact_loads_total");
+  const CounterDelta invalid("rrl_artifact_invalid_total");
   EXPECT_TRUE(store.store(artifact));
   EXPECT_TRUE(fs::exists(store.entry_path(42, "rrl", config)));
 
@@ -79,10 +83,9 @@ TEST(ArtifactStore, StoreThenLoadRoundTrips) {
   EXPECT_EQ(loaded->schemas[0].schema.main.a,
             artifact.schemas[0].schema.main.a);
 
-  const ArtifactStoreStats stats = store.stats();
-  EXPECT_EQ(stats.stores, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stores(), 1u);
+  EXPECT_EQ(loads(), 1u);  // the one load hit: no miss
+  EXPECT_EQ(invalid(), 0u);
 }
 
 TEST(ArtifactStore, MissStaleAndCorruptAllDegradeToMisses) {
@@ -93,10 +96,12 @@ TEST(ArtifactStore, MissStaleAndCorruptAllDegradeToMisses) {
   config.epsilon = 1e-8;
   config.regenerative = model.initial_state;
 
-  // Absent: plain miss.
+  // Absent: plain miss, neither a load nor an invalid entry.
+  const CounterDelta loads("rrl_artifact_loads_total");
+  const CounterDelta invalid("rrl_artifact_invalid_total");
   EXPECT_FALSE(store.load(1, "rrl", config).has_value());
-  EXPECT_EQ(store.stats().misses, 1u);
-  EXPECT_EQ(store.stats().invalid, 0u);
+  EXPECT_EQ(loads(), 0u);
+  EXPECT_EQ(invalid(), 0u);
 
   const CompiledArtifact artifact = sample_artifact(model, config, 1);
   ASSERT_TRUE(store.store(artifact));
@@ -112,7 +117,7 @@ TEST(ArtifactStore, MissStaleAndCorruptAllDegradeToMisses) {
   fs::create_directories(fs::path(alias_path).parent_path());
   fs::copy_file(store.entry_path(1, "rrl", config), alias_path);
   EXPECT_FALSE(store.load(2, "rrl", config).has_value());
-  EXPECT_GE(store.stats().invalid, 1u);
+  EXPECT_GE(invalid(), 1u);
 
   // Corrupt bytes: rejected, and a later store() heals the entry.
   {
@@ -151,10 +156,12 @@ TEST(ArtifactStore, SolverCacheWarmStartSkipsCompilation) {
     const auto model_cold = repo_cold.adopt("multiproc", file);
     SolverCache cold;
     cold.attach_store(store);
+    const CounterDelta cold_hits("rrl_cache_disk_hits_total");
+    const CounterDelta cold_misses("rrl_cache_disk_misses_total");
     const auto solver_cold = cold.get_or_build(model_cold, name, config);
     const SolveReport report_cold = solver_cold->solve_grid(request);
-    EXPECT_EQ(cold.stats().disk_hits, 0u) << name;
-    EXPECT_EQ(cold.stats().disk_misses, 1u) << name;
+    EXPECT_EQ(cold_hits(), 0u) << name;
+    EXPECT_EQ(cold_misses(), 1u) << name;
     EXPECT_EQ(cold.flush_to_store(), 1u) << name;
 
     // Warm "process": fresh repository and cache, shared directory. No
@@ -169,8 +176,9 @@ TEST(ArtifactStore, SolverCacheWarmStartSkipsCompilation) {
     const auto model_warm = repo_warm.adopt("multiproc", file);
     SolverCache warm;
     warm.attach_store(store);
+    const CounterDelta warm_hits("rrl_cache_disk_hits_total");
     const auto solver_warm = warm.get_or_build(model_warm, name, config);
-    EXPECT_EQ(warm.stats().disk_hits, 1u) << name;
+    EXPECT_EQ(warm_hits(), 1u) << name;
     const SolveReport report_warm = solver_warm->solve_grid(request);
     EXPECT_EQ(report_warm.values(), report_cold.values()) << name;
     EXPECT_EQ(report_warm.total.dtmc_steps, report_cold.total.dtmc_steps)
@@ -191,10 +199,12 @@ TEST(ArtifactStore, SolverCacheWarmStartSkipsCompilation) {
     // refreshed.
     SolverCache refreshed;
     refreshed.attach_store(store, /*read=*/false);
+    const CounterDelta refreshed_hits("rrl_cache_disk_hits_total");
+    const CounterDelta refreshed_misses("rrl_cache_disk_misses_total");
     const auto solver_refreshed =
         refreshed.get_or_build(model_warm, name, config);
-    EXPECT_EQ(refreshed.stats().disk_hits, 0u) << name;
-    EXPECT_EQ(refreshed.stats().disk_misses, 0u) << name;  // never consulted
+    EXPECT_EQ(refreshed_hits(), 0u) << name;
+    EXPECT_EQ(refreshed_misses(), 0u) << name;  // never consulted
     EXPECT_EQ(solver_refreshed->solve_grid(request).values(),
               report_cold.values())
         << name;
@@ -229,8 +239,9 @@ TEST(ArtifactStore, VersionTwoEntryIsAMissAndGcRemovesIt) {
     out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
   }
 
+  const CounterDelta invalid("rrl_artifact_invalid_total");
   EXPECT_FALSE(store.load(1, "rrl", config).has_value());
-  EXPECT_EQ(store.stats().invalid, 1u);
+  EXPECT_EQ(invalid(), 1u);
   const ArtifactGcStats gc = store.gc();
   EXPECT_EQ(gc.scanned, 1u);
   EXPECT_EQ(gc.removed_invalid, 1u);
@@ -362,18 +373,21 @@ TEST(ArtifactStore, WarmStudyReproducesColdReportByteForByte) {
   SolverCache cold_cache;
   cold_cache.attach_store(store);
   StudyRun cold_run;
+  const CounterDelta cold_hits("rrl_cache_disk_hits_total");
   const std::string cold_csv = run_csv(cold_cache, cold_run);
   EXPECT_EQ(cold_run.sweep.failed(), 0u);
-  EXPECT_EQ(cold_run.cache.disk_hits, 0u);
+  EXPECT_EQ(cold_hits(), 0u);
   EXPECT_GT(cold_cache.flush_to_store(), 0u);
 
   SolverCache warm_cache;
   warm_cache.attach_store(store);
   StudyRun warm_run;
+  const CounterDelta warm_hits("rrl_cache_disk_hits_total");
+  const CounterDelta warm_misses("rrl_cache_disk_misses_total");
   const std::string warm_csv = run_csv(warm_cache, warm_run);
   EXPECT_EQ(warm_run.sweep.failed(), 0u);
-  EXPECT_GT(warm_run.cache.disk_hits, 0u);
-  EXPECT_EQ(warm_run.cache.disk_misses, 0u);
+  EXPECT_GT(warm_hits(), 0u);
+  EXPECT_EQ(warm_misses(), 0u);
   EXPECT_EQ(warm_csv, cold_csv);
 }
 

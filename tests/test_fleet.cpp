@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "counter_delta.hpp"
 #include "models/multiproc.hpp"
 #include "models/raid5.hpp"
 #include "rrl.hpp"
@@ -443,12 +444,14 @@ TEST(Fleet, FetcherHookWarmStartsBitIdenticallyAndCountsBothWays) {
     return store->load(key.model_hash, key.solver, config);
   });
   CacheTier tier = CacheTier::kNone;
+  const CounterDelta fetch_hits("rrl_cache_fetch_hits_total");
+  const CounterDelta fetch_misses("rrl_cache_fetch_misses_total");
   const auto solver = fetched.get_or_build(
       scenario.model, scenario.meta.solver, scenario.config, &tier);
   EXPECT_EQ(tier, CacheTier::kFetched);
   EXPECT_EQ(calls, 1u);
-  EXPECT_EQ(fetched.stats().fetch_hits, 1u);
-  EXPECT_EQ(fetched.stats().fetch_misses, 0u);
+  EXPECT_EQ(fetch_hits(), 1u);
+  EXPECT_EQ(fetch_misses(), 0u);
   const SolveReport fetched_report = solver->solve_grid(scenario.request);
   ASSERT_EQ(fetched_report.points.size(), cold_report.points.size());
   for (std::size_t p = 0; p < cold_report.points.size(); ++p) {
@@ -471,11 +474,13 @@ TEST(Fleet, FetcherHookWarmStartsBitIdenticallyAndCountsBothWays) {
         return std::nullopt;
       });
   tier = CacheTier::kNone;
+  const CounterDelta empty_hits("rrl_cache_fetch_hits_total");
+  const CounterDelta empty_misses("rrl_cache_fetch_misses_total");
   (void)empty_handed.get_or_build(scenario.model, scenario.meta.solver,
                                   scenario.config, &tier);
   EXPECT_EQ(tier, CacheTier::kCompiled);
-  EXPECT_EQ(empty_handed.stats().fetch_hits, 0u);
-  EXPECT_EQ(empty_handed.stats().fetch_misses, 1u);
+  EXPECT_EQ(empty_hits(), 0u);
+  EXPECT_EQ(empty_misses(), 1u);
 }
 
 }  // namespace

@@ -146,6 +146,43 @@ TEST(LentPool, RrlRejectsMaxTermsCrumpCannotUse) {
             2u);
 }
 
+TEST(LentPool, RandomizedSolversPoolFromTheNnzFloor) {
+  // A birth-death chain of n states randomizes to a P^T of 2n stored
+  // entries (two per interior state, a neighbour and a self-loop at each
+  // end), so n = kMinPooledNnz / 2 sits exactly on the floor.
+  const auto chain_of = [](std::size_t n) {
+    return make_birth_death(std::vector<double>(n - 1, 1.0),
+                            std::vector<double>(n - 1, 1.5));
+  };
+  const std::size_t floor_states =
+      static_cast<std::size_t>(SolveWorkspace::kMinPooledNnz / 2);
+  const SolveRequest request = SolveRequest::trr({1.0, 2.0, 3.0});
+  for (const std::size_t n : {floor_states, floor_states - 1}) {
+    const Ctmc chain = chain_of(n);
+    const bool pooled =
+        RandomizedDtmc(chain, 1.0).transition_transposed().nnz() >=
+        SolveWorkspace::kMinPooledNnz;
+    ASSERT_EQ(pooled, n == floor_states) << n;
+    std::vector<double> rewards(n, 0.0);
+    rewards.front() = 1.0;
+    std::vector<double> initial(n, 0.0);
+    initial.front() = 1.0;
+    const struct {
+      const char* solver;
+      LentPoolUse use;
+    } table[] = {{"sr", LentPoolUse::kHotLoop},
+                 {"rsd", LentPoolUse::kHotLoop},
+                 {"krylov", LentPoolUse::kPart}};
+    for (const auto& row : table) {
+      const auto solver =
+          make_solver(row.solver, chain, rewards, initial, SolverConfig{});
+      EXPECT_EQ(solver->lent_pool_use(request),
+                pooled ? row.use : LentPoolUse::kNone)
+          << row.solver << " n=" << n;
+    }
+  }
+}
+
 TEST(LentPool, RrlGridOnALentPoolMatchesTheSerialSolve) {
   const MultiprocModel m = build_multiproc_availability({});
   RrlOptions options;

@@ -3,7 +3,8 @@
 //
 // SR's pi_0 P^n and RSD's P^n r are one iterate for every request of a
 // solver; Krylov's pass depends on eps and the grid but not the measure;
-// RR's V_{K,L} pass depends only on the compiled schema (eps, t_max).
+// RR's V_{K,L} pass depends only on the compiled schema (eps, t_max);
+// RRL answers each request on its own, with one inversion per point.
 // The contract: every answer of a shared pass is BITWISE the request's own
 // solve_grid answer — value and stats (timings aside) — whatever its
 // siblings ask. Values are compared with memcmp, not ==: -0.0 == 0.0 would
@@ -769,6 +770,84 @@ TEST(SharedPassRr, CompileFailureAndSchemaCapStayInTheirGroup) {
       EXPECT_EQ(p.stats.capped, k == 2 || k == 5) << k;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// RRL
+
+/// Mixed measures and eps over unsorted grids, t = 0 among other times and
+/// alone (no schema), and a grid of one point.
+std::vector<SolveRequest> rrl_requests() {
+  return {
+      SolveRequest::trr({0.5, 5.0, 50.0}),
+      SolveRequest::mrr({50.0, 0.5, 5.0}, 1e-10),
+      SolveRequest::trr({0.0, 50.0, 2.0}, 1e-6),
+      SolveRequest::mrr({7.0}, 1e-8),
+      SolveRequest::trr({0.0}),
+      SolveRequest::trr({20.0, 0.0}, 1e-10),
+  };
+}
+
+RrlOptions rrl_options() {
+  RrlOptions options;
+  options.epsilon = 1e-8;
+  return options;
+}
+
+TEST(SharedPassRrl, MixedRequestsMatchSoloSolves) {
+  const Rewarded m = random_model(11);
+  const RegenerativeRandomizationLaplace rrl(m.chain, m.rewards, m.initial, 0,
+                                             rrl_options());
+  expect_shared_equals_solo(rrl, rrl_requests(), "rrl");
+
+  const RegenerativeRandomizationLaplace zero(
+      m.chain, std::vector<double>(30, 0.0), m.initial, 0, rrl_options());
+  expect_shared_equals_solo(zero, rrl_requests(), "rrl zero rewards");
+  SolveWorkspace workspace;
+  for (const SharedResult& r : shared(zero, rrl_requests(), workspace)) {
+    for (const double v : r.report.values()) EXPECT_TRUE(same_bits(v, 0.0));
+  }
+}
+
+TEST(SharedPassRrl, BadRequestFailsAlone) {
+  const Rewarded m = random_model(11);
+  const RegenerativeRandomizationLaplace rrl(m.chain, m.rewards, m.initial, 0,
+                                             rrl_options());
+  const std::vector<SolveRequest> requests = {
+      SolveRequest::trr({1.0, 10.0}),
+      SolveRequest::mrr({0.0, 10.0}),  // MRR at t = 0
+      SolveRequest::trr({}),           // empty grid
+      SolveRequest::mrr({3.0, 10.0}, 1e-6),
+  };
+  SolveWorkspace workspace;
+  const std::vector<SharedResult> got = shared(rrl, requests, workspace);
+  for (const std::size_t bad : {1u, 2u}) {
+    ASSERT_NE(got[bad].error, nullptr) << bad;
+    EXPECT_THROW(std::rethrow_exception(got[bad].error), contract_error);
+  }
+  for (const std::size_t good : {0u, 3u}) {
+    EXPECT_EQ(got[good].error, nullptr) << good;
+    expect_same(got[good].report, rrl.solve_grid(requests[good]),
+                "survivor " + std::to_string(good));
+  }
+  EXPECT_THROW((void)rrl.solve_grid(requests[1]), contract_error);
+}
+
+TEST(SharedPassRrl, LentPoolInversionsMatchSerial) {
+  const Rewarded m = random_model(11);
+  const RegenerativeRandomizationLaplace rrl(m.chain, m.rewards, m.initial, 0,
+                                             rrl_options());
+  const std::vector<SolveRequest> requests = rrl_requests();
+  std::uint64_t grids = 0;  // requests whose inversions the pool carries
+  for (const SolveRequest& r : requests) {
+    if (rrl.lent_pool_use(r) != LentPoolUse::kNone) ++grids;
+  }
+  ASSERT_EQ(grids, 3u);
+  ThreadPool pool(4);
+  auto& loops = metrics::counter("rrl_pool_loops_total");
+  const auto before = loops.value();
+  expect_shared_equals_solo(rrl, requests, "rrl pooled", &pool);
+  EXPECT_EQ(loops.value() - before, grids);  // one loop per such grid
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "counter_delta.hpp"
 #include "models/multiproc.hpp"
 #include "models/raid5.hpp"
 #include "rrl.hpp"
@@ -283,6 +284,8 @@ TEST(SolverCache, HitMissAccountingAndKeyResolution) {
   const auto multi = repo.adopt("multiproc", multiproc_file());
   const auto raid = repo.adopt("raid", raid_file());
 
+  const CounterDelta misses("rrl_cache_memory_misses_total");
+  const CounterDelta hits("rrl_cache_memory_hits_total");
   SolverCache cache;
   SolverConfig config;
   config.epsilon = 1e-10;
@@ -292,8 +295,8 @@ TEST(SolverCache, HitMissAccountingAndKeyResolution) {
       first.push_back(cache.get_or_build(model, name, config));
     }
   }
-  EXPECT_EQ(cache.stats().misses, 8u);
-  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(misses(), 8u);
+  EXPECT_EQ(hits(), 0u);
   EXPECT_EQ(cache.size(), 8u);
 
   std::size_t i = 0;
@@ -303,8 +306,8 @@ TEST(SolverCache, HitMissAccountingAndKeyResolution) {
                 first[i++].get());
     }
   }
-  EXPECT_EQ(cache.stats().misses, 8u);
-  EXPECT_EQ(cache.stats().hits, 8u);
+  EXPECT_EQ(misses(), 8u);
+  EXPECT_EQ(hits(), 8u);
 
   // The config keys exactly as given: auto (-1, the default above) and an
   // explicit regenerative index are distinct entries — auto must construct
@@ -391,11 +394,17 @@ TEST(StudyRunner, CachedBitIdenticalToFreshAcrossSolversAndMeasures) {
   ModelRepository repo;
   SolverCache cache;
   StudyOptions cached_options;
+  const CounterDelta compiles("rrl_solver_compiles_total");
+  CounterDelta hits("rrl_cache_memory_hits_total");
   const StudyRun cached = run_study(spec, repo, cache, cached_options);
+  const std::uint64_t cached_compiles = compiles();
+  const std::uint64_t cached_hits = hits();
 
   StudyOptions fresh_options;
   fresh_options.use_cache = false;
   SolverCache unused;
+  const CounterDelta misses("rrl_cache_memory_misses_total");
+  hits = CounterDelta("rrl_cache_memory_hits_total");
   const StudyRun fresh = run_study(spec, repo, unused, fresh_options);
 
   ASSERT_EQ(cached.total_scenarios, 120u);
@@ -430,9 +439,9 @@ TEST(StudyRunner, CachedBitIdenticalToFreshAcrossSolversAndMeasures) {
   // 3 models x 5 solvers - 1 failing combination = 14 compiled; of the 112
   // successful-construction scenarios (14 keys x 8 scenarios each), the
   // rest were cache hits. The fresh run must not have touched the cache.
-  EXPECT_EQ(cached.cache.misses, 14u);
-  EXPECT_EQ(cached.cache.hits, 98u);
-  EXPECT_EQ(unused.stats().hits + unused.stats().misses, 0u);
+  EXPECT_EQ(cached_compiles, 14u);
+  EXPECT_EQ(cached_hits, 98u);
+  EXPECT_EQ(hits() + misses(), 0u);
 
   // With 'regenerative auto' the cache keys auto as auto (the registry's
   // own deterministic selection), so cached results still match fresh

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "counter_delta.hpp"
 #include "models/multiproc.hpp"
 #include "models/raid5.hpp"
 #include "rrl.hpp"
@@ -171,11 +172,13 @@ TEST(StudyExec, UnitExecutionMatchesWholeStudyBitForBit) {
   exec.jobs = 2;
   std::vector<ReportRow> rows;
   for (auto it = plan.units.rbegin(); it != plan.units.rend(); ++it) {
+    const CounterDelta misses("rrl_cache_memory_misses_total");
+    const CounterDelta hits("rrl_cache_memory_hits_total");
     const ExecutedSlice slice =
         execute_unit(plan, *it, unit_cache, exec, &pool, &workspaces);
     // Unit scenarios share one compiled solver: exactly 1 miss per unit.
-    EXPECT_EQ(slice.cache.misses, 1u);
-    EXPECT_EQ(slice.cache.hits, it->count - 1);
+    EXPECT_EQ(misses(), 1u);
+    EXPECT_EQ(hits(), it->count - 1);
     const std::vector<ReportRow> unit_rows = slice_rows(slice, plan.grids);
     rows.insert(rows.begin(), unit_rows.begin(), unit_rows.end());
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "support/cli.hpp"
 #include "support/contracts.hpp"
@@ -59,6 +60,25 @@ TEST(Cli, NumbersMustFillTheirValue) {
     FAIL() << "--jobs 4x was accepted";
   } catch (const contract_error& e) {
     EXPECT_STREQ(e.what(), "--jobs needs a whole number, got '4x'");
+  }
+}
+
+TEST(Cli, NumberListsRejectMalformedTokens) {
+  // Empty tokens are skipped; every other token must be a finite number.
+  EXPECT_EQ(parse_double_list("1,,100"), (std::vector<double>{1.0, 100.0}));
+  EXPECT_EQ(parse_double_list("1:1e5:20", ':'),
+            (std::vector<double>{1.0, 1e5, 20.0}));
+  EXPECT_TRUE(parse_double_list("").empty());
+  for (const char* spec : {"1,10x,100", "1e-8,abc", "inf", "1,-inf", "nan",
+                           "10;100", "1e999"}) {
+    EXPECT_THROW((void)parse_double_list(spec), contract_error) << spec;
+  }
+  // The error names the token it could not read.
+  try {
+    (void)parse_double_list("1,10x,100");
+    FAIL() << "10x was accepted";
+  } catch (const contract_error& e) {
+    EXPECT_STREQ(e.what(), "'10x' is not a finite number");
   }
 }
 

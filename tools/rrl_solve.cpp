@@ -1,7 +1,7 @@
 // rrl_solve — command-line front end to the library.
 //
 //   rrl_solve --model m.rrlm --t 10,100,1000 [--measure trr|mrr|both]
-//             [--solver sr|rsd|rr|rrl] [--eps 1e-12]
+//             [--solver sr|rsd|rr|rrl|krylov] [--eps 1e-12]
 //             [--regenerative auto|<index>] [--bounds]
 //   rrl_solve --model m.rrlm --t-grid 1:1e5:20        # 20 log-spaced points
 //   rrl_solve --model a.rrlm,b.rrlm --solvers all --jobs 4 --t 1,10,100
@@ -151,8 +151,9 @@ std::shared_ptr<ArtifactStore> attach_disk_tier(const CliArgs& args,
 // snapshot. One rrl_solve process runs exactly one study/batch, so the
 // process-wide counters ARE the run's counters.
 struct CacheStatsView {
-  std::uint64_t memory_hits = 0;
-  std::uint64_t memory_misses = 0;  ///< == solver-cache "compiled"
+  std::uint64_t memory_hits = 0;    ///< solver-cache "shared"
+  std::uint64_t memory_misses = 0;
+  std::uint64_t compiles = 0;       ///< solver-cache "compiled": cold misses
   std::uint64_t schema_builds = 0;  ///< schemas materialized, cuts included
   std::uint64_t schema_cuts = 0;    ///< ... of which cut from a longer one
   std::uint64_t disk_hits = 0;
@@ -166,6 +167,7 @@ CacheStatsView cache_stats_view() {
   CacheStatsView v;
   v.memory_hits = snap.value("rrl_cache_memory_hits_total");
   v.memory_misses = snap.value("rrl_cache_memory_misses_total");
+  v.compiles = snap.value("rrl_solver_compiles_total");
   v.schema_builds = snap.value("rrl_cache_schema_builds_total");
   v.schema_cuts = snap.value("rrl_cache_schema_cuts_total");
   v.disk_hits = snap.value("rrl_cache_disk_hits_total");
@@ -247,9 +249,12 @@ std::vector<double> requested_times(const CliArgs& args) {
     }
     return log_time_grid(spec[0], spec[1], static_cast<int>(spec[2]));
   }
-  std::vector<double> ts;
-  for (const double t : parse_double_list(args.get_string("t", ""))) {
-    if (t > 0.0) ts.push_back(t);
+  std::vector<double> ts = parse_double_list(args.get_string("t", ""));
+  for (const double t : ts) {
+    if (t <= 0.0) {
+      std::fprintf(stderr, "error: --t needs times > 0, got %g\n", t);
+      return {};
+    }
   }
   if (ts.empty()) {
     std::fprintf(stderr, "error: no valid time points in --t\n");
@@ -358,12 +363,14 @@ int run_batch(const CliArgs& args,
     print_cache_stats(stdout, store != nullptr);
   }
 
+  const CacheStatsView v = cache_stats_view();
   std::printf("batch sweep: %zu scenarios (%zu models x %zu solvers x "
               "%zu measures x %zu epsilons), jobs=%d, solver cache: "
-              "%zu built, %zu shared\n",
+              "%llu built, %llu shared\n",
               run.scenarios.size(), model_paths.size(), solver_names.size(),
-              measures.size(), eps_list.size(), run.jobs, run.cache.misses,
-              run.cache.hits);
+              measures.size(), eps_list.size(), run.jobs,
+              static_cast<unsigned long long>(v.compiles),
+              static_cast<unsigned long long>(v.memory_hits));
   TextTable table({"model", "solver", "measure", "eps", "t", "value",
                    "steps"});
   for (std::size_t s = 0; s < run.scenarios.size(); ++s) {
@@ -764,16 +771,19 @@ int run_study_mode(const CliArgs& args) {
   }
 
   std::FILE* summary = out_path.empty() ? stderr : stdout;
+  const CacheStatsView v = cache_stats_view();
   std::fprintf(summary,
                "study: %llu scenarios total, shard %d/%d ran %zu "
                "(%zu failed), jobs=%d, %.3gs, %.3g scenarios/sec\n"
-               "solver cache: %zu compiled, %zu shared; %zu distinct "
+               "solver cache: %llu compiled, %llu shared; %zu distinct "
                "models\n",
                static_cast<unsigned long long>(run.total_scenarios),
                run.shard.index, run.shard.count, run.scenarios.size(),
                run.sweep.failed(), run.jobs, run.sweep.seconds,
-               run.sweep.scenarios_per_second(), run.cache.misses,
-               run.cache.hits, repository.size());
+               run.sweep.scenarios_per_second(),
+               static_cast<unsigned long long>(v.compiles),
+               static_cast<unsigned long long>(v.memory_hits),
+               repository.size());
   if (args.get_bool("cache-stats", false)) {
     print_cache_stats(summary, store != nullptr);
   }
@@ -799,7 +809,6 @@ int run_study_mode(const CliArgs& args) {
     // The cache/disk objects are formatted from the same metrics snapshot
     // as --cache-stats (cache_stats_view); warm-start tooling greps the
     // "disk" object, so the key shape is load-bearing.
-    const CacheStatsView v = cache_stats_view();
     json << "{\n"
          << "  \"total_scenarios\": " << run.total_scenarios << ",\n"
          << "  \"shard\": {\"index\": " << run.shard.index
@@ -810,7 +819,7 @@ int run_study_mode(const CliArgs& args) {
          << "  \"seconds\": " << run.sweep.seconds << ",\n"
          << "  \"scenarios_per_sec\": " << run.sweep.scenarios_per_second()
          << ",\n"
-         << "  \"cache\": {\"compiled\": " << v.memory_misses
+         << "  \"cache\": {\"compiled\": " << v.compiles
          << ", \"shared\": " << v.memory_hits << "},\n"
          << "  \"disk\": {\"hits\": " << v.disk_hits
          << ", \"misses\": " << v.disk_misses
@@ -895,7 +904,8 @@ int run_cli(const CliArgs& args, char** argv) {
           "usage: rrl_solve --model <file>[,<file>...] (--t <t1,t2,...> | "
           "--t-grid <lo:hi:count>)\n"
           "                 [--measure trr|mrr|both] [--solver "
-          "sr|rsd|rr|rrl] [--eps e1[,e2,...]]\n"
+          "sr|rsd|rr|rrl|krylov]\n"
+          "                 [--eps e1[,e2,...]]\n"
           "                 [--regenerative auto|<idx>] [--bounds]\n"
           "                 [--solvers all|<s1,s2,...>] [--jobs N]   "
           "# batch mode\n"
