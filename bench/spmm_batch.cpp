@@ -95,11 +95,9 @@ int main(int argc, char** argv) {
 
   // Every scenario is this one with its own measure and epsilon.
   SweepScenario prototype;
-  prototype.model = "banded";
-  prototype.solver = "sr";
-  prototype.chain = &chain;
-  prototype.shared_solver = solver;
+  prototype.solver = solver;
   prototype.request.times = log_time_grid(1.0, tmax, 4);
+  prototype.chain = &chain;
   BatchRequest batch;
   batch.jobs = 1;  // single worker: measure the kernel, not threading
   for (int c = 0; c < cols; ++c) {

@@ -60,24 +60,18 @@ int main(int argc, char** argv) {
     grids.push_back(log_time_grid(lo, tmax, 2 + g % 3));
   }
 
-  // The scenario list, built once; the cached run attaches shared solvers.
-  std::vector<SweepScenario> scenarios;
+  // The scenario list, built once: each scenario's model and request.
+  // Every rep builds the solvers for it afresh.
+  struct Job {
+    std::shared_ptr<const StudyModel> model;
+    SolveRequest request;
+  };
+  std::vector<Job> scenarios;
   for (const auto& model : models) {
     for (const MeasureKind measure :
          {MeasureKind::kTrr, MeasureKind::kMrr}) {
       for (const auto& grid : grids) {
-        SweepScenario s;
-        s.model = model->label;
-        s.solver = "rrl";
-        s.chain = &model->file.chain;
-        s.rewards = model->file.rewards;
-        s.initial = model->file.initial;
-        s.config.epsilon = eps;
-        s.config.regenerative = model->file.regenerative;
-        s.request.measure = measure;
-        s.request.times = grid;
-        s.request.epsilon = eps;
-        scenarios.push_back(std::move(s));
+        scenarios.push_back({model, SolveRequest{measure, grid, eps}});
       }
     }
   }
@@ -94,21 +88,31 @@ int main(int argc, char** argv) {
   const auto run_mode = [&](bool use_cache, double& best_seconds) {
     SweepReport best;
     for (int rep = 0; rep < reps; ++rep) {
-      BatchRequest batch;
-      batch.jobs = jobs;
-      batch.scenarios = scenarios;
       SolverCache cache;  // fresh each rep: cold misses counted every time
-      const Stopwatch watch;  // covers cache resolution AND the sweep
+      const Stopwatch watch;  // covers the solver builds AND the sweep
+      ThreadPool pool(jobs);
+      BatchRequest batch;
+      batch.scenarios.resize(scenarios.size());
+      const auto build = [&](std::size_t i) {
+        const StudyModel& model = *scenarios[i].model;
+        SolverConfig config;
+        config.epsilon = eps;
+        config.regenerative = model.file.regenerative;
+        SweepScenario& s = batch.scenarios[i];
+        s.solver = use_cache
+                       ? cache.get_or_build(scenarios[i].model, "rrl", config)
+                       : make_solver("rrl", model.file.chain,
+                                     model.file.rewards, model.file.initial,
+                                     config);
+        s.request = scenarios[i].request;
+        s.chain = &model.file.chain;
+      };
       if (use_cache) {
-        for (SweepScenario& s : batch.scenarios) {
-          s.shared_solver = cache.get_or_build(
-              s.model == models[0]->label ? models[0] : models[1], s.solver,
-              s.config);
-          s.rewards.clear();
-          s.initial.clear();
-        }
+        for (std::size_t i = 0; i < scenarios.size(); ++i) build(i);
+      } else {
+        pool.parallel_for(scenarios.size(), build);
       }
-      SweepReport report = run_sweep(batch);
+      SweepReport report = run_sweep(batch, pool);
       const double seconds = watch.seconds();
       if (report.failed() != 0) {
         std::fprintf(stderr, "error: %zu scenarios failed\n",

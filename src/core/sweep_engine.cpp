@@ -67,41 +67,38 @@ struct Unit {
   /// The most demanding member: its compile demand and its precompile
   /// request stand for the unit's.
   std::size_t lead = 0;
-  /// The lead's solver once known (a by-name lead's is built when needed).
-  std::shared_ptr<const TransientSolver> solver;
 };
-
-std::shared_ptr<const TransientSolver> build_solver(
-    const SweepScenario& scenario) {
-  RRL_EXPECTS(scenario.chain != nullptr);
-  return make_solver(scenario.solver, *scenario.chain, scenario.rewards,
-                     scenario.initial, scenario.config);
-}
 
 /// Solve one unit, compiling in its `turn` of `schedule` first. A unit of
 /// several members runs one shared pass inside a
 /// scenario.solve_rand_batch span whose argument is its member count; a
-/// unit of one runs inside scenario.solve. Each member reports the unit's
+/// unit of one runs inside scenario.solve, and one without a solver
+/// reports its construction error. Each member reports the unit's
 /// wall-clock divided by its member count.
 void solve_unit(const std::vector<SweepScenario>& scenarios,
                 const Unit& unit, std::vector<ScenarioResult>& results,
                 SolveWorkspace& workspace, const LeaderSchedule& schedule,
                 std::size_t turn) {
+  const SweepScenario& lead = scenarios[unit.lead];
+  if (lead.solver == nullptr) {
+    ScenarioResult& slot = results[unit.lead];
+    slot.error = lead.error.empty() ? "unknown error" : lead.error;
+    note_result(slot);
+    return;
+  }
+  const TransientSolver& solver = *lead.solver;
   const std::size_t size = unit.members.size();
   const trace::Span span(size > 1 ? "scenario.solve_rand_batch"
                                   : "scenario.solve",
                          size > 1 ? size : 0);
   const Stopwatch watch;
-  const SweepScenario& lead = scenarios[unit.lead];
   try {
-    const std::shared_ptr<const TransientSolver> solver =
-        unit.solver != nullptr ? unit.solver : build_solver(lead);
     // A follower waits here until its solver's leader has compiled, then
     // hits or cuts its schema. A compile error is left for the solve to
     // report.
     schedule.run(turn, [&] {
       try {
-        solver->precompile(lead.request);
+        solver.precompile(lead.request);
       } catch (const std::exception&) {
       }
     });
@@ -111,7 +108,7 @@ void solve_unit(const std::vector<SweepScenario>& scenarios,
       requests.push_back(&scenarios[i].request);
     }
     std::vector<SharedResult> answers =
-        solver->solve_shared(requests, workspace);
+        solver.solve_shared(requests, workspace);
     for (std::size_t k = 0; k < size; ++k) {
       ScenarioResult& slot = results[unit.members[k]];
       if (answers[k].error == nullptr) {
@@ -143,15 +140,16 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
   out.jobs = pool.num_threads();
   out.results.resize(batch.scenarios.size());
 
-  // Compile demand of every scenario (LeaderSchedule's order).
+  // Compile demand of every scenario with a solver (LeaderSchedule's
+  // order; one without is no solver's leader or follower).
   std::vector<CompileDemand> demands(batch.scenarios.size());
   for (std::size_t i = 0; i < batch.scenarios.size(); ++i) {
     const SweepScenario& scenario = batch.scenarios[i];
+    if (scenario.solver == nullptr) continue;
     const SolveRequest& request = scenario.request;
     CompileDemand& demand = demands[i];
-    demand.solver = scenario.shared_solver.get();
-    demand.eps =
-        request.epsilon > 0.0 ? request.epsilon : scenario.config.epsilon;
+    demand.solver = scenario.solver.get();
+    demand.eps = scenario.solver->effective_epsilon(request);
     if (!request.times.empty()) {
       demand.t_max =
           *std::max_element(request.times.begin(), request.times.end());
@@ -160,19 +158,19 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
         scenario.chain != nullptr ? scenario.chain->num_states() : 0;
   }
 
-  // Hand-out units. Scenarios on one shared solver whose requests pairwise
-  // share a pass (TransientSolver::shares_pass: every SR/RSD request of a
+  // Hand-out units. Scenarios on one solver whose requests pairwise share
+  // a pass (TransientSolver::shares_pass: every SR/RSD request of a
   // solver, Krylov requests with one eps and grid, RR requests with one
   // compiled schema) form one unit, answered by one solve_shared; every
-  // other scenario is a unit of its own. BatchRequest::spmm = false or
-  // RRL_SPMM=off makes every scenario its own unit. The answers are
-  // bitwise the per-scenario solves either way.
+  // other scenario (one without a solver included) is a unit of its own.
+  // BatchRequest::spmm = false or RRL_SPMM=off makes every scenario its
+  // own unit. The answers are bitwise the per-scenario solves either way.
   std::vector<Unit> units;
   const bool share = batch.spmm && spmm_enabled();
   std::map<const TransientSolver*, std::vector<std::size_t>> units_of;
   for (std::size_t i = 0; i < batch.scenarios.size(); ++i) {
     const SweepScenario& scenario = batch.scenarios[i];
-    const TransientSolver* const solver = scenario.shared_solver.get();
+    const TransientSolver* const solver = scenario.solver.get();
     if (share && solver != nullptr) {
       std::vector<std::size_t>& mine = units_of[solver];
       const auto joins = [&](std::size_t u) {
@@ -198,7 +196,7 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
       }
       mine.push_back(units.size());
     }
-    units.push_back(Unit{{i}, i, scenario.shared_solver});
+    units.push_back(Unit{{i}, i});
   }
 
   // Hand-out order. Units sharing an RR/RRL solver compile through its
@@ -219,27 +217,15 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
   // (SolveWorkspace::lent_pool) if some unit's lead would run its hot loop
   // on it, or a lone unit part of its solve (TransientSolver::
   // lent_pool_use); a part-pooled unit's serial work would queue behind
-  // other units'. By-name leads are built here, in parallel, to answer,
-  // and run that instance. Pooled loops are bit-identical to serial ones,
-  // so the route changes no value.
+  // other units'. Pooled loops are bit-identical to serial ones, so the
+  // route changes no value.
   bool model_parallel = false;
   if (pool.num_threads() > 1 &&
       units.size() * 2 <= static_cast<std::size_t>(pool.num_threads())) {
-    std::vector<std::size_t> by_name;
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      if (units[u].solver == nullptr) by_name.push_back(u);
-    }
-    pool.parallel_for(by_name.size(), [&](std::size_t k) {
-      Unit& unit = units[by_name[k]];
-      try {
-        unit.solver = build_solver(batch.scenarios[unit.lead]);
-      } catch (...) {  // solve_unit builds it again and reports the error
-      }
-    });
     for (const Unit& unit : units) {
-      if (unit.solver == nullptr) continue;
-      const LentPoolUse use =
-          unit.solver->lent_pool_use(batch.scenarios[unit.lead].request);
+      const SweepScenario& lead = batch.scenarios[unit.lead];
+      if (lead.solver == nullptr) continue;
+      const LentPoolUse use = lead.solver->lent_pool_use(lead.request);
       model_parallel = model_parallel || use == LentPoolUse::kHotLoop ||
                        (use == LentPoolUse::kPart && units.size() == 1);
     }

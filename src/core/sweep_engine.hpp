@@ -24,9 +24,10 @@
 // runtime-selected vectorized kernels (sparse/spmv_kernels.hpp), which
 // are bit-identical to the scalar reference, so neither the route, the
 // host's SIMD level nor RRL_KERNEL overrides can change a report.
-// Scenarios may carry pre-built solvers (shared_solver) so one compiled
-// solver serves every scenario with the same (model, solver, config); the
-// study subsystem's solver cache builds on exactly this. A shared solver's
+// The engine constructs no solver: every scenario arrives with a built
+// one (or with the error its construction raised), so one compiled
+// solver serves every scenario handed the same instance; the study
+// subsystem's solver cache builds on exactly this. A shared solver's
 // most demanding unit is handed out first and its other units wait for
 // its compile (TransientSolver::precompile), so an RR/RRL solver steps
 // one schema and cuts the others' from it (core/schema_cache.hpp's
@@ -35,9 +36,10 @@
 // Determinism: results[i] always corresponds to scenarios[i] — workers
 // write only their own slot and the reduction is by index, so the report's
 // VALUES are identical for every worker count (only the timing fields
-// vary). A scenario that throws (unknown solver, precondition violation
-// such as RSD on an absorbing chain) records its error string in its slot
-// and the rest of the batch completes normally.
+// vary). A scenario whose solver could not be built (unknown solver,
+// precondition violation such as RSD on an absorbing chain) or whose
+// solve throws records its error string in its slot and the rest of the
+// batch completes normally.
 #pragma once
 
 #include <cstddef>
@@ -45,37 +47,26 @@
 #include <string>
 #include <vector>
 
-#include "core/registry.hpp"
 #include "core/transient_solver.hpp"
 #include "markov/ctmc.hpp"
 #include "support/thread_pool.hpp"
 
 namespace rrl {
 
-/// One scenario: a rewarded CTMC pushed through one registered solver for
-/// one (measure, time grid, epsilon) request.
-///
-/// Two ways to name the solver: by registry name (`solver` + the model
-/// fields, constructed fresh inside the sweep — the default), or by
-/// handing a pre-built instance in `shared_solver`. The latter is how the
-/// study subsystem's solver cache shares ONE immutable compiled solver
-/// across every scenario keyed to the same (model, solver, config):
-/// solvers are safe to drive from concurrent workers as long as each
-/// worker brings its own workspace, which the engine already guarantees.
+/// One scenario: one built solver answering one (measure, time grid,
+/// epsilon) request. Solvers are safe to drive from concurrent workers as
+/// long as each worker brings its own workspace, which the engine
+/// guarantees, so scenarios handed the same instance share it (and, when
+/// their requests share a pass, one solve_shared).
 struct SweepScenario {
-  std::string model;   ///< model label for reporting (file name, generator)
-  std::string solver;  ///< registry name ("sr", "rsd", "rr", "rrl", ...)
-  const Ctmc* chain = nullptr;  ///< borrowed; must outlive the sweep
-  std::vector<double> rewards;
-  std::vector<double> initial;
-  SolverConfig config;
+  /// The caller keeps whatever the solver borrows (its chain) alive.
+  std::shared_ptr<const TransientSolver> solver;
   SolveRequest request;
-  /// Pre-built solver shared with other scenarios (and with the caller,
-  /// who keeps whatever the solver borrows — e.g. its chain — alive).
-  /// When set, no solver is constructed; `solver`/`rewards`/`initial`/
-  /// `config` are reporting metadata only, and `chain` (recommended even
-  /// here) feeds the engine's model-size scheduling heuristic.
-  std::shared_ptr<const TransientSolver> shared_solver;
+  /// The solver's chain (borrowed), read by the scheduling heuristic.
+  const Ctmc* chain = nullptr;
+  /// Why `solver` is null: the error its construction raised, recorded
+  /// as this scenario's result.
+  std::string error;
 };
 
 /// A batch of scenarios plus the worker budget.

@@ -184,6 +184,12 @@ class TransientSolver {
     return false;
   }
 
+  /// The eps a request is answered at: its own, else the constructed one.
+  [[nodiscard]] double effective_epsilon(
+      const SolveRequest& request) const noexcept {
+    return request.epsilon > 0.0 ? request.epsilon : epsilon_;
+  }
+
   /// What a lent pool would carry of solve_grid(request) (see run_sweep).
   [[nodiscard]] virtual LentPoolUse lent_pool_use(const SolveRequest&) const {
     return LentPoolUse::kNone;
@@ -269,12 +275,6 @@ class TransientSolver {
 
   /// The constructed eps: a request's when it carries none.
   [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
-
-  /// The eps a request is answered at: its own, else the constructed one.
-  [[nodiscard]] double effective_epsilon(
-      const SolveRequest& request) const noexcept {
-    return request.epsilon > 0.0 ? request.epsilon : epsilon_;
-  }
 
   /// Entry validation of one request: non-empty grid and per-point time
   /// sign per measure (t >= 0 for TRR, t > 0 for MRR). Returns the

@@ -63,13 +63,7 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
   // both do, via the file's hint / io-layer resolved_config), which also
   // makes "hint spelled out" and "hint from the file" key identically.
 
-  SolverCacheKey key;
-  key.model_hash = model->hash;
-  key.solver = solver_name;
-  key.epsilon = config.epsilon;
-  key.rate_factor = config.rate_factor;
-  key.regenerative = config.regenerative;
-  key.step_cap = config.step_cap;
+  SolverCacheKey key{model->hash, solver_name, config};
 
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
@@ -78,6 +72,8 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
     if (tier != nullptr) *tier = CacheTier::kMemory;
     return it->second.solver;
   }
+  const auto failed = failures_.find(key);
+  if (failed != failures_.end()) std::rethrow_exception(failed->second);
   cache_counters().mem_misses.add(1);
   // Memory miss: consult the disk tier first (when attached and not in
   // cold mode) so a verified artifact can warm-start the construction.
@@ -104,18 +100,24 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
       cache_counters().fetch_misses.add(1);
     }
   }
-  // Build under the lock: construction either throws (nothing cached) or
-  // yields the immutable shared instance. The solver borrows the model's
-  // chain, which the entry pins alongside it. The artifact import is part
-  // of construction — it must precede any sharing across threads — and
-  // hands the artifact over, so a DTMC payload is adopted, not copied.
+  // Build under the lock: construction either throws (the failure is
+  // recorded under the key) or yields the immutable shared instance. The
+  // solver borrows the model's chain, which the entry pins alongside it.
+  // The artifact import is part of construction — it must precede any
+  // sharing across threads — and hands the artifact over, so a DTMC
+  // payload is adopted, not copied.
   std::unique_ptr<TransientSolver> built;
   Entry entry{model, nullptr, false, {}};
   {
     const trace::Span span(artifact.has_value() ? "solver.import"
                                                 : "solver.compile");
-    built = make_solver(solver_name, model->file.chain, model->file.rewards,
-                        model->file.initial, config);
+    try {
+      built = make_solver(solver_name, model->file.chain,
+                          model->file.rewards, model->file.initial, config);
+    } catch (...) {
+      failures_.emplace(std::move(key), std::current_exception());
+      throw;
+    }
     if (artifact.has_value()) {
       entry.imported = true;
       entry.imported_keys = schema_keys(*artifact);
@@ -126,9 +128,7 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
     }
   }
   std::shared_ptr<const TransientSolver> solver = std::move(built);
-  if (tier != nullptr) {
-    *tier = entry.imported ? resolved : CacheTier::kCompiled;
-  }
+  if (tier != nullptr) *tier = resolved;
   entry.solver = solver;
   entries_.emplace(std::move(key), std::move(entry));
   return solver;
@@ -156,18 +156,13 @@ std::size_t SolverCache::flush_to_store() {
     // that never grows after import, so the disk copy is current. Decided
     // before exporting, which would copy the whole DTMC to discard it.
     if (entry.imported && entry.imported_keys.empty()) continue;
-    SolverConfig config;
-    config.epsilon = key.epsilon;
-    config.rate_factor = key.rate_factor;
-    config.regenerative = key.regenerative;
-    config.step_cap = key.step_cap;
     // Identity under the REGISTRY name from the key (a custom-registered
     // factory may wrap a class whose name() differs), so store and load
     // address the same file.
     CompiledArtifact artifact;
     artifact.solver = key.solver;
     artifact.model_hash = key.model_hash;
-    artifact.config = config;
+    artifact.config = key.config;
     // Generated-model provenance rides along (informational — identity
     // stays (solver, hash, config); for generated models the hash IS the
     // spec hash, so the stored spec names the blob's content readably).
@@ -196,7 +191,7 @@ std::size_t SolverCache::flush_to_store() {
     // oscillating between subsets.
     if (entry.imported) {
       const auto on_disk =
-          store_->load(key.model_hash, key.solver, config);
+          store_->load(key.model_hash, key.solver, key.config);
       if (on_disk.has_value()) {
         for (const ArtifactSchemaEntry& e : on_disk->schemas) {
           const std::pair<double, double> k{e.t, e.eps};

@@ -18,6 +18,11 @@
 // canonical config.epsilon (the study runner uses the study's tightest)
 // and carrying the per-scenario epsilon in the request.
 //
+// Failures: a key whose construction throws (rsd on an absorbing chain)
+// is recorded with its error; every later lookup rethrows it without a
+// second construction, so a failing key costs one build however many
+// scenarios name it.
+//
 // Disk tier: attach_store() adds a second, cross-process tier
 // (study/artifact_store.hpp). A memory miss then first consults the store
 // — a verified artifact warm-starts the freshly constructed solver via
@@ -32,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -53,14 +59,11 @@ namespace rrl {
 struct SolverCacheKey {
   std::uint64_t model_hash = 0;
   std::string solver;
-  double epsilon = 0.0;
-  double rate_factor = 0.0;
-  index_t regenerative = -1;
-  std::int64_t step_cap = -1;
+  SolverConfig config;
 
   [[nodiscard]] auto tie() const {
-    return std::tie(model_hash, solver, epsilon, rate_factor, regenerative,
-                    step_cap);
+    return std::tie(model_hash, solver, config.epsilon, config.rate_factor,
+                    config.regenerative, config.step_cap);
   }
   [[nodiscard]] bool operator<(const SolverCacheKey& o) const {
     return tie() < o.tie();
@@ -71,8 +74,8 @@ struct SolverCacheKey {
 /// per lookup (and the study report's `cache_tier` column under
 /// --timings, where stragglers caused by cold compiles become visible).
 enum class CacheTier {
-  kNone,      ///< not resolved through the cache (no-cache mode, or the
-              ///< per-scenario fallback after a construction failure)
+  kNone,      ///< no solver from the cache: no-cache mode, or a key
+              ///< whose construction failed
   kMemory,    ///< shared an already-compiled in-memory solver
   kDisk,      ///< memory miss warm-started from the disk artifact tier
   kFetched,   ///< memory+disk miss warm-started through the fetcher hook
@@ -114,12 +117,14 @@ class SolverCache {
   /// registry's deterministic auto-selection, identically to the uncached
   /// path; callers meaning "the model file's hint" resolve that
   /// themselves first (see io/model_solver.hpp's resolved_config).
-  /// Construction errors (unknown solver, structural precondition) are
-  /// thrown to the caller and nothing is cached. Thread-safe; a miss
-  /// builds under the lock (the study runner resolves scenarios serially
-  /// before fanning out, so misses are never on a hot concurrent path).
-  /// When `tier` is non-null it receives the lookup's provenance (memory
-  /// share / disk warm-start / cold compile); untouched on throw.
+  /// A construction error (unknown solver, structural precondition) is
+  /// recorded under the key and thrown to the caller; every later lookup
+  /// of the key rethrows it without a second construction and counts no
+  /// hit or miss. Thread-safe; a miss builds under the lock (the study
+  /// runner resolves scenarios serially before fanning out, so misses
+  /// are never on a hot concurrent path). When `tier` is non-null it
+  /// receives the lookup's provenance (memory share / disk warm-start /
+  /// cold compile); untouched on throw.
   [[nodiscard]] std::shared_ptr<const TransientSolver> get_or_build(
       const std::shared_ptr<const StudyModel>& model,
       const std::string& solver_name, SolverConfig config,
@@ -163,6 +168,8 @@ class SolverCache {
 
   mutable std::mutex mutex_;
   std::map<SolverCacheKey, Entry> entries_;
+  /// Keys whose construction threw, with what it threw.
+  std::map<SolverCacheKey, std::exception_ptr> failures_;
   std::shared_ptr<const ArtifactStore> store_;
   bool read_disk_ = true;
   ArtifactFetcher fetcher_;

@@ -52,6 +52,21 @@ DispatchCounters& dispatch_counters() {
   return c;
 }
 
+// A solver-cache key as an artifact_request spells it on the wire, and
+// back.
+WireArtifactRequest artifact_request(const SolverCacheKey& key) {
+  return {key.model_hash, key.solver, key.config.epsilon,
+          key.config.rate_factor, key.config.regenerative,
+          key.config.step_cap};
+}
+
+SolverCacheKey cache_key(const WireArtifactRequest& request) {
+  return {request.model_hash, request.solver,
+          SolverConfig{request.epsilon, request.rate_factor,
+                       static_cast<index_t>(request.regenerative),
+                       request.step_cap}};
+}
+
 // ---- fd helpers for the worker side (the parent side goes through
 // FrameChannel, io/net_transport.hpp).
 
@@ -439,20 +454,15 @@ DispatchReport dispatch_study(const StudyPlan& plan,
         dispatch_counters().heartbeats.add(1);
       } else if (frame->type == WireType::kArtifactRequest) {
         const trace::Span span("artifact.serve");
-        const WireArtifactRequest request =
-            decode_artifact_request(frame->payload);
+        const SolverCacheKey key =
+            cache_key(decode_artifact_request(frame->payload));
         ++report.artifact_requests;
         WireArtifactData data;
-        data.model_hash = request.model_hash;
-        data.solver = request.solver;
+        data.model_hash = key.model_hash;
+        data.solver = key.solver;
         if (options.artifact_store != nullptr) {
-          SolverConfig config;
-          config.epsilon = request.epsilon;
-          config.rate_factor = request.rate_factor;
-          config.regenerative = static_cast<index_t>(request.regenerative);
-          config.step_cap = request.step_cap;
           const auto artifact = options.artifact_store->load(
-              request.model_hash, request.solver, config);
+              key.model_hash, key.solver, key.config);
           if (artifact.has_value()) {
             std::ostringstream blob;
             write_artifact(blob, *artifact);
@@ -836,16 +846,9 @@ int run_worker_loop(const StudyPlan& plan, SolverCache& cache,
     // a counted miss and a local compile, never a wrong answer.
     cache.set_fetcher([&link](const SolverCacheKey& key)
                           -> std::optional<CompiledArtifact> {
-      WireArtifactRequest request;
-      request.model_hash = key.model_hash;
-      request.solver = key.solver;
-      request.epsilon = key.epsilon;
-      request.rate_factor = key.rate_factor;
-      request.regenerative = key.regenerative;
-      request.step_cap = key.step_cap;
       if (!link.write_frame(
               encode_frame(WireType::kArtifactRequest,
-                           encode_artifact_request(request)))) {
+                           encode_artifact_request(artifact_request(key))))) {
         return std::nullopt;
       }
       for (;;) {
@@ -862,16 +865,11 @@ int run_worker_loop(const StudyPlan& plan, SolverCache& cache,
           return std::nullopt;
         }
         if (!data.found) return std::nullopt;
-        SolverConfig config;
-        config.epsilon = key.epsilon;
-        config.rate_factor = key.rate_factor;
-        config.regenerative = key.regenerative;
-        config.step_cap = key.step_cap;
         try {
           std::istringstream in(data.blob);
           CompiledArtifact artifact = read_artifact(in);
           if (artifact_matches(artifact, key.solver, key.model_hash,
-                               config)) {
+                               key.config)) {
             return artifact;
           }
         } catch (const std::exception&) {
@@ -985,7 +983,7 @@ int run_worker_loop(const StudyPlan& plan, SolverCache& cache,
     WireResult result;
     result.unit = unit.id;
     result.seconds = unit_watch.seconds();
-    result.rows = slice_rows(slice, plan.grids);
+    result.rows = slice.rows();
     ++executed;
     busy_seconds += result.seconds;
 

@@ -1,5 +1,8 @@
 #include "study/study_exec.hpp"
 
+#include <exception>
+#include <optional>
+
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -17,60 +20,53 @@ ExecutedSlice execute_scenarios(const StudyPlan& plan,
   slices.add(1);
   scenarios_in.add(positions.size());
 
-  ExecutedSlice slice;
-  slice.scenarios.reserve(positions.size());
-  slice.tiers.reserve(positions.size());
+  std::optional<ThreadPool> own_pool;
+  std::vector<SolveWorkspace> own_workspaces;
+  if (pool == nullptr) {
+    pool = &own_pool.emplace(options.jobs);
+    workspaces = &own_workspaces;
+  }
+  RRL_EXPECTS(workspaces != nullptr);
 
-  BatchRequest batch;
-  batch.scenarios.reserve(positions.size());
+  ExecutedSlice slice;
+  slice.tiers.assign(positions.size(), CacheTier::kNone);
+  slice.grids = plan.grids;
   for (const std::size_t p : positions) {
     RRL_EXPECTS(p < plan.scenarios.size());
-    const PlannedScenario& planned = plan.scenarios[p];
-    slice.scenarios.push_back(planned.meta);
+    slice.scenarios.push_back(plan.scenarios[p].meta);
+  }
 
-    SweepScenario scenario;
-    scenario.model = planned.meta.model;
-    scenario.solver = planned.meta.solver;
-    scenario.config = planned.config;
+  // Every solver is built before the sweep: one per key through the
+  // cache, serially (a failed key is built once and rethrows its error),
+  // or one per scenario across the pool.
+  BatchRequest batch;
+  batch.scenarios.resize(positions.size());
+  const auto build = [&](std::size_t k) {
+    const PlannedScenario& planned = plan.scenarios[positions[k]];
+    SweepScenario& scenario = batch.scenarios[k];
     scenario.request = planned.request;
-    CacheTier tier = CacheTier::kNone;
-    if (options.use_cache) {
-      // Shared compiled solver. A construction failure (structural
-      // precondition, e.g. rsd on an absorbing chain) caches nothing and
-      // leaves shared_solver null: the fallback below reconstructs per
-      // scenario inside the sweep, which records the same error in that
-      // scenario's slot — per-scenario isolation identical to the
-      // uncached path.
-      try {
-        scenario.shared_solver = cache.get_or_build(
-            planned.model, planned.meta.solver, planned.config, &tier);
-      } catch (const std::exception&) {
-        tier = CacheTier::kNone;
-      }
-    }
-    // The chain is always advertised (the engine's model-size scheduling
-    // heuristic reads it); the data vectors are only copied when the
-    // sweep must construct the solver itself.
     scenario.chain = &planned.model->file.chain;
-    if (scenario.shared_solver == nullptr) {
-      scenario.rewards = planned.model->file.rewards;
-      scenario.initial = planned.model->file.initial;
+    try {
+      scenario.solver =
+          options.use_cache
+              ? cache.get_or_build(planned.model, planned.meta.solver,
+                                   planned.config, &slice.tiers[k])
+              : make_solver(planned.meta.solver, planned.model->file.chain,
+                            planned.model->file.rewards,
+                            planned.model->file.initial, planned.config);
+    } catch (const std::exception& e) {
+      scenario.error = e.what();
     }
-    slice.tiers.push_back(tier);
-    batch.scenarios.push_back(std::move(scenario));
-  }
-
-  batch.jobs = options.jobs;
-  if (pool != nullptr) {
-    RRL_EXPECTS(workspaces != nullptr);
-    slice.sweep = run_sweep(batch, *pool, *workspaces);
+  };
+  if (options.use_cache) {
+    for (std::size_t k = 0; k < positions.size(); ++k) build(k);
   } else {
-    slice.sweep = run_sweep(batch);
+    pool->parallel_for(positions.size(), build);
   }
-  slice.jobs = slice.sweep.jobs;
 
-  // The plan (and the cache entries) pin the models the sweep borrowed
+  // The plan (and the cache entries) pin the models the sweep borrows
   // chains from; both outlive the returned slice in every caller.
+  slice.sweep = run_sweep(batch, *pool, *workspaces);
   return slice;
 }
 
@@ -89,10 +85,7 @@ ExecutedSlice execute_unit(const StudyPlan& plan, const WorkUnit& unit,
                            workspaces);
 }
 
-std::vector<ReportRow> report_rows(
-    const std::vector<StudyScenario>& scenarios, const SweepReport& sweep,
-    const std::vector<CacheTier>& tiers,
-    const std::vector<std::vector<double>>& grids) {
+std::vector<ReportRow> ExecutedSlice::rows() const {
   std::vector<ReportRow> out;
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     const StudyScenario& scenario = scenarios[s];
@@ -104,8 +97,7 @@ std::vector<ReportRow> report_rows(
     base.measure = measure_name(scenario.measure);
     base.epsilon = scenario.epsilon;
     base.seconds = result.seconds;
-    base.tier =
-        cache_tier_name(s < tiers.size() ? tiers[s] : CacheTier::kNone);
+    base.tier = cache_tier_name(tiers[s]);
     if (!result.ok()) {
       base.error = result.error;
       out.push_back(std::move(base));

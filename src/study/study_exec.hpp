@@ -3,15 +3,20 @@
 //
 // A slice is any ascending selection of the plan's scenarios: one work
 // unit (the dispatch worker loop), a round-robin shard, or the whole
-// expansion (the single-process runner). However the slice was chunked,
-// every scenario resolves its solver through the shared SolverCache, so
-// scenarios keyed to the same (model, solver, config) drive ONE immutable
-// compiled solver and the scenarios one pass can answer share it —
-// chunking changes scheduling, never the work or the values.
+// expansion (the single-process runner). Every solver is built here,
+// before the sweep, in one of two ways. By default each scenario resolves
+// its solver through the shared SolverCache, so scenarios keyed to the
+// same (model, solver, config) drive ONE immutable compiled solver and
+// the scenarios one pass can answer share it — chunking changes
+// scheduling, never the work or the values. A key whose construction
+// fails (rsd on an absorbing chain) is built once; the cache records the
+// error and every scenario of the key reports it. With the cache off,
+// every scenario builds a fresh solver of its own, the builds spread
+// across the slice's pool; values are bit-identical either way.
 //
 // A worker loop executing many slices back to back passes its own pool and
 // workspace vector so thread and buffer warm-up survive across units; the
-// one-shot callers let the engine build both per call. Either way the
+// one-shot callers let the slice build both per call. Either way the
 // values are bit-identical (the engine's determinism contract).
 #pragma once
 
@@ -30,8 +35,8 @@ struct ExecOptions {
   /// Worker threads INCLUDING the calling thread; <= 0 selects the
   /// hardware concurrency (only consulted when no pool is passed).
   int jobs = 1;
-  /// false = per-scenario fresh solver construction (the pre-cache
-  /// behavior; kept for equivalence testing and benchmarking).
+  /// false = a fresh solver per scenario (equivalence testing and
+  /// benchmarking of the cache).
   bool use_cache = true;
 };
 
@@ -40,16 +45,21 @@ struct ExecutedSlice {
   std::vector<StudyScenario> scenarios;  ///< the slice, ascending order
   SweepReport sweep;                     ///< results[i] <-> scenarios[i]
   std::vector<CacheTier> tiers;          ///< where solvers[i] came from
-  int jobs = 1;
+  std::vector<std::vector<double>> grids;  ///< the plan's grids
+
+  /// Report rows in canonical order (one per grid point, or one per
+  /// failed scenario), including the diagnostic seconds / cache-tier
+  /// fields (written to CSV only under --timings).
+  [[nodiscard]] std::vector<ReportRow> rows() const;
 };
 
 /// Solve the plan scenarios at `positions` (ascending indices into
-/// plan.scenarios) as ONE sweep batch. Solver-construction failures (e.g.
-/// rsd on an absorbing chain) fall back to per-scenario construction
-/// inside the sweep, which records the same error in that scenario's slot
-/// — per-scenario isolation identical to the uncached path. When `pool`
-/// is non-null the sweep runs on it (with `workspaces`, which must then be
-/// non-null too); otherwise a fresh pool of options.jobs workers is built.
+/// plan.scenarios) as ONE sweep batch. A scenario whose solver cannot be
+/// built (e.g. rsd on an absorbing chain) records the construction error
+/// in its own slot; the rest of the slice solves normally. When `pool` is
+/// non-null the builds and the sweep run on it (with `workspaces`, which
+/// must then be non-null too); otherwise a fresh pool of options.jobs
+/// workers is built.
 [[nodiscard]] ExecutedSlice execute_scenarios(
     const StudyPlan& plan, const std::vector<std::size_t>& positions,
     SolverCache& cache, const ExecOptions& options,
@@ -62,19 +72,5 @@ struct ExecutedSlice {
     const StudyPlan& plan, const WorkUnit& unit, SolverCache& cache,
     const ExecOptions& options, ThreadPool* pool = nullptr,
     std::vector<SolveWorkspace>* workspaces = nullptr);
-
-/// Report rows of a solved slice in canonical order (one per grid point,
-/// or one per failed scenario), including the diagnostic seconds /
-/// cache-tier fields (written to CSV only under --timings).
-[[nodiscard]] std::vector<ReportRow> report_rows(
-    const std::vector<StudyScenario>& scenarios, const SweepReport& sweep,
-    const std::vector<CacheTier>& tiers,
-    const std::vector<std::vector<double>>& grids);
-
-[[nodiscard]] inline std::vector<ReportRow> slice_rows(
-    const ExecutedSlice& slice,
-    const std::vector<std::vector<double>>& grids) {
-  return report_rows(slice.scenarios, slice.sweep, slice.tiers, grids);
-}
 
 }  // namespace rrl

@@ -53,33 +53,9 @@ void StudyReducer::add_unit(std::uint64_t first_scenario,
     }
   }
 
-  // Row validation, online: inside the range, sorted by (scenario, point)
-  // without duplicates, every scenario of the range covered.
-  std::uint64_t expected = first_scenario;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ReportRow& row = rows[i];
-    if (row.scenario < first_scenario ||
-        row.scenario >= first_scenario + scenario_count) {
-      reject("row for scenario " + std::to_string(row.scenario) +
-             " outside its unit [" + std::to_string(first_scenario) + ", " +
-             std::to_string(first_scenario + scenario_count) + ")");
-    }
-    if (i > 0) {
-      const ReportRow& prev = rows[i - 1];
-      if (row.scenario < prev.scenario ||
-          (row.scenario == prev.scenario && row.point <= prev.point)) {
-        reject("rows for scenario " + std::to_string(row.scenario) +
-               " out of order or duplicated");
-      }
-    }
-    if (row.scenario > expected) {
-      reject("no rows for scenario " + std::to_string(expected));
-    }
-    if (row.scenario == expected) ++expected;
+  check_row_coverage(rows, first_scenario, scenario_count, "reduce");
+  for (const ReportRow& row : rows) {
     if (row.failed() && row.point == 0) ++failed_;
-  }
-  if (expected != first_scenario + scenario_count) {
-    reject("no rows for scenario " + std::to_string(expected));
   }
 
   pending_.emplace(first_scenario,

@@ -11,11 +11,12 @@
 // byte-for-byte what write_report_csv would have produced from the fully
 // sorted row list (both go through the same header/row writers).
 //
-// Validation mirrors merge_report_rows, shifted to unit granularity so it
-// can run online: each added unit's rows must stay inside the unit's
-// declared range, be sorted by (scenario, point) without duplicates, and
-// cover every scenario of the range (a failed scenario contributes its
-// error row); overlapping or duplicate units are rejected when added, and
+// Validation is merge_report_rows' own check (check_row_coverage), at
+// unit granularity so it can run online: each added unit's rows must stay
+// inside the unit's declared range, be sorted by (scenario, point)
+// without duplicates, and cover every scenario of the range (a failed
+// scenario contributes its error row); overlapping or duplicate units are
+// rejected when added, and
 // finish() rejects a study with ranges never delivered. A unit that was
 // dispatched twice (worker death re-dispatch) must therefore be reported
 // to the reducer only once — the dispatcher's job.

@@ -184,6 +184,38 @@ std::vector<ReportRow> read_report_csv(std::istream& in,
   return rows;
 }
 
+void check_row_coverage(const std::vector<ReportRow>& rows,
+                        std::uint64_t first, std::uint64_t count,
+                        const char* where) {
+  const auto reject = [&](const std::string& what) {
+    throw contract_error(std::string(where) + ": " + what);
+  };
+  std::uint64_t expected = first;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const ReportRow& row = rows[i];
+    if (row.scenario < first || row.scenario - first >= count) {
+      reject("row for scenario " + std::to_string(row.scenario) +
+             " outside [" + std::to_string(first) + ", " +
+             std::to_string(first + count) + ")");
+    }
+    if (i > 0) {
+      const ReportRow& prev = rows[i - 1];
+      if (row.scenario < prev.scenario ||
+          (row.scenario == prev.scenario && row.point <= prev.point)) {
+        reject("rows for scenario " + std::to_string(row.scenario) +
+               " out of order or duplicated");
+      }
+    }
+    if (row.scenario > expected) {
+      reject("no rows for scenario " + std::to_string(expected));
+    }
+    if (row.scenario == expected) ++expected;
+  }
+  if (expected != first + count) {
+    reject("no rows for scenario " + std::to_string(expected));
+  }
+}
+
 std::vector<ReportRow> merge_report_rows(
     const std::vector<std::vector<ReportRow>>& shards,
     const std::vector<std::uint64_t>& shard_totals,
@@ -210,35 +242,7 @@ std::vector<ReportRow> merge_report_rows(
                                                      : a.point < b.point;
                    });
 
-  // Coverage: every scenario 0..total-1 present, no (scenario, point) twice.
-  std::uint64_t next_expected = 0;
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    const ReportRow& row = merged[i];
-    if (row.scenario >= total_scenarios) {
-      throw contract_error("merge: row for scenario " +
-                           std::to_string(row.scenario) +
-                           " outside the study (" +
-                           std::to_string(total_scenarios) + " scenarios)");
-    }
-    if (i > 0 && merged[i - 1].scenario == row.scenario &&
-        merged[i - 1].point == row.point) {
-      throw contract_error(
-          "merge: duplicate row for scenario " +
-          std::to_string(row.scenario) + ", point " +
-          std::to_string(row.point) + " — overlapping shards?");
-    }
-    if (row.scenario > next_expected) {
-      throw contract_error("merge: no rows for scenario " +
-                           std::to_string(next_expected) +
-                           " — missing shard?");
-    }
-    if (row.scenario == next_expected) ++next_expected;
-  }
-  if (next_expected != total_scenarios) {
-    throw contract_error("merge: no rows for scenario " +
-                         std::to_string(next_expected) +
-                         " — missing shard?");
-  }
+  check_row_coverage(merged, 0, total_scenarios, "merge");
   return merged;
 }
 

@@ -82,9 +82,18 @@ void write_report_row(std::ostream& out, const ReportRow& row,
     std::istream& in, std::uint64_t& total_scenarios,
     bool* timings = nullptr);
 
+/// Row coverage of the scenarios [first, first + count): every row inside
+/// the range, rows sorted by (scenario, point) without duplicates, and at
+/// least one row for every scenario of the range (a failed scenario has
+/// its error row). Throws contract_error, its message prefixed with
+/// `where` ("merge", "reduce"), on the first violation.
+void check_row_coverage(const std::vector<ReportRow>& rows,
+                        std::uint64_t first, std::uint64_t count,
+                        const char* where);
+
 /// Merge shard reports: all inputs must agree on total_scenarios; rows are
-/// sorted by (scenario, point) and validated — no duplicate (scenario,
-/// point), every scenario index in [0, total) covered by at least one row.
+/// sorted by (scenario, point) and must cover [0, total) exactly
+/// (check_row_coverage).
 /// Returns the merged rows (write_report_csv of these reproduces the
 /// unsharded report byte-for-byte). Throws contract_error on overlap,
 /// gaps, or metadata mismatch.

@@ -2,10 +2,6 @@
 
 namespace rrl {
 
-std::vector<ReportRow> StudyRun::rows() const {
-  return report_rows(scenarios, sweep, tiers, grids);
-}
-
 StudyRun run_study(const StudySpec& spec, ModelRepository& repository,
                    SolverCache& cache, const StudyOptions& options) {
   if (!options.shard.valid()) {
@@ -30,17 +26,8 @@ StudyRun run_study(const StudySpec& spec, ModelRepository& repository,
   ExecOptions exec;
   exec.jobs = options.jobs > 0 ? options.jobs : spec.jobs;
   exec.use_cache = options.use_cache;
-  ExecutedSlice slice = execute_scenarios(plan, positions, cache, exec);
-
-  StudyRun run;
-  run.scenarios = std::move(slice.scenarios);
-  run.sweep = std::move(slice.sweep);
-  run.tiers = std::move(slice.tiers);
-  run.grids = plan.grids;
-  run.total_scenarios = plan.total_scenarios;
-  run.shard = options.shard;
-  run.jobs = slice.jobs;
-  return run;
+  return {execute_scenarios(plan, positions, cache, exec),
+          plan.total_scenarios, options.shard};
 }
 
 }  // namespace rrl

@@ -15,12 +15,13 @@
 // Solver sharing: scenarios are resolved through the SolverCache serially
 // before the sweep, so all scenarios keyed to the same (model, solver,
 // config) drive ONE immutable solver (per-worker SolveWorkspaces carry the
-// mutable state). The per-scenario epsilon travels in the SolveRequest —
-// every method honors the request epsilon over its constructed default —
-// so the cache is keyed with one canonical construction epsilon (the
-// study's tightest) and epsilon variation costs no extra solvers. Results
-// are bit-identical to per-scenario fresh construction (use_cache=false),
-// which the tests assert.
+// mutable state), and a key whose construction fails is built once. The
+// per-scenario epsilon travels in the SolveRequest — every method honors
+// the request epsilon over its constructed default — so the cache is
+// keyed with one canonical construction epsilon (the study's tightest)
+// and epsilon variation costs no extra solvers. Results are bit-identical
+// to a fresh solver per scenario (use_cache=false), which the tests
+// assert.
 #pragma once
 
 #include <cstdint>
@@ -53,30 +54,17 @@ struct StudyOptions {
   ShardSpec shard;
   /// Worker threads; <= 0 uses the spec's `jobs` line.
   int jobs = 0;
-  /// false = per-scenario fresh solver construction (the pre-cache
-  /// behavior; kept for equivalence testing and benchmarking).
+  /// false = a fresh solver per scenario (equivalence testing and
+  /// benchmarking of the cache).
   bool use_cache = true;
 };
 
-/// A solved shard: metadata + results, index-aligned.
-struct StudyRun {
-  std::vector<StudyScenario> scenarios;  ///< this shard, global order
-  SweepReport sweep;                     ///< results[i] <-> scenarios[i]
-  std::vector<CacheTier> tiers;  ///< solver provenance, scenario-aligned
-  std::vector<std::vector<double>> grids;  ///< the spec's grids (for rows)
-  std::uint64_t total_scenarios = 0;     ///< full expansion size
+/// A solved shard: the executed slice (this shard's scenarios in global
+/// order, their results and solver provenance, the spec's grids, rows())
+/// plus the study it was cut from.
+struct StudyRun : ExecutedSlice {
+  std::uint64_t total_scenarios = 0;  ///< full expansion size
   ShardSpec shard;
-  int jobs = 1;
-
-  /// Report rows in canonical order (one per grid point, or one per
-  /// failed scenario).
-  [[nodiscard]] std::vector<ReportRow> rows() const;
-
-  /// Scenarios of this run that failed (partial results remain valid; the
-  /// CLI surfaces this as a nonzero exit code).
-  [[nodiscard]] std::size_t failed() const noexcept {
-    return sweep.failed();
-  }
 };
 
 /// Plan, slice, resolve solvers through the cache, and solve. Models are

@@ -47,8 +47,9 @@ class CliArgs {
     return it == options_.end() ? fallback : it->second;
   }
 
-  /// The value must be a number with nothing after it ("2x" is rejected,
-  /// not read as 2); a bad value throws contract_error naming the option.
+  /// The value must be a finite number with nothing after it ("2x" is
+  /// rejected, not read as 2; so are "inf", "nan" and "1e999"); a bad
+  /// value throws contract_error naming the option.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto it = options_.find(key);
@@ -56,7 +57,9 @@ class CliArgs {
     const char* text = it->second.c_str();
     char* end = nullptr;
     const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0') reject(key, it->second, "a number");
+    if (end == text || *end != '\0' || !std::isfinite(value)) {
+      reject(key, it->second, "a finite number");
+    }
     return value;
   }
 

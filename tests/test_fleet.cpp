@@ -436,12 +436,7 @@ TEST(Fleet, FetcherHookWarmStartsBitIdenticallyAndCountsBothWays) {
   std::size_t calls = 0;
   fetched.set_fetcher([&](const SolverCacheKey& key) {
     ++calls;
-    SolverConfig config;
-    config.epsilon = key.epsilon;
-    config.rate_factor = key.rate_factor;
-    config.regenerative = static_cast<index_t>(key.regenerative);
-    config.step_cap = key.step_cap;
-    return store->load(key.model_hash, key.solver, config);
+    return store->load(key.model_hash, key.solver, key.config);
   });
   CacheTier tier = CacheTier::kNone;
   const CounterDelta fetch_hits("rrl_cache_fetch_hits_total");

@@ -95,27 +95,26 @@ const Raid5Model& raid40() {
   return model;
 }
 
+/// A fresh `solver` on RAID-5 G=40 answering TRR over `times`. `spread`
+/// starts it from a uniform initial distribution: a forward pass's live
+/// prefix is then the whole chain, so every product is large enough to
+/// run on a lent pool.
 SweepScenario raid40_scenario(const std::string& solver,
-                              std::vector<double> times) {
+                              std::vector<double> times, double eps = 1e-10,
+                              bool spread = false) {
   const Raid5Model& raid = raid40();
+  std::vector<double> initial = raid.initial_distribution();
+  if (spread) {
+    initial.assign(initial.size(), 1.0 / static_cast<double>(initial.size()));
+  }
+  SolverConfig config;
+  config.epsilon = eps;
+  config.regenerative = raid.initial_state;
   SweepScenario scenario;
-  scenario.model = "raid5-g40";
-  scenario.solver = solver;
-  scenario.chain = &raid.chain;
-  scenario.rewards = raid.failure_rewards();
-  scenario.initial = raid.initial_distribution();
-  scenario.config.epsilon = 1e-10;
-  scenario.config.regenerative = raid.initial_state;
+  scenario.solver = make_solver(solver, raid.chain, raid.failure_rewards(),
+                                std::move(initial), config);
   scenario.request.times = std::move(times);
-  return scenario;
-}
-
-/// The scenario with a uniform initial distribution: a forward pass's
-/// live prefix is then the whole chain, so every product is large enough
-/// to run on a lent pool.
-SweepScenario spread(SweepScenario scenario) {
-  const std::size_t n = scenario.initial.size();
-  scenario.initial.assign(n, 1.0 / static_cast<double>(n));
+  scenario.chain = &raid.chain;
   return scenario;
 }
 
@@ -216,34 +215,39 @@ TEST(LentPool, RrlGridOnALentPoolMatchesTheSerialSolve) {
 }
 
 TEST(LentPool, OneRrlScenarioAtFourJobsMatchesOneJob) {
-  BatchRequest batch;
-  batch.scenarios.push_back(
-      raid40_scenario("rrl", log_time_grid(1.0, 1e3, 6)));
-  batch.jobs = 1;
-  const SweepReport want = run_sweep(batch);
+  const auto batch = [](int jobs) {
+    BatchRequest b;
+    b.scenarios.push_back(
+        raid40_scenario("rrl", log_time_grid(1.0, 1e3, 6)));
+    b.jobs = jobs;
+    return b;
+  };
+  const SweepReport want = run_sweep(batch(1));
 
-  batch.jobs = 4;  // one unit on four workers: model-parallel
+  const BatchRequest four = batch(4);  // one unit on four workers
   const PoolTally tally;
-  const SweepReport got = run_sweep(batch);
-  // The by-name build (one index) and the six inversions; the
-  // unit-parallel route would run the build and one unit, two indices.
-  EXPECT_EQ(tally.indices(), 1u + 6u);
+  const SweepReport got = run_sweep(four);
+  // The six inversions; the unit-parallel route would run one unit, one
+  // index.
+  EXPECT_EQ(tally.indices(), 6u);
   expect_same(got, want, "rrl jobs 4 vs 1");
 }
 
 TEST(LentPool, SrPlusRrlOnRaid40TakesTheModelParallelRoute) {
-  BatchRequest batch;
-  batch.scenarios.push_back(raid40_scenario("sr", {1.0, 3.0, 9.0}));
-  batch.scenarios.push_back(raid40_scenario("rrl", {1.0, 3.0, 9.0}));
-  batch.jobs = 1;
-  const SweepReport want = run_sweep(batch);
+  const auto batch = [](int jobs) {
+    BatchRequest b;
+    b.scenarios.push_back(raid40_scenario("sr", {1.0, 3.0, 9.0}));
+    b.scenarios.push_back(raid40_scenario("rrl", {1.0, 3.0, 9.0}));
+    b.jobs = jobs;
+    return b;
+  };
+  const SweepReport want = run_sweep(batch(1));
 
-  batch.jobs = 4;  // two units on four workers
+  const BatchRequest four = batch(4);  // two units on four workers
   const PoolTally tally;
-  const SweepReport got = run_sweep(batch);
-  // Unit-parallel would run two loops (the by-name builds, the units);
-  // model-parallel runs the builds, RRL's inversions and SR's pooled
-  // products.
+  const SweepReport got = run_sweep(four);
+  // Unit-parallel would run one loop (the units); model-parallel runs
+  // RRL's inversions and SR's pooled products.
   EXPECT_GT(tally.loops(), 2u);
   expect_same(got, want, "sr + rrl jobs 4 vs 1");
 }
@@ -253,19 +257,21 @@ TEST(LentPool, PairsOfPartPooledUnitsStayUnitParallel) {
   // thread; two such units run side by side rather than one after the
   // other with only their inversions or products on the pool.
   for (const std::string solver : {"rrl", "krylov"}) {
-    BatchRequest batch;
-    batch.scenarios.push_back(raid40_scenario(solver, {1.0, 3.0, 9.0}));
-    batch.scenarios.push_back(batch.scenarios.back());
-    batch.scenarios.back().config.epsilon = 1e-8;
-    batch.jobs = 1;
-    const SweepReport want = run_sweep(batch);
+    const auto batch = [&](int jobs) {
+      BatchRequest b;
+      b.scenarios.push_back(raid40_scenario(solver, {1.0, 3.0, 9.0}));
+      b.scenarios.push_back(raid40_scenario(solver, {1.0, 3.0, 9.0}, 1e-8));
+      b.jobs = jobs;
+      return b;
+    };
+    const SweepReport want = run_sweep(batch(1));
 
-    batch.jobs = 4;
+    const BatchRequest four = batch(4);
     const PoolTally tally;
-    const SweepReport got = run_sweep(batch);
-    // The by-name builds and the units, two loops of two indices each.
-    EXPECT_EQ(tally.loops(), 2u) << solver;
-    EXPECT_EQ(tally.indices(), 4u) << solver;
+    const SweepReport got = run_sweep(four);
+    // The units, one loop of two indices.
+    EXPECT_EQ(tally.loops(), 1u) << solver;
+    EXPECT_EQ(tally.indices(), 2u) << solver;
     expect_same(got, want, solver + " pair jobs 4 vs 1");
   }
 }
@@ -273,13 +279,8 @@ TEST(LentPool, PairsOfPartPooledUnitsStayUnitParallel) {
 TEST(LentPool, KrylovScenarioRunsItsProductsOnThePool) {
   // Krylov steps through SolveWorkspace::pooled_spmv like SR and RSD, so
   // a lone Krylov scenario on a big model is lent the pool too.
-  const Raid5Model& raid = raid40();
-  SweepScenario scenario = raid40_scenario("krylov", {1.0, 10.0, 100.0});
-  scenario.shared_solver =
-      make_solver("krylov", raid.chain, scenario.rewards, scenario.initial,
-                  scenario.config);
   BatchRequest batch;
-  batch.scenarios.push_back(scenario);
+  batch.scenarios.push_back(raid40_scenario("krylov", {1.0, 10.0, 100.0}));
   batch.jobs = 1;
   const SweepReport want = run_sweep(batch);
 
@@ -308,13 +309,14 @@ TEST(LentPool, RouteFollowsTheSolverNotItsRegisteredName) {
   std::vector<SweepReport> reports;
   for (const std::string name : {"sr", "sr-under-another-name"}) {
     BatchRequest batch;
-    batch.scenarios.push_back(spread(raid40_scenario(name, {1.0, 5.0})));
+    batch.scenarios.push_back(
+        raid40_scenario(name, {1.0, 5.0}, 1e-10, /*spread=*/true));
     batch.jobs = 4;
     const PoolTally tally;
     reports.push_back(run_sweep(batch));
     loops.push_back(tally.loops());
   }
-  EXPECT_GT(loops[0], 2u);  // the build, then one loop per pooled product
+  EXPECT_GT(loops[0], 2u);  // one loop per pooled product
   EXPECT_EQ(loops[1], loops[0]);
   expect_same(reports[1], reports[0], "sr under another name vs sr");
 }

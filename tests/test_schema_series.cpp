@@ -466,20 +466,16 @@ BatchRequest one_solver_batch(const Model& m, const std::string& name,
   for (const MeasureKind measure : {MeasureKind::kTrr, MeasureKind::kMrr}) {
     for (const double eps : {1e-8, 1e-10, 1e-12}) {
       SweepScenario scenario;
-      scenario.model = m.label;
-      scenario.solver = name;
-      scenario.chain = &m.chain;
-      scenario.config.epsilon = 1e-12;
-      scenario.config.regenerative = m.regenerative;
-      scenario.request.measure = measure;
-      scenario.request.times = {1.0, 10.0, 100.0};
-      scenario.request.epsilon = eps;
-      if (shared != nullptr) {
-        scenario.shared_solver = shared;
-      } else {
-        scenario.rewards = m.rewards;
-        scenario.initial = m.initial;
+      scenario.solver = shared;
+      if (shared == nullptr) {
+        SolverConfig config;
+        config.epsilon = 1e-12;
+        config.regenerative = m.regenerative;
+        scenario.solver =
+            make_solver(name, m.chain, m.rewards, m.initial, config);
       }
+      scenario.request = SolveRequest{measure, {1.0, 10.0, 100.0}, eps};
+      scenario.chain = &m.chain;
       batch.scenarios.push_back(std::move(scenario));
     }
   }

@@ -897,10 +897,8 @@ TEST(SharedPassSweep, UnitsAreBitIdenticalToSoloScenarios) {
            {MeasureKind::kTrr, MeasureKind::kMrr}) {
         for (const double eps : {1e-6, 1e-8, 1e-10}) {
           SweepScenario scenario;
-          scenario.model = model == &a ? "random30" : "mm1k20";
-          scenario.solver = name;
+          scenario.solver = solvers.back();
           scenario.chain = &model->chain;
-          scenario.shared_solver = solvers.back();
           scenario.request.measure = measure;
           scenario.request.times = {0.5, 3.0, 20.0};
           scenario.request.epsilon = eps;
@@ -976,11 +974,8 @@ TEST(SharedPassSweep, RrUnitsAreOnePerSchemaKeyAndBitIdentical) {
       for (const double eps : {1e-6, 1e-10}) {
         for (const double horizon : {4.0, 20.0}) {
           SweepScenario scenario;
-          scenario.model = model == &a ? "random30" : "mm1k20";
-          scenario.solver = "rr";
+          scenario.solver = solvers.back();
           scenario.chain = &model->chain;
-          scenario.config = config;
-          scenario.shared_solver = solvers.back();
           scenario.request.measure = measure;
           scenario.request.times = {0.5, horizon, 2.0};
           scenario.request.epsilon = eps;
@@ -993,7 +988,7 @@ TEST(SharedPassSweep, RrUnitsAreOnePerSchemaKeyAndBitIdentical) {
 
   std::vector<SolveReport> solo;
   for (const SweepScenario& scenario : batch.scenarios) {
-    solo.push_back(scenario.shared_solver->solve_grid(scenario.request));
+    solo.push_back(scenario.solver->solve_grid(scenario.request));
   }
 
   for (const bool spmm : {true, false}) {

@@ -587,16 +587,14 @@ TEST(RandomizationBatch, RunSweepRoutingIsBitIdenticalOnAndOff) {
   BatchRequest batch;
   for (int i = 0; i < 4; ++i) {
     SweepScenario scenario;
-    scenario.model = "random25";
-    scenario.solver = i % 2 == 0 ? "sr" : "rsd";
-    scenario.chain = &chain;
+    scenario.solver =
+        i % 2 == 0 ? std::static_pointer_cast<const TransientSolver>(sr)
+                   : std::static_pointer_cast<const TransientSolver>(rsd);
     scenario.request.measure =
         i < 2 ? MeasureKind::kTrr : MeasureKind::kMrr;
     scenario.request.times = {1.0, 10.0, 100.0};
     scenario.request.epsilon = i < 2 ? 1e-8 : 1e-10;
-    scenario.shared_solver =
-        i % 2 == 0 ? std::static_pointer_cast<const TransientSolver>(sr)
-                   : std::static_pointer_cast<const TransientSolver>(rsd);
+    scenario.chain = &chain;
     batch.scenarios.push_back(std::move(scenario));
   }
 
@@ -691,11 +689,9 @@ TEST(RandomizationBatch, RrSharesOnePassPerSchemaKeyBitwise) {
   BatchRequest batch;
   for (const SolveRequest& r : requests) {
     SweepScenario scenario;
-    scenario.model = "cycle3";
-    scenario.solver = "rr";
-    scenario.chain = &cycle;
+    scenario.solver = rr;
     scenario.request = r;
-    scenario.shared_solver = rr;
+    scenario.chain = &cycle;
     batch.scenarios.push_back(std::move(scenario));
   }
   const auto swept = [&] {

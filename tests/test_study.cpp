@@ -6,10 +6,12 @@
 // and both measures; (6) deterministic round-robin sharding whose merged
 // 3/3-shard report reproduces the unsharded report byte-for-byte,
 // including CSV-escaped error rows; (7) merge validation (overlap, gaps,
-// size mismatch).
+// size mismatch); (8) a solver whose construction fails is built once per
+// cache key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
@@ -396,9 +398,11 @@ TEST(StudyRunner, CachedBitIdenticalToFreshAcrossSolversAndMeasures) {
   StudyOptions cached_options;
   const CounterDelta compiles("rrl_solver_compiles_total");
   CounterDelta hits("rrl_cache_memory_hits_total");
+  const CounterDelta cached_misses("rrl_cache_memory_misses_total");
   const StudyRun cached = run_study(spec, repo, cache, cached_options);
   const std::uint64_t cached_compiles = compiles();
   const std::uint64_t cached_hits = hits();
+  const std::uint64_t cached_miss_count = cached_misses();
 
   StudyOptions fresh_options;
   fresh_options.use_cache = false;
@@ -438,9 +442,12 @@ TEST(StudyRunner, CachedBitIdenticalToFreshAcrossSolversAndMeasures) {
   // absorbing model never constructs — and every other scenario shares.
   // 3 models x 5 solvers - 1 failing combination = 14 compiled; of the 112
   // successful-construction scenarios (14 keys x 8 scenarios each), the
-  // rest were cache hits. The fresh run must not have touched the cache.
+  // rest were cache hits. The failing key misses once: its other 7
+  // scenarios read the recorded failure. The fresh run must not have
+  // touched the cache.
   EXPECT_EQ(cached_compiles, 14u);
   EXPECT_EQ(cached_hits, 98u);
+  EXPECT_EQ(cached_miss_count, 15u);
   EXPECT_EQ(hits() + misses(), 0u);
 
   // With 'regenerative auto' the cache keys auto as auto (the registry's
@@ -592,6 +599,69 @@ TEST(StudyReport, CsvEscapesSeparatorsAndQuotes) {
   EXPECT_EQ(parsed[0].error, "failed: expected a, got b");
   EXPECT_TRUE(parsed[0].failed());
   EXPECT_EQ(total, 1u);
+}
+
+// Keep this test last in the file: it registers a solver, and the tests
+// above expand 'solvers all' over the five built-in ones.
+TEST(StudyRunner, FailingSolverIsBuiltOncePerKey) {
+  static std::atomic<int> constructions{0};
+  register_solver("rsd-counted",
+                  [](const Ctmc& chain, std::vector<double> rewards,
+                     std::vector<double> initial,
+                     const SolverConfig& config) {
+                    constructions.fetch_add(1);
+                    return make_solver("rsd", chain, std::move(rewards),
+                                       std::move(initial), config);
+                  });
+  const std::string abs_path = write_temp_model("abs3", absorbing_file());
+  // One absorbing model x rsd x both measures x 2 epsilons x 2 grids: 8
+  // scenarios on one cache key, every one failing its construction.
+  std::istringstream in("model " + abs_path +
+                        "\nsolvers rsd-counted\nmeasures both\n"
+                        "epsilons 1e-8 1e-10\ngrid 1:100:3\ntimes 7 70\n"
+                        "jobs 4\n");
+  const StudySpec spec = read_study(in);
+  const auto csv = [](const StudyRun& run) {
+    std::ostringstream out;
+    write_report_csv(out, run.total_scenarios, run.rows());
+    return out.str();
+  };
+
+  ModelRepository repo;
+  SolverCache cache;
+  constructions = 0;
+  CounterDelta failed("rrl_scenarios_failed_total");
+  CounterDelta misses("rrl_cache_memory_misses_total");
+  const CounterDelta hits("rrl_cache_memory_hits_total");
+  const StudyRun cached = run_study(spec, repo, cache);
+  ASSERT_EQ(cached.scenarios.size(), 8u);
+  EXPECT_EQ(constructions.load(), 1);
+  EXPECT_EQ(cached.sweep.failed(), 8u);
+  EXPECT_EQ(failed(), 8u);
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(hits(), 0u);
+  for (const CacheTier tier : cached.tiers) EXPECT_EQ(tier, CacheTier::kNone);
+
+  // A second study through the same cache reads the recorded failure.
+  constructions = 0;
+  misses = CounterDelta("rrl_cache_memory_misses_total");
+  const StudyRun again = run_study(spec, repo, cache);
+  EXPECT_EQ(constructions.load(), 0);
+  EXPECT_EQ(misses(), 0u);
+  EXPECT_EQ(csv(again), csv(cached));
+
+  // A fresh solver per scenario: one construction each, the same rows.
+  StudyOptions fresh_options;
+  fresh_options.use_cache = false;
+  constructions = 0;
+  failed = CounterDelta("rrl_scenarios_failed_total");
+  const StudyRun fresh = run_study(spec, repo, cache, fresh_options);
+  EXPECT_EQ(constructions.load(), 8);
+  EXPECT_EQ(failed(), 8u);
+  EXPECT_EQ(csv(fresh), csv(cached));
+  EXPECT_NE(csv(cached).find("rsd-counted"), std::string::npos);
+
+  std::remove(abs_path.c_str());
 }
 
 }  // namespace

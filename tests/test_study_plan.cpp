@@ -179,7 +179,7 @@ TEST(StudyExec, UnitExecutionMatchesWholeStudyBitForBit) {
     // Unit scenarios share one compiled solver: exactly 1 miss per unit.
     EXPECT_EQ(misses(), 1u);
     EXPECT_EQ(hits(), it->count - 1);
-    const std::vector<ReportRow> unit_rows = slice_rows(slice, plan.grids);
+    const std::vector<ReportRow> unit_rows = slice.rows();
     rows.insert(rows.begin(), unit_rows.begin(), unit_rows.end());
   }
 

@@ -43,15 +43,21 @@ TEST(Cli, NumbersMustFillTheirValue) {
   const char* argv[] = {"prog",       "--jobs=4x",  "--regenerative=abc",
                         "--half=2.5", "--big=99999999999999999999",
                         "--eps=1e-8", "--cap=1e9z", "--neg=-3",
-                        "--empty=",   "--bare"};
-  const CliArgs args(10, argv);
+                        "--empty=",   "--bare",     "--inf=inf",
+                        "--nan=nan",  "--huge=1e999", "--wide=1e20"};
+  const CliArgs args(14, argv);
   EXPECT_EQ(args.get_long("neg", 0), -3);
   EXPECT_DOUBLE_EQ(args.get_double("eps", 0.0), 1e-8);
+  EXPECT_DOUBLE_EQ(args.get_double("neg", 0.0), -3.0);
+  EXPECT_DOUBLE_EQ(args.get_double("wide", 0.0), 1e20);
   for (const char* key : {"jobs", "regenerative", "half", "big", "empty",
                           "bare"}) {
     EXPECT_THROW((void)args.get_long(key, 0), contract_error) << key;
   }
-  for (const char* key : {"regenerative", "cap", "empty", "bare"}) {
+  // A double must be finite: "inf", "nan" and an overflowing "1e999" are
+  // rejected, not read as a value no caller can use.
+  for (const char* key : {"regenerative", "cap", "empty", "bare", "inf",
+                          "nan", "huge"}) {
     EXPECT_THROW((void)args.get_double(key, 0.0), contract_error) << key;
   }
   // The error names the option and the value it could not read.

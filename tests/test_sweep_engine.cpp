@@ -3,9 +3,10 @@
 // SweepReport values at 1, 2 and 8 worker threads (deterministic ordered
 // reduction); (2) repeated solve_grid() calls reusing one SolveWorkspace —
 // including across models of different sizes — agree exactly with a fresh
-// solver using a fresh workspace; (3) a failing scenario reports its error
-// without sinking the batch; (4) one shared solver instance is safe to
-// drive from concurrent workers with per-worker workspaces.
+// solver using a fresh workspace; (3) a scenario whose solver could not be
+// built reports its construction error without sinking the batch; (4) one
+// shared solver instance is safe to drive from concurrent workers with
+// per-worker workspaces.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/sweep_engine.hpp"
+#include "counter_delta.hpp"
 #include "models/multiproc.hpp"
 #include "models/raid5.hpp"
 #include "rrl.hpp"
@@ -44,6 +46,30 @@ Model multiproc_model() {
           m.initial_distribution(), m.initial_state};
 }
 
+SolverConfig config_of(const Model& model, double eps = kEps) {
+  SolverConfig config;
+  config.epsilon = eps;
+  config.regenerative = model.regenerative;
+  return config;
+}
+
+// A scenario with a fresh solver of its own (what a study builds with its
+// cache off), or with the error its construction raised.
+SweepScenario fresh_scenario(const std::string& solver, const Model& model,
+                             const SolverConfig& config,
+                             SolveRequest request) {
+  SweepScenario scenario;
+  scenario.chain = &model.chain;
+  scenario.request = std::move(request);
+  try {
+    scenario.solver = make_solver(solver, model.chain, model.rewards,
+                                  model.initial, config);
+  } catch (const std::exception& e) {
+    scenario.error = e.what();
+  }
+  return scenario;
+}
+
 // The acceptance batch: 2 models x 4 solvers x 2 measures = 16 scenarios.
 std::vector<SweepScenario> make_scenarios(const Model& a, const Model& b) {
   std::vector<SweepScenario> scenarios;
@@ -52,17 +78,8 @@ std::vector<SweepScenario> make_scenarios(const Model& a, const Model& b) {
     for (const std::string solver : {"sr", "rsd", "rr", "rrl"}) {
       for (const MeasureKind measure :
            {MeasureKind::kTrr, MeasureKind::kMrr}) {
-        SweepScenario scenario;
-        scenario.model = model->label;
-        scenario.solver = solver;
-        scenario.chain = &model->chain;
-        scenario.rewards = model->rewards;
-        scenario.initial = model->initial;
-        scenario.config.epsilon = kEps;
-        scenario.config.regenerative = model->regenerative;
-        scenario.request.measure = measure;
-        scenario.request.times = grid;
-        scenarios.push_back(std::move(scenario));
+        scenarios.push_back(fresh_scenario(solver, *model, config_of(*model),
+                                           SolveRequest{measure, grid, -1.0}));
       }
     }
   }
@@ -95,8 +112,7 @@ TEST(SweepEngine, DeterministicAcrossWorkerCounts) {
       for (std::size_t i = 0; i < got.points.size(); ++i) {
         // Bit-identical, not merely close: the engine's contract.
         EXPECT_EQ(got.points[i].value, want.points[i].value)
-            << batch.scenarios[s].model << "/" << batch.scenarios[s].solver
-            << " jobs=" << jobs << " point " << i;
+            << "scenario " << s << " jobs=" << jobs << " point " << i;
         EXPECT_EQ(got.points[i].stats.dtmc_steps,
                   want.points[i].stats.dtmc_steps);
       }
@@ -109,16 +125,8 @@ TEST(SweepEngine, ReusedPoolAndThroughputAccounting) {
   const Model multi = multiproc_model();
   BatchRequest batch;
   for (const std::string solver : {"sr", "rrl"}) {
-    SweepScenario scenario;
-    scenario.model = multi.label;
-    scenario.solver = solver;
-    scenario.chain = &multi.chain;
-    scenario.rewards = multi.rewards;
-    scenario.initial = multi.initial;
-    scenario.config.epsilon = kEps;
-    scenario.config.regenerative = multi.regenerative;
-    scenario.request.times = {10.0, 100.0};
-    batch.scenarios.push_back(std::move(scenario));
+    batch.scenarios.push_back(fresh_scenario(
+        solver, multi, config_of(multi), SolveRequest::trr({10.0, 100.0})));
   }
   ThreadPool pool(2);
   const SweepReport first = run_sweep(batch, pool);
@@ -139,73 +147,58 @@ TEST(SweepEngine, FailingScenarioDoesNotSinkTheBatch) {
 
   BatchRequest batch;
   batch.jobs = 2;
-  SweepScenario good;
-  good.model = multi.label;
-  good.solver = "rrl";
-  good.chain = &multi.chain;
-  good.rewards = multi.rewards;
-  good.initial = multi.initial;
-  good.config.epsilon = kEps;
-  good.config.regenerative = multi.regenerative;
-  good.request.times = {100.0};
-  batch.scenarios.push_back(good);
+  const SolveRequest request = SolveRequest::trr({100.0});
+  batch.scenarios.push_back(
+      fresh_scenario("rrl", multi, config_of(multi), request));
 
   // rsd requires an irreducible chain; the reliability model is absorbing.
-  SweepScenario bad = good;
-  bad.model = "multiproc-rel";
-  bad.solver = "rsd";
-  bad.chain = &reliability.chain;
-  bad.rewards = reliability.failure_rewards();
-  bad.initial = reliability.initial_distribution();
-  batch.scenarios.push_back(bad);
+  const Model absorbing{"multiproc-rel", reliability.chain,
+                        reliability.failure_rewards(),
+                        reliability.initial_distribution(),
+                        reliability.initial_state};
+  batch.scenarios.push_back(
+      fresh_scenario("rsd", absorbing, config_of(absorbing), request));
 
   // And an unknown solver name.
-  SweepScenario unknown = good;
-  unknown.solver = "no-such-method";
-  batch.scenarios.push_back(unknown);
+  batch.scenarios.push_back(
+      fresh_scenario("no-such-method", multi, config_of(multi), request));
+  ASSERT_EQ(batch.scenarios[2].solver, nullptr);
 
+  const CounterDelta failed("rrl_scenarios_failed_total");
   const SweepReport report = run_sweep(batch);
   ASSERT_EQ(report.results.size(), 3u);
   EXPECT_TRUE(report.results[0].ok());
   EXPECT_FALSE(report.results[1].ok());
   EXPECT_FALSE(report.results[2].ok());
   EXPECT_EQ(report.failed(), 2u);
+  EXPECT_EQ(failed(), 2u);
+  EXPECT_EQ(report.results[2].error, batch.scenarios[2].error);
   EXPECT_NE(report.results[2].error.find("no-such-method"),
             std::string::npos);
   const auto fresh = make_solver("rrl", multi.chain, multi.rewards,
-                                 multi.initial, good.config);
+                                 multi.initial, config_of(multi));
   EXPECT_EQ(report.results[0].report.points[0].value,
-            fresh->solve_grid(good.request).points[0].value);
+            fresh->solve_grid(request).points[0].value);
 }
 
 TEST(SweepEngine, SharedSolverScenariosMatchConstructedOnes) {
   // One pre-built solver drives many scenarios (the study subsystem's
-  // cache path); results must be bit-identical to engine-side
-  // construction, at 1 worker and at many.
+  // cache path); results must be bit-identical to a fresh solver per
+  // scenario, at 1 worker and at many.
   const Model multi = multiproc_model();
-  SolverConfig config;
-  config.epsilon = kEps;
-  config.regenerative = multi.regenerative;
+  const SolverConfig config = config_of(multi);
   const std::shared_ptr<const TransientSolver> shared =
       make_solver("rrl", multi.chain, multi.rewards, multi.initial, config);
 
   BatchRequest constructed;
   BatchRequest cached;
   for (int i = 0; i < 6; ++i) {
-    SweepScenario scenario;
-    scenario.model = multi.label;
-    scenario.solver = "rrl";
-    scenario.chain = &multi.chain;
-    scenario.rewards = multi.rewards;
-    scenario.initial = multi.initial;
-    scenario.config = config;
-    scenario.request.measure =
-        i % 2 == 0 ? MeasureKind::kTrr : MeasureKind::kMrr;
-    scenario.request.times = log_time_grid(1.0, 100.0 + 50.0 * i, 3);
+    SweepScenario scenario = fresh_scenario(
+        "rrl", multi, config,
+        SolveRequest{i % 2 == 0 ? MeasureKind::kTrr : MeasureKind::kMrr,
+                     log_time_grid(1.0, 100.0 + 50.0 * i, 3), -1.0});
     constructed.scenarios.push_back(scenario);
-    scenario.shared_solver = shared;
-    scenario.rewards.clear();  // metadata only on the shared path
-    scenario.initial.clear();
+    scenario.solver = shared;
     cached.scenarios.push_back(std::move(scenario));
   }
 
@@ -234,18 +227,12 @@ TEST(SweepEngine, SmallBatchModelParallelPathIsBitIdentical) {
   const Raid5Model raid = build_raid5_availability(params);
   ASSERT_GE(raid.chain.num_transitions(), SolveWorkspace::kMinPooledNnz);
 
+  const Model model{"raid5-g40", raid.chain, raid.failure_rewards(),
+                    raid.initial_distribution(), raid.initial_state};
   BatchRequest batch;
   for (const std::string solver : {"sr", "rsd"}) {
-    SweepScenario scenario;
-    scenario.model = "raid5-g40";
-    scenario.solver = solver;
-    scenario.chain = &raid.chain;
-    scenario.rewards = raid.failure_rewards();
-    scenario.initial = raid.initial_distribution();
-    scenario.config.epsilon = 1e-8;
-    scenario.config.regenerative = raid.initial_state;
-    scenario.request.times = {1.0, 10.0};
-    batch.scenarios.push_back(std::move(scenario));
+    batch.scenarios.push_back(fresh_scenario(
+        solver, model, config_of(model, 1e-8), SolveRequest::trr({1.0, 10.0})));
   }
 
   batch.jobs = 1;
@@ -291,14 +278,9 @@ TEST(SweepEngine, SharedRrUnitsMatchPerScenarioStepping) {
       for (const auto& grid : grids) {
         for (const double request_eps : {-1.0, 1e-6}) {
           SweepScenario scenario;
-          scenario.model = model->label;
-          scenario.solver = "rr";
+          scenario.solver = shared;
+          scenario.request = SolveRequest{measure, grid, request_eps};
           scenario.chain = &model->chain;
-          scenario.config = model_config;
-          scenario.request.measure = measure;
-          scenario.request.times = grid;
-          scenario.request.epsilon = request_eps;
-          scenario.shared_solver = shared;
           batch.scenarios.push_back(std::move(scenario));
         }
       }
@@ -310,7 +292,7 @@ TEST(SweepEngine, SharedRrUnitsMatchPerScenarioStepping) {
   std::vector<SolveReport> reference;
   reference.reserve(batch.scenarios.size());
   for (const SweepScenario& scenario : batch.scenarios) {
-    reference.push_back(scenario.shared_solver->solve_grid(scenario.request));
+    reference.push_back(scenario.solver->solve_grid(scenario.request));
   }
 
   for (const int jobs : {1, 4}) {
@@ -323,8 +305,7 @@ TEST(SweepEngine, SharedRrUnitsMatchPerScenarioStepping) {
       ASSERT_EQ(got.points.size(), want.points.size());
       for (std::size_t i = 0; i < got.points.size(); ++i) {
         EXPECT_EQ(got.points[i].value, want.points[i].value)
-            << batch.scenarios[s].model << " jobs=" << jobs
-            << " scenario " << s << " point " << i;
+            << "jobs=" << jobs << " scenario " << s << " point " << i;
         EXPECT_EQ(got.points[i].stats.dtmc_steps,
                   want.points[i].stats.dtmc_steps);
         EXPECT_EQ(got.points[i].stats.vmodel_steps,
@@ -396,12 +377,9 @@ TEST(SweepEngine, SharedRrUnitIsolatesBadItems) {
 
   BatchRequest batch;
   SweepScenario good;
-  good.model = multi.label;
-  good.solver = "rr";
-  good.chain = &multi.chain;
-  good.config = config;
+  good.solver = shared;
   good.request.times = {10.0, 100.0};
-  good.shared_solver = shared;
+  good.chain = &multi.chain;
   batch.scenarios.push_back(good);
 
   // MRR at t = 0 violates the request contract; its largest time puts it

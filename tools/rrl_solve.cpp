@@ -368,7 +368,7 @@ int run_batch(const CliArgs& args,
               "%zu measures x %zu epsilons), jobs=%d, solver cache: "
               "%llu built, %llu shared\n",
               run.scenarios.size(), model_paths.size(), solver_names.size(),
-              measures.size(), eps_list.size(), run.jobs,
+              measures.size(), eps_list.size(), run.sweep.jobs,
               static_cast<unsigned long long>(v.compiles),
               static_cast<unsigned long long>(v.memory_hits));
   TextTable table({"model", "solver", "measure", "eps", "t", "value",
@@ -695,9 +695,14 @@ int run_cache_gc_mode(const CliArgs& args) {
     std::fprintf(stderr, "error: --cache-gc needs --cache-dir DIR\n");
     return 2;
   }
-  // get_double so caps read naturally ("--cache-cap 1e9").
-  const auto cap = static_cast<std::uint64_t>(
-      std::max(0.0, args.get_double("cache-cap", 0.0)));
+  // get_double so caps read naturally ("--cache-cap 1e9"); a cap the
+  // byte count cannot hold is an error, not a cast out of range.
+  const double cap_bytes = args.get_double("cache-cap", 0.0);
+  if (cap_bytes < 0.0 || cap_bytes >= 0x1p64) {
+    throw contract_error("--cache-cap needs a byte count in [0, 2^64), got '" +
+                         args.get_string("cache-cap", "") + "'");
+  }
+  const auto cap = static_cast<std::uint64_t>(cap_bytes);
   // A missing root would be a successful-looking empty sweep; refuse it
   // so a typo'd path cannot masquerade as a healthy store in a cron job.
   if (!std::filesystem::is_directory(dir)) {
@@ -779,7 +784,7 @@ int run_study_mode(const CliArgs& args) {
                "models\n",
                static_cast<unsigned long long>(run.total_scenarios),
                run.shard.index, run.shard.count, run.scenarios.size(),
-               run.sweep.failed(), run.jobs, run.sweep.seconds,
+               run.sweep.failed(), run.sweep.jobs, run.sweep.seconds,
                run.sweep.scenarios_per_second(),
                static_cast<unsigned long long>(v.compiles),
                static_cast<unsigned long long>(v.memory_hits),
@@ -815,7 +820,7 @@ int run_study_mode(const CliArgs& args) {
          << ", \"count\": " << run.shard.count << "},\n"
          << "  \"scenarios_run\": " << run.scenarios.size() << ",\n"
          << "  \"failed\": " << run.sweep.failed() << ",\n"
-         << "  \"jobs\": " << run.jobs << ",\n"
+         << "  \"jobs\": " << run.sweep.jobs << ",\n"
          << "  \"seconds\": " << run.sweep.seconds << ",\n"
          << "  \"scenarios_per_sec\": " << run.sweep.scenarios_per_second()
          << ",\n"
