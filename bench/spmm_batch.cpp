@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
   prototype.request.times = log_time_grid(1.0, tmax, 4);
   prototype.chain = &chain;
   BatchRequest batch;
-  batch.jobs = 1;  // single worker: measure the kernel, not threading
   for (int c = 0; c < cols; ++c) {
     // Epsilons spread over three decades above the compiled floor; the
     // readers then stop at different truncation points of the one pass.
@@ -122,7 +121,8 @@ int main(int argc, char** argv) {
       active_kernels().name, spmm_enabled() ? "on" : "off (RRL_SPMM)", reps);
 
   // Same pool and workspaces for both paths; the first run warms the
-  // buffers so neither path pays first-touch allocation.
+  // buffers so neither path pays first-touch allocation. A single worker
+  // measures the kernel, not threading.
   ThreadPool pool(1);
   std::vector<SolveWorkspace> workspaces;
   const auto timed = [&](bool spmm) {

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -112,7 +113,7 @@ int main(int argc, char** argv) {
       } else {
         pool.parallel_for(scenarios.size(), build);
       }
-      SweepReport report = run_sweep(batch, pool);
+      SweepReport report = run_sweep(std::move(batch), pool);
       const double seconds = watch.seconds();
       if (report.failed() != 0) {
         std::fprintf(stderr, "error: %zu scenarios failed\n",

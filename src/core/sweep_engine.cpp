@@ -74,8 +74,9 @@ struct Unit {
 /// scenario.solve_rand_batch span whose argument is its member count; a
 /// unit of one runs inside scenario.solve, and one without a solver
 /// reports its construction error. Each member reports the unit's
-/// wall-clock divided by its member count.
-void solve_unit(const std::vector<SweepScenario>& scenarios,
+/// wall-clock divided by its member count, then drops its solver
+/// reference.
+void solve_unit(std::vector<SweepScenario>& scenarios,
                 const Unit& unit, std::vector<ScenarioResult>& results,
                 SolveWorkspace& workspace, const LeaderSchedule& schedule,
                 std::size_t turn) {
@@ -128,12 +129,13 @@ void solve_unit(const std::vector<SweepScenario>& scenarios,
   for (const std::size_t i : unit.members) {
     results[i].seconds = each;
     note_result(results[i]);
+    scenarios[i].solver.reset();
   }
 }
 
 }  // namespace
 
-SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
+SweepReport run_sweep(BatchRequest batch, ThreadPool& pool,
                       std::vector<SolveWorkspace>& workspaces) {
   const Stopwatch watch;
   SweepReport out;
@@ -232,9 +234,10 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
   }
   // One workspace per worker slot: the solvers' mutable per-solve state.
   // Everything else a worker touches is either immutable shared input
-  // (scenarios, chains, shared solvers) or its own result slot. The
-  // caller's vector is grown (never shrunk) so a worker loop reuses its
-  // warmed-up buffers across units.
+  // (requests, chains, shared solvers) or its own unit's: result slots
+  // and the solver references it drops once answered. The caller's
+  // vector is grown (never shrunk) so a worker loop reuses its warmed-up
+  // buffers across units.
   if (workspaces.size() < static_cast<std::size_t>(pool.num_threads())) {
     workspaces.resize(static_cast<std::size_t>(pool.num_threads()));
   }
@@ -261,14 +264,9 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
   return out;
 }
 
-SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool) {
+SweepReport run_sweep(BatchRequest batch, ThreadPool& pool) {
   std::vector<SolveWorkspace> workspaces;
-  return run_sweep(batch, pool, workspaces);
-}
-
-SweepReport run_sweep(const BatchRequest& batch) {
-  ThreadPool pool(batch.jobs);
-  return run_sweep(batch, pool);
+  return run_sweep(std::move(batch), pool, workspaces);
 }
 
 }  // namespace rrl

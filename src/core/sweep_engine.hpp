@@ -27,7 +27,9 @@
 // The engine constructs no solver: every scenario arrives with a built
 // one (or with the error its construction raised), so one compiled
 // solver serves every scenario handed the same instance; the study
-// subsystem's solver cache builds on exactly this. A shared solver's
+// subsystem's solver cache builds on exactly this. Each scenario's
+// reference is dropped once its unit is answered, so a solver only the
+// batch holds is freed then, not at the batch's end. A shared solver's
 // most demanding unit is handed out first and its other units wait for
 // its compile (TransientSolver::precompile), so an RR/RRL solver steps
 // one schema and cuts the others' from it (core/schema_cache.hpp's
@@ -69,12 +71,10 @@ struct SweepScenario {
   std::string error;
 };
 
-/// A batch of scenarios plus the worker budget.
+/// A batch of scenarios plus the routing knob; the caller's pool is the
+/// worker budget.
 struct BatchRequest {
   std::vector<SweepScenario> scenarios;
-  /// Worker threads INCLUDING the calling thread; <= 0 selects the
-  /// hardware concurrency. Ignored by the pool-taking overload.
-  int jobs = 1;
   /// Hand out the scenarios one pass can answer (TransientSolver::
   /// shares_pass) as one unit; false makes every scenario — RR's
   /// included — its own unit. Values are bit-identical either way; this
@@ -114,20 +114,21 @@ struct SweepReport {
 };
 
 /// Run the batch on a caller-provided pool (reusable across batches).
-[[nodiscard]] SweepReport run_sweep(const BatchRequest& batch,
-                                    ThreadPool& pool);
+/// The batch is taken by value and each scenario's solver reference is
+/// dropped as soon as its unit is answered, so a batch whose scenarios
+/// own their solvers (a study with its cache off) frees each solver's
+/// compiled state as it finishes instead of holding every scenario's
+/// until the batch ends. Pass std::move(batch) unless the caller reuses
+/// it.
+[[nodiscard]] SweepReport run_sweep(BatchRequest batch, ThreadPool& pool);
 
 /// Unit-level entry point: run the batch on a caller-provided pool AND
 /// caller-owned per-worker workspaces (grown to pool.num_threads() if
 /// smaller, never shrunk). A worker loop executing many small work units
 /// back to back — the dispatch executor — keeps its warmed-up buffers
 /// across units this way, so after the first unit the model-sized vector
-/// iterates allocate nothing. Identical values to the other overloads.
-[[nodiscard]] SweepReport run_sweep(const BatchRequest& batch,
-                                    ThreadPool& pool,
+/// iterates allocate nothing. Identical values to the other overload.
+[[nodiscard]] SweepReport run_sweep(BatchRequest batch, ThreadPool& pool,
                                     std::vector<SolveWorkspace>& workspaces);
-
-/// Run the batch on a fresh pool of batch.jobs workers.
-[[nodiscard]] SweepReport run_sweep(const BatchRequest& batch);
 
 }  // namespace rrl

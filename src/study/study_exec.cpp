@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <optional>
+#include <utility>
 
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
@@ -66,7 +67,7 @@ ExecutedSlice execute_scenarios(const StudyPlan& plan,
 
   // The plan (and the cache entries) pin the models the sweep borrows
   // chains from; both outlive the returned slice in every caller.
-  slice.sweep = run_sweep(batch, *pool, *workspaces);
+  slice.sweep = run_sweep(std::move(batch), *pool, *workspaces);
   return slice;
 }
 

@@ -12,7 +12,8 @@
 // fails (rsd on an absorbing chain) is built once; the cache records the
 // error and every scenario of the key reports it. With the cache off,
 // every scenario builds a fresh solver of its own, the builds spread
-// across the slice's pool; values are bit-identical either way.
+// across the slice's pool, and the sweep frees each once its scenario is
+// answered; values are bit-identical either way.
 //
 // A worker loop executing many slices back to back passes its own pool and
 // workspace vector so thread and buffer warm-up survive across units; the

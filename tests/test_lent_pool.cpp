@@ -18,6 +18,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "models/multiproc.hpp"
@@ -215,18 +216,19 @@ TEST(LentPool, RrlGridOnALentPoolMatchesTheSerialSolve) {
 }
 
 TEST(LentPool, OneRrlScenarioAtFourJobsMatchesOneJob) {
-  const auto batch = [](int jobs) {
+  const auto batch = [] {
     BatchRequest b;
     b.scenarios.push_back(
         raid40_scenario("rrl", log_time_grid(1.0, 1e3, 6)));
-    b.jobs = jobs;
     return b;
   };
-  const SweepReport want = run_sweep(batch(1));
+  ThreadPool one(1);
+  const SweepReport want = run_sweep(batch(), one);
 
-  const BatchRequest four = batch(4);  // one unit on four workers
+  ThreadPool four(4);
+  BatchRequest unit = batch();  // one unit on four workers
   const PoolTally tally;
-  const SweepReport got = run_sweep(four);
+  const SweepReport got = run_sweep(std::move(unit), four);
   // The six inversions; the unit-parallel route would run one unit, one
   // index.
   EXPECT_EQ(tally.indices(), 6u);
@@ -234,18 +236,19 @@ TEST(LentPool, OneRrlScenarioAtFourJobsMatchesOneJob) {
 }
 
 TEST(LentPool, SrPlusRrlOnRaid40TakesTheModelParallelRoute) {
-  const auto batch = [](int jobs) {
+  const auto batch = [] {
     BatchRequest b;
     b.scenarios.push_back(raid40_scenario("sr", {1.0, 3.0, 9.0}));
     b.scenarios.push_back(raid40_scenario("rrl", {1.0, 3.0, 9.0}));
-    b.jobs = jobs;
     return b;
   };
-  const SweepReport want = run_sweep(batch(1));
+  ThreadPool one(1);
+  const SweepReport want = run_sweep(batch(), one);
 
-  const BatchRequest four = batch(4);  // two units on four workers
+  ThreadPool four(4);
+  BatchRequest units = batch();  // two units on four workers
   const PoolTally tally;
-  const SweepReport got = run_sweep(four);
+  const SweepReport got = run_sweep(std::move(units), four);
   // Unit-parallel would run one loop (the units); model-parallel runs
   // RRL's inversions and SR's pooled products.
   EXPECT_GT(tally.loops(), 2u);
@@ -257,18 +260,19 @@ TEST(LentPool, PairsOfPartPooledUnitsStayUnitParallel) {
   // thread; two such units run side by side rather than one after the
   // other with only their inversions or products on the pool.
   for (const std::string solver : {"rrl", "krylov"}) {
-    const auto batch = [&](int jobs) {
+    const auto batch = [&] {
       BatchRequest b;
       b.scenarios.push_back(raid40_scenario(solver, {1.0, 3.0, 9.0}));
       b.scenarios.push_back(raid40_scenario(solver, {1.0, 3.0, 9.0}, 1e-8));
-      b.jobs = jobs;
       return b;
     };
-    const SweepReport want = run_sweep(batch(1));
+    ThreadPool one(1);
+    const SweepReport want = run_sweep(batch(), one);
 
-    const BatchRequest four = batch(4);
+    ThreadPool four(4);
+    BatchRequest pair = batch();
     const PoolTally tally;
-    const SweepReport got = run_sweep(four);
+    const SweepReport got = run_sweep(std::move(pair), four);
     // The units, one loop of two indices.
     EXPECT_EQ(tally.loops(), 1u) << solver;
     EXPECT_EQ(tally.indices(), 2u) << solver;
@@ -281,12 +285,12 @@ TEST(LentPool, KrylovScenarioRunsItsProductsOnThePool) {
   // a lone Krylov scenario on a big model is lent the pool too.
   BatchRequest batch;
   batch.scenarios.push_back(raid40_scenario("krylov", {1.0, 10.0, 100.0}));
-  batch.jobs = 1;
-  const SweepReport want = run_sweep(batch);
+  ThreadPool one(1);
+  const SweepReport want = run_sweep(batch, one);
 
-  batch.jobs = 4;
+  ThreadPool four(4);
   const PoolTally tally;
-  const SweepReport got = run_sweep(batch);
+  const SweepReport got = run_sweep(batch, four);
   // Unit-parallel would run exactly one loop: the sweep's own.
   EXPECT_GT(tally.loops(), 1u);
   expect_same(got, want, "krylov jobs 4 vs 1");
@@ -311,9 +315,9 @@ TEST(LentPool, RouteFollowsTheSolverNotItsRegisteredName) {
     BatchRequest batch;
     batch.scenarios.push_back(
         raid40_scenario(name, {1.0, 5.0}, 1e-10, /*spread=*/true));
-    batch.jobs = 4;
+    ThreadPool pool(4);
     const PoolTally tally;
-    reports.push_back(run_sweep(batch));
+    reports.push_back(run_sweep(std::move(batch), pool));
     loops.push_back(tally.loops());
   }
   EXPECT_GT(loops[0], 2u);  // one loop per pooled product
@@ -325,11 +329,11 @@ TEST(LentPool, RrlAtOneJobRunsOnOneThread) {
   BatchRequest batch;
   batch.scenarios.push_back(
       raid40_scenario("rrl", log_time_grid(1.0, 1e4, 16)));
-  batch.jobs = 1;
+  ThreadPool pool(1);
   const double process0 = cpu_seconds(RUSAGE_SELF);
   const double thread0 = cpu_seconds(RUSAGE_THREAD);
   const PoolTally tally;
-  const SweepReport report = run_sweep(batch);
+  const SweepReport report = run_sweep(std::move(batch), pool);
   const double own = cpu_seconds(RUSAGE_THREAD) - thread0;
   const double others = cpu_seconds(RUSAGE_SELF) - process0 - own;
   ASSERT_EQ(report.failed(), 0u);

@@ -459,10 +459,8 @@ void expect_same_reports(const SweepReport& a, const SweepReport& b,
 /// constructs its own solver (what the study layer does with its cache
 /// off).
 BatchRequest one_solver_batch(const Model& m, const std::string& name,
-                              std::shared_ptr<const TransientSolver> shared,
-                              int jobs) {
+                              std::shared_ptr<const TransientSolver> shared) {
   BatchRequest batch;
-  batch.jobs = jobs;
   for (const MeasureKind measure : {MeasureKind::kTrr, MeasureKind::kMrr}) {
     for (const double eps : {1e-8, 1e-10, 1e-12}) {
       SweepScenario scenario;
@@ -490,15 +488,17 @@ TEST(LeadersFirst, SharedSolverStepsOneSchemaAndCutsTheRest) {
     SolverConfig config;
     config.epsilon = 1e-12;
     config.regenerative = m.regenerative;
+    ThreadPool four(4);
     const SweepReport fresh_report =
-        run_sweep(one_solver_batch(m, name, nullptr, 4));
+        run_sweep(one_solver_batch(m, name, nullptr), four);
     EXPECT_EQ(fresh_report.failed(), 0u);
     for (const int jobs : {4, 1}) {
       const std::shared_ptr<const TransientSolver> shared =
           make_solver(name, m.chain, m.rewards, m.initial, config);
+      ThreadPool pool(jobs);
       const SchemaCounts counts;
       const SweepReport report =
-          run_sweep(one_solver_batch(m, name, shared, jobs));
+          run_sweep(one_solver_batch(m, name, shared), pool);
       const std::string where = name + " jobs=" + std::to_string(jobs);
       expect_same_reports(report, fresh_report, where);
       EXPECT_EQ(counts("builds"), 3u) << where;

@@ -910,17 +910,17 @@ TEST(SharedPassSweep, UnitsAreBitIdenticalToSoloScenarios) {
   ASSERT_EQ(batch.scenarios.size(), 36u);
 
   batch.spmm = false;
-  batch.jobs = 1;
-  const SweepReport solo = run_sweep(batch);
+  ThreadPool one(1);
+  const SweepReport solo = run_sweep(batch, one);
   ASSERT_EQ(solo.failed(), 0u);
 
   for (const bool spmm : {true, false}) {
     for (const int jobs : {1, 4}) {
       batch.spmm = spmm;
-      batch.jobs = jobs;
+      ThreadPool pool(jobs);
       trace::reset();
       trace::enable();
-      const SweepReport run = run_sweep(batch);
+      const SweepReport run = run_sweep(batch, pool);
       trace::disable();
       const auto spans = solve_spans();
       trace::reset();
@@ -994,10 +994,10 @@ TEST(SharedPassSweep, RrUnitsAreOnePerSchemaKeyAndBitIdentical) {
   for (const bool spmm : {true, false}) {
     for (const int jobs : {1, 4}) {
       batch.spmm = spmm;
-      batch.jobs = jobs;
+      ThreadPool pool(jobs);
       trace::reset();
       trace::enable();
-      const SweepReport run = run_sweep(batch);
+      const SweepReport run = run_sweep(batch, pool);
       trace::disable();
       const auto spans = solve_spans();
       trace::reset();

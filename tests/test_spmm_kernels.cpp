@@ -601,23 +601,23 @@ TEST(RandomizationBatch, RunSweepRoutingIsBitIdenticalOnAndOff) {
   // Engagement: with sharing, each solver steps one iterate for its two
   // scenarios, so the sweep streams fewer matrix entries than without.
   auto& nnz = metrics::counter("rrl_spmv_nnz_total");
-  batch.jobs = 1;
+  ThreadPool one(1);
   batch.spmm = true;
   const auto shared_before = nnz.value();
-  const SweepReport on = run_sweep(batch);
+  const SweepReport on = run_sweep(batch, one);
   const auto shared_nnz = nnz.value() - shared_before;
   EXPECT_EQ(on.failed(), 0u);
   batch.spmm = false;
   const auto solo_before = nnz.value();
-  EXPECT_EQ(run_sweep(batch).failed(), 0u);
+  EXPECT_EQ(run_sweep(batch, one).failed(), 0u);
   const auto solo_nnz = nnz.value() - solo_before;
   EXPECT_LT(shared_nnz, solo_nnz) << "shared passes did not engage";
 
   for (const bool spmm : {true, false}) {
     batch.spmm = spmm;
     for (const int jobs : {1, 4}) {
-      batch.jobs = jobs;
-      const SweepReport run = run_sweep(batch);
+      ThreadPool pool(jobs);
+      const SweepReport run = run_sweep(batch, pool);
       EXPECT_EQ(run.failed(), 0u);
       for (std::size_t s = 0; s < on.results.size(); ++s) {
         expect_reports_equal(run.results[s].report, on.results[s].report,
@@ -695,7 +695,8 @@ TEST(RandomizationBatch, RrSharesOnePassPerSchemaKeyBitwise) {
     batch.scenarios.push_back(std::move(scenario));
   }
   const auto swept = [&] {
-    const SweepReport report = run_sweep(batch);
+    ThreadPool one(1);
+    const SweepReport report = run_sweep(batch, one);
     EXPECT_EQ(report.failed(), 0u);
     std::vector<SolveReport> reports;
     for (const ScenarioResult& r : report.results) {

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/sweep_engine.hpp"
@@ -89,19 +92,22 @@ std::vector<SweepScenario> make_scenarios(const Model& a, const Model& b) {
 TEST(SweepEngine, DeterministicAcrossWorkerCounts) {
   const Model raid = raid_model();
   const Model multi = multiproc_model();
-  BatchRequest batch;
-  batch.scenarios = make_scenarios(raid, multi);
-  ASSERT_EQ(batch.scenarios.size(), 16u);
+  // Each run builds its own solvers, so every worker count compiles
+  // afresh instead of reading what an earlier run left in the memos.
+  const auto run = [&](int jobs) {
+    BatchRequest batch;
+    batch.scenarios = make_scenarios(raid, multi);
+    ThreadPool pool(jobs);
+    return run_sweep(std::move(batch), pool);
+  };
 
-  batch.jobs = 1;
-  const SweepReport reference = run_sweep(batch);
+  const SweepReport reference = run(1);
   ASSERT_EQ(reference.results.size(), 16u);
   EXPECT_EQ(reference.failed(), 0u);
   EXPECT_EQ(reference.jobs, 1);
 
   for (const int jobs : {2, 8}) {
-    batch.jobs = jobs;
-    const SweepReport report = run_sweep(batch);
+    const SweepReport report = run(jobs);
     ASSERT_EQ(report.results.size(), reference.results.size());
     EXPECT_EQ(report.failed(), 0u);
     EXPECT_EQ(report.jobs, jobs);
@@ -123,14 +129,17 @@ TEST(SweepEngine, DeterministicAcrossWorkerCounts) {
 
 TEST(SweepEngine, ReusedPoolAndThroughputAccounting) {
   const Model multi = multiproc_model();
-  BatchRequest batch;
-  for (const std::string solver : {"sr", "rrl"}) {
-    batch.scenarios.push_back(fresh_scenario(
-        solver, multi, config_of(multi), SolveRequest::trr({10.0, 100.0})));
-  }
+  const auto batch = [&] {
+    BatchRequest b;
+    for (const std::string solver : {"sr", "rrl"}) {
+      b.scenarios.push_back(fresh_scenario(
+          solver, multi, config_of(multi), SolveRequest::trr({10.0, 100.0})));
+    }
+    return b;
+  };
   ThreadPool pool(2);
-  const SweepReport first = run_sweep(batch, pool);
-  const SweepReport second = run_sweep(batch, pool);  // pool is reusable
+  const SweepReport first = run_sweep(batch(), pool);
+  const SweepReport second = run_sweep(batch(), pool);  // pool is reusable
   EXPECT_EQ(first.failed(), 0u);
   EXPECT_EQ(second.failed(), 0u);
   EXPECT_GT(first.seconds, 0.0);
@@ -146,7 +155,6 @@ TEST(SweepEngine, FailingScenarioDoesNotSinkTheBatch) {
   const MultiprocModel reliability = build_multiproc_reliability({});
 
   BatchRequest batch;
-  batch.jobs = 2;
   const SolveRequest request = SolveRequest::trr({100.0});
   batch.scenarios.push_back(
       fresh_scenario("rrl", multi, config_of(multi), request));
@@ -165,7 +173,8 @@ TEST(SweepEngine, FailingScenarioDoesNotSinkTheBatch) {
   ASSERT_EQ(batch.scenarios[2].solver, nullptr);
 
   const CounterDelta failed("rrl_scenarios_failed_total");
-  const SweepReport report = run_sweep(batch);
+  ThreadPool pool(2);
+  const SweepReport report = run_sweep(batch, pool);
   ASSERT_EQ(report.results.size(), 3u);
   EXPECT_TRUE(report.results[0].ok());
   EXPECT_FALSE(report.results[1].ok());
@@ -181,6 +190,65 @@ TEST(SweepEngine, FailingScenarioDoesNotSinkTheBatch) {
             fresh->solve_grid(request).points[0].value);
 }
 
+// A solver that counts the live instances of its kind; each solve records
+// how many were alive when it ran.
+class CountedSolver final : public TransientSolver {
+ public:
+  CountedSolver(const Model& model, int& live, std::vector<int>& seen)
+      : TransientSolver(model.chain, model.rewards, model.initial, kEps),
+        live_(live),
+        seen_(seen) {
+    ++live_;
+  }
+  ~CountedSolver() override { --live_; }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "counted";
+  }
+  [[nodiscard]] std::string_view description() const noexcept override {
+    return "counts its live instances";
+  }
+  [[nodiscard]] std::vector<SharedResult> solve_shared(
+      std::span<const SolveRequest* const> requests,
+      SolveWorkspace& /*workspace*/) const override {
+    seen_.push_back(live_);
+    return std::vector<SharedResult>(requests.size());
+  }
+
+ private:
+  int& live_;
+  std::vector<int>& seen_;
+};
+
+TEST(SweepEngine, EachSolverIsReleasedOnceItsUnitIsAnswered) {
+  // A study with its cache off hands the sweep one solver per scenario;
+  // each must be freed when its scenario is answered, not when the batch
+  // ends. One worker runs the units one after the other.
+  const Model multi = multiproc_model();
+  int live = 0;
+  std::vector<int> seen;
+  BatchRequest batch;
+  for (int i = 0; i < 4; ++i) {
+    SweepScenario scenario;
+    scenario.solver = std::make_shared<CountedSolver>(multi, live, seen);
+    scenario.request = SolveRequest::trr({1.0 + i});
+    scenario.chain = &multi.chain;
+    batch.scenarios.push_back(std::move(scenario));
+  }
+  ThreadPool pool(1);
+  const SweepReport report = run_sweep(std::move(batch), pool);
+  EXPECT_EQ(report.failed(), 0u);
+  EXPECT_EQ(seen, (std::vector<int>{4, 3, 2, 1}));
+  EXPECT_EQ(live, 0);
+
+  // A solver the caller still holds outlives the sweep.
+  const auto kept = std::make_shared<CountedSolver>(multi, live, seen);
+  BatchRequest again;
+  again.scenarios.push_back(
+      SweepScenario{kept, SolveRequest::trr({1.0}), &multi.chain, {}});
+  (void)run_sweep(std::move(again), pool);
+  EXPECT_EQ(live, 1);
+}
+
 TEST(SweepEngine, SharedSolverScenariosMatchConstructedOnes) {
   // One pre-built solver drives many scenarios (the study subsystem's
   // cache path); results must be bit-identical to a fresh solver per
@@ -190,23 +258,25 @@ TEST(SweepEngine, SharedSolverScenariosMatchConstructedOnes) {
   const std::shared_ptr<const TransientSolver> shared =
       make_solver("rrl", multi.chain, multi.rewards, multi.initial, config);
 
-  BatchRequest constructed;
-  BatchRequest cached;
-  for (int i = 0; i < 6; ++i) {
-    SweepScenario scenario = fresh_scenario(
-        "rrl", multi, config,
-        SolveRequest{i % 2 == 0 ? MeasureKind::kTrr : MeasureKind::kMrr,
-                     log_time_grid(1.0, 100.0 + 50.0 * i, 3), -1.0});
-    constructed.scenarios.push_back(scenario);
-    scenario.solver = shared;
-    cached.scenarios.push_back(std::move(scenario));
-  }
+  // `shared` set: every scenario drives it; null: each scenario gets a
+  // fresh solver of its own, built anew for every run.
+  const auto batch = [&](std::shared_ptr<const TransientSolver> solver) {
+    BatchRequest b;
+    for (int i = 0; i < 6; ++i) {
+      const SolveRequest request{
+          i % 2 == 0 ? MeasureKind::kTrr : MeasureKind::kMrr,
+          log_time_grid(1.0, 100.0 + 50.0 * i, 3), -1.0};
+      SweepScenario scenario = fresh_scenario("rrl", multi, config, request);
+      if (solver != nullptr) scenario.solver = solver;
+      b.scenarios.push_back(std::move(scenario));
+    }
+    return b;
+  };
 
   for (const int jobs : {1, 4}) {
-    constructed.jobs = jobs;
-    cached.jobs = jobs;
-    const SweepReport a = run_sweep(constructed);
-    const SweepReport b = run_sweep(cached);
+    ThreadPool pool(jobs);
+    const SweepReport a = run_sweep(batch(nullptr), pool);
+    const SweepReport b = run_sweep(batch(shared), pool);
     ASSERT_EQ(a.results.size(), b.results.size());
     EXPECT_EQ(a.failed(), 0u);
     EXPECT_EQ(b.failed(), 0u);
@@ -229,18 +299,22 @@ TEST(SweepEngine, SmallBatchModelParallelPathIsBitIdentical) {
 
   const Model model{"raid5-g40", raid.chain, raid.failure_rewards(),
                     raid.initial_distribution(), raid.initial_state};
-  BatchRequest batch;
-  for (const std::string solver : {"sr", "rsd"}) {
-    batch.scenarios.push_back(fresh_scenario(
-        solver, model, config_of(model, 1e-8), SolveRequest::trr({1.0, 10.0})));
-  }
+  const auto run = [&](int jobs) {
+    BatchRequest batch;
+    for (const std::string solver : {"sr", "rsd"}) {
+      batch.scenarios.push_back(
+          fresh_scenario(solver, model, config_of(model, 1e-8),
+                         SolveRequest::trr({1.0, 10.0})));
+    }
+    ThreadPool pool(jobs);
+    return run_sweep(std::move(batch), pool);
+  };
 
-  batch.jobs = 1;
-  const SweepReport reference = run_sweep(batch);
+  const SweepReport reference = run(1);
   ASSERT_EQ(reference.failed(), 0u);
 
-  batch.jobs = 8;  // 2 scenarios * 2 <= 8 workers: model-parallel path
-  const SweepReport pooled = run_sweep(batch);
+  // 2 scenarios * 2 <= 8 workers: model-parallel path
+  const SweepReport pooled = run(8);
   ASSERT_EQ(pooled.failed(), 0u);
   for (std::size_t s = 0; s < reference.results.size(); ++s) {
     EXPECT_EQ(pooled.results[s].report.values(),
@@ -296,8 +370,8 @@ TEST(SweepEngine, SharedRrUnitsMatchPerScenarioStepping) {
   }
 
   for (const int jobs : {1, 4}) {
-    batch.jobs = jobs;
-    const SweepReport report = run_sweep(batch);
+    ThreadPool pool(jobs);
+    const SweepReport report = run_sweep(batch, pool);
     ASSERT_EQ(report.failed(), 0u) << "jobs=" << jobs;
     for (std::size_t s = 0; s < reference.size(); ++s) {
       const SolveReport& got = report.results[s].report;
@@ -390,7 +464,8 @@ TEST(SweepEngine, SharedRrUnitIsolatesBadItems) {
   batch.scenarios.push_back(bad);
   batch.scenarios.push_back(good);
 
-  const SweepReport report = run_sweep(batch);
+  ThreadPool pool(1);
+  const SweepReport report = run_sweep(std::move(batch), pool);
   ASSERT_EQ(report.results.size(), 3u);
   EXPECT_TRUE(report.results[0].ok());
   EXPECT_FALSE(report.results[1].ok());
