@@ -32,6 +32,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -221,13 +222,19 @@ int main(int argc, char** argv) {
                        })});
     }
 
-    {
+    // The second row is paper_rrl's longest series: G = 40 at t = 1e5 and
+    // eps 1e-12.
+    const Raid5Model raid40 =
+        build_raid5_availability(bench::paper_params(40));
+    for (const auto& [model, label, t] :
+         {std::tuple{&raid, "g20", 1e2}, std::tuple{&raid40, "g40", 1e5}}) {
       const auto schema = compute_regenerative_schema(
-          raid.chain, rewards, alpha, raid.initial_state, 1e2, {});
+          model->chain, model->failure_rewards(),
+          model->initial_distribution(), model->initial_state, t, {});
       const TrrTransform transform(schema);
       std::complex<double> s(1e-4, 0.0);
-      micro.push_back({"trr_transform(raid5-g20, K=" +
-                           std::to_string(schema.K()) + ")",
+      micro.push_back({"trr_transform(raid5-" + std::string(label) +
+                           ", K=" + std::to_string(schema.K()) + ")",
                        time_micro(2000, [&] {
                          sink = sink + transform.trr(s).real();
                          s += std::complex<double>(0.0, 1e-5);

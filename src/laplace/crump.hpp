@@ -31,7 +31,9 @@ struct CrumpOptions {
   /// Number of consecutive within-tolerance differences required (1
   /// reproduces the paper; 2 adds cheap robustness).
   int required_hits = 1;
-  /// Hard cap on series terms (abscissae); exceeded => converged == false.
+  /// Hard cap on the series terms k = 1, 2, ...: an inversion that never
+  /// converges evaluates max_terms + 1 abscissae (k = 0 plus max_terms
+  /// terms) and returns converged == false.
   int max_terms = 20000;
   /// Minimum number of terms before convergence may be declared (lets the
   /// epsilon table build up).

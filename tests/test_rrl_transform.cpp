@@ -3,8 +3,13 @@
 //   p~(s) = (s I - Q_V^T)^{-1} alpha,   TRR~(s) = r . p~(s),
 // solved by dense complex Gaussian elimination. Agreement at many complex
 // abscissae proves the closed form implements the V model exactly.
-// A bitwise guard holds the evaluator's per-sum passes to the values of a
-// single pass carrying all four complex<long double> sums.
+// A bitwise guard holds the evaluator's blocked passes (one power
+// recurrence per chain, the product sums read from stored powers, zero and
+// duplicate sums skipped) to the values of a single pass carrying all four
+// complex<long double> sums and the power. It runs at the block edges of
+// seeded random series with every shape of absorbing rewards, on primed
+// chains shorter and longer than the main one, on RAID-5 G=20 and G=40
+// schemas, and at every abscissa of whole TRR and MRR inversions.
 #include "core/rrl_transform.hpp"
 
 #include <gtest/gtest.h>
@@ -12,9 +17,16 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <optional>
+#include <random>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/rrl_solver.hpp"
 #include "core/vmodel.hpp"
+#include "laplace/crump.hpp"
 #include "laplace/error_control.hpp"
 #include "models/raid5.hpp"
 #include "models/simple.hpp"
@@ -168,7 +180,7 @@ TEST(Transform, MatchesDenseSolveWithPrimedChain) {
 
 /// The transform as one pass per chain evaluates it, all four sums and the
 /// theta power carried together in complex<long double>; the library's
-/// per-sum passes must reproduce its bits.
+/// blocked passes must reproduce its bits.
 class SinglePassTransform {
  public:
   explicit SinglePassTransform(const RegenerativeSchema& schema)
@@ -245,6 +257,15 @@ class SinglePassTransform {
   Series primed_;
 };
 
+/// Counts `got` in `mismatches` when its bytes differ from `want`'s, and
+/// reports the first mismatch of a run.
+void expect_same_bits(cd got, cd want, cd s, int& mismatches) {
+  if (std::memcmp(&got, &want, sizeof(cd)) != 0 && ++mismatches == 1) {
+    ADD_FAILURE() << "first mismatch at s=(" << s.real() << "," << s.imag()
+                  << "): " << got << " vs " << want;
+  }
+}
+
 /// Compares trr() and cumulative() byte for byte (as complex<double>) with
 /// the single pass at the first 100 Crump abscissae of the TRR and MRR
 /// inversions at t = 1, 100 and 1e5.
@@ -255,32 +276,90 @@ void expect_single_pass_bits(const RegenerativeSchema& schema) {
   int compared = 0;
   int mismatches = 0;
   for (const double t : {1.0, 100.0, 1e5}) {
+    SCOPED_TRACE("t = " + std::to_string(t));
     const double T = 8.0 * t;
     for (const double damping :
          {damping_for_bounded(schema.r_max, eps, T),
           damping_for_time_linear(schema.r_max, eps, t, T)}) {
       for (int k = 0; k < 100; ++k) {
         const cd s(damping, static_cast<double>(k) * M_PI / T);
-        const cd trr = transform.trr(s);
         const cd want_trr = reference.trr(s);
-        const cd cumulative = transform.cumulative(s);
-        const cd want_cumulative = want_trr / s;
-        for (const auto& [got, want] :
-             {std::pair{trr, want_trr},
-              std::pair{cumulative, want_cumulative}}) {
-          ++compared;
-          if (std::memcmp(&got, &want, sizeof(cd)) != 0 &&
-              ++mismatches == 1) {
-            ADD_FAILURE() << "first mismatch at t=" << t << " s=(" << s.real()
-                          << "," << s.imag() << "): " << got << " vs "
-                          << want;
-          }
-        }
+        expect_same_bits(transform.trr(s), want_trr, s, mismatches);
+        expect_same_bits(transform.cumulative(s), want_trr / s, s,
+                         mismatches);
+        compared += 2;
       }
     }
   }
   EXPECT_EQ(compared, 1200);
   EXPECT_EQ(mismatches, 0);
+}
+
+/// A chain of `steps` terms from `rng` with `absorbing` absorbing states:
+/// a(k) non-increasing from `mass`, c(k) <= a(k), and qa and the va series
+/// sharing what leaves.
+ExcursionSeries random_series(std::size_t steps, double mass,
+                              std::size_t absorbing, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  ExcursionSeries series;
+  series.a.push_back(mass);
+  for (std::size_t k = 1; k <= steps; ++k) {
+    series.a.push_back(series.a.back() * (1.0 - 0.01 * unit(rng)));
+  }
+  series.va.resize(absorbing);
+  for (std::size_t k = 0; k <= steps; ++k) {
+    series.c.push_back(series.a[k] * unit(rng));
+    if (k == steps) break;
+    series.qa.push_back(series.a[k] * 0.005 * unit(rng));
+    for (std::vector<double>& va : series.va) {
+      va.push_back(series.a[k] * 0.002 * unit(rng));
+    }
+  }
+  return series;
+}
+
+/// The rewards of the absorbing states of a synthetic schema, one entry per
+/// state. Each set gives the evaluator's product sums another shape:
+/// va_total and rv all zero (no absorbing state), rv all zero, rv equal to
+/// va_total term for term (every reward 1), and four distinct series.
+const std::vector<std::vector<double>> kAbsorbingRewards = {
+    {}, {0.0, 0.0}, {1.0, 1.0}, {1.0, 0.25}};
+
+/// A schema whose main chain has K terms (and whose primed chain has L
+/// terms, if given) of seeded random series: lengths at accumulate()'s block
+/// edges, which no model's truncation rule picks on purpose.
+RegenerativeSchema synthetic_schema(std::size_t K,
+                                    std::optional<std::size_t> L,
+                                    const std::vector<double>& f_rewards,
+                                    std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  RegenerativeSchema schema;
+  schema.lambda = 3.0;
+  schema.r_max = 1.0;
+  for (std::size_t i = 0; i < f_rewards.size(); ++i) {
+    schema.absorbing.push_back(static_cast<index_t>(i + 1));
+  }
+  schema.f_rewards = f_rewards;
+  schema.alpha_r = L ? 0.6 : 1.0;
+  schema.main = random_series(K, 1.0, f_rewards.size(), rng);
+  if (L) {
+    schema.has_primed = true;
+    schema.primed =
+        random_series(*L, 1.0 - schema.alpha_r, f_rewards.size(), rng);
+  }
+  return schema;
+}
+
+/// "K = .., L = .., absorbing rewards { .. }": one synthetic schema.
+std::string describe(std::size_t K, std::optional<std::size_t> L,
+                     const std::vector<double>& f_rewards) {
+  std::ostringstream out;
+  out << "K = " << K;
+  if (L) out << ", L = " << *L;
+  out << ", absorbing rewards {";
+  for (const double r : f_rewards) out << ' ' << r;
+  out << " }";
+  return out.str();
 }
 
 RegenerativeSchema schema_of(const Measured& m) {
@@ -295,7 +374,7 @@ RegenerativeSchema raid5_schema(const Raid5Model& m) {
                                      m.initial_state, 1e5, options);
 }
 
-TEST(Transform, PerSumPassesMatchSinglePassBitwise) {
+TEST(Transform, BlockedPassesMatchSinglePassBitwise) {
   for (const Measured& m : {two_state_chain(), random_irreducible_chain(),
                             absorbing_chain(), primed_chain()}) {
     expect_single_pass_bits(schema_of(m));
@@ -303,17 +382,57 @@ TEST(Transform, PerSumPassesMatchSinglePassBitwise) {
   EXPECT_TRUE(schema_of(primed_chain()).has_primed);
 }
 
-TEST(Transform, PerSumPassesMatchSinglePassBitwiseOnRaid5) {
-  // The paper's G = 20 array at its longest horizon: K ~ 3157 terms.
-  for (const Raid5Model& m : {build_raid5_availability(Raid5Params{}),
-                              build_raid5_reliability(Raid5Params{})}) {
-    const RegenerativeSchema schema = raid5_schema(m);
-    EXPECT_GT(schema.K(), 3000);
-    expect_single_pass_bits(schema);
+TEST(Transform, BlockedPassesMatchSinglePassBitwiseAtBlockEdges) {
+  constexpr std::size_t B = TrrTransform::kBlock;
+  std::uint64_t seed = 1;
+  for (const std::vector<double>& f_rewards : kAbsorbingRewards) {
+    for (const std::size_t K : {std::size_t{1}, B - 1, B, B + 1, 2 * B + 1}) {
+      SCOPED_TRACE(describe(K, std::nullopt, f_rewards));
+      const RegenerativeSchema schema =
+          synthetic_schema(K, std::nullopt, f_rewards, seed++);
+      ASSERT_EQ(schema.K(), static_cast<std::int64_t>(K));
+      expect_single_pass_bits(schema);
+    }
   }
 }
 
-TEST(Transform, PerSumPassesMatchSinglePassBitwiseAtKZero) {
+TEST(Transform, BlockedPassesMatchSinglePassBitwiseWithPrimedChain) {
+  // A primed chain shorter than the main one, and one longer; each chain
+  // walks its own blocks from its first term.
+  constexpr std::size_t B = TrrTransform::kBlock;
+  std::uint64_t seed = 101;
+  for (const std::vector<double>& f_rewards : kAbsorbingRewards) {
+    for (const auto& [K, L] :
+         {std::pair{B + 1, B - 1}, std::pair{B, 2 * B + 1}}) {
+      SCOPED_TRACE(describe(K, L, f_rewards));
+      const RegenerativeSchema schema =
+          synthetic_schema(K, L, f_rewards, seed++);
+      ASSERT_EQ(schema.K(), static_cast<std::int64_t>(K));
+      ASSERT_EQ(schema.L(), static_cast<std::int64_t>(L));
+      expect_single_pass_bits(schema);
+    }
+  }
+}
+
+TEST(Transform, BlockedPassesMatchSinglePassBitwiseOnRaid5) {
+  // The paper's arrays at their longest horizon: K ~ 3157 terms at G = 20
+  // and K ~ 5956 (paper_rrl's longest series) at G = 40.
+  for (const auto& [groups, min_K] :
+       {std::pair{20, 3000}, std::pair{40, 5000}}) {
+    Raid5Params params;
+    params.groups = groups;
+    for (const Raid5Model& m : {build_raid5_availability(params),
+                                build_raid5_reliability(params)}) {
+      const RegenerativeSchema schema = raid5_schema(m);
+      SCOPED_TRACE("G = " + std::to_string(groups) +
+                   ", K = " + std::to_string(schema.K()));
+      EXPECT_GT(schema.K(), min_K);
+      expect_single_pass_bits(schema);
+    }
+  }
+}
+
+TEST(Transform, BlockedPassesMatchSinglePassBitwiseAtKZero) {
   // A horizon so short that no step is needed: the series is a(0), c(0),
   // and the rewarded regenerative state makes TRR~(s) = 1/(s + Lambda).
   Measured m = two_state_chain();
@@ -323,6 +442,63 @@ TEST(Transform, PerSumPassesMatchSinglePassBitwiseAtKZero) {
   ASSERT_EQ(schema.K(), 0);
   ASSERT_GT(schema.main.c[0], 0.0);
   expect_single_pass_bits(schema);
+}
+
+TEST(Transform, BlockedPassesMatchSinglePassThroughWholeInversions) {
+  // RRL's TRR and MRR inversions on the paper's G = 20 UA grid at eps
+  // 1e-12, with the options RRL gives crump_invert: every abscissa each
+  // inversion evaluates is compared byte for byte with the single pass, and
+  // each inversion is the solver's (same abscissae, same value bits).
+  const Raid5Model m = build_raid5_availability(Raid5Params{});
+  const RegenerativeSchema schema = raid5_schema(m);  // t = 1e5
+  const TrrTransform transform(schema);
+  const SinglePassTransform reference(schema);
+  const RegenerativeRandomizationLaplace solver(
+      m.chain, m.failure_rewards(), m.initial_distribution(),
+      m.initial_state);
+  const RrlOptions options;
+  const double eps = options.epsilon;
+  const std::vector<double> times = {1.0, 10.0, 1e2, 1e3, 1e4, 1e5};
+  int evaluations = 0;
+  int mismatches = 0;
+  for (const MeasureKind kind : {MeasureKind::kTrr, MeasureKind::kMrr}) {
+    const bool mrr = kind == MeasureKind::kMrr;
+    const SolveReport report = solver.solve_grid(
+        mrr ? SolveRequest::mrr(times) : SolveRequest::trr(times));
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      const double t = times[i];
+      SCOPED_TRACE((mrr ? "MRR t = " : "TRR t = ") + std::to_string(t));
+      CrumpOptions crump;
+      crump.t_multiplier = options.t_multiplier;
+      crump.max_terms = options.max_terms;
+      crump.required_hits = options.required_hits;
+      const double T = crump.t_multiplier * t;
+      crump.damping = mrr ? damping_for_time_linear(schema.r_max, eps, t, T)
+                          : damping_for_bounded(schema.r_max, eps, T);
+      crump.tolerance = (mrr ? t : 1.0) * eps / 100.0;
+      int calls = 0;
+      const CrumpResult res = crump_invert(
+          [&](cd s) {
+            ++calls;
+            const cd want_trr = reference.trr(s);
+            const cd got = mrr ? transform.cumulative(s) : transform.trr(s);
+            expect_same_bits(got, mrr ? want_trr / s : want_trr, s,
+                             mismatches);
+            return got;
+          },
+          t, crump);
+      evaluations += calls;
+      EXPECT_TRUE(res.converged);
+      EXPECT_EQ(calls, res.abscissae);
+      const TransientValue& point = report.points[i];
+      EXPECT_EQ(point.stats.abscissae, res.abscissae);
+      const double value = mrr ? res.value / t : res.value;
+      EXPECT_EQ(std::memcmp(&point.value, &value, sizeof(double)), 0)
+          << point.value << " vs " << value;
+    }
+  }
+  EXPECT_GT(evaluations, 12 * 8);
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Transform, ConjugateSymmetry) {
