@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -21,6 +22,24 @@
 #include "sparse/spmv_kernels.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
+
+namespace rrl {
+
+/// Reads an environment variable as bool ("1", "true", "yes" => true).
+[[nodiscard]] inline bool env_flag(const char* name, bool fallback = false) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  const std::string s(v);
+  return s == "1" || s == "true" || s == "yes";
+}
+
+/// Reads an environment variable as double, with fallback.
+[[nodiscard]] inline double env_double(const char* name, double fallback) {
+  const char* v = std::getenv(name);
+  return v == nullptr ? fallback : std::strtod(v, nullptr);
+}
+
+}  // namespace rrl
 
 namespace rrl::bench {
 

@@ -22,15 +22,15 @@
 // its chain (core/randomized_solver.hpp), and RSD's row-form P for the
 // backward pass is re-derived by exact transposition.
 //
-// Identity: `model_hash` (study/model_repository.hpp's content hash),
-// `solver` and `config` name the compilation inputs exactly — the disk
-// tier refuses artifacts whose identity does not match the requested key,
-// so a stale or foreign file degrades to a cache miss, never to a wrong
-// answer.
+// Identity: the artifact's SolverKey names the compilation inputs exactly
+// — the disk tier refuses artifacts whose key does not equal the requested
+// one, so a stale or foreign file degrades to a cache miss, never to a
+// wrong answer.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/regenerative.hpp"
@@ -46,21 +46,40 @@ struct ArtifactSchemaEntry {
   RegenerativeSchema schema;
 };
 
+/// What names one compiled solver: the source model's content hash
+/// (study/model_repository.hpp's hash_model; 0 when the producer did not
+/// know it), the method's registry name ("sr", "rsd", "rr", "rrl",
+/// "krylov", ...) and every construction config field. The solver cache
+/// keys its entries by it, the artifact store addresses files by it, an
+/// artifact carries it, and a remote worker's fetch asks for it.
+struct SolverKey {
+  std::uint64_t model_hash = 0;
+  std::string solver;
+  SolverConfig config;
+
+  [[nodiscard]] auto tie() const {
+    return std::tie(model_hash, solver, config.epsilon, config.rate_factor,
+                    config.regenerative, config.step_cap);
+  }
+  [[nodiscard]] friend bool operator==(const SolverKey& a,
+                                       const SolverKey& b) {
+    return a.tie() == b.tie();
+  }
+  [[nodiscard]] friend bool operator<(const SolverKey& a,
+                                      const SolverKey& b) {
+    return a.tie() < b.tie();
+  }
+};
+
 /// The compiled state of one solver instance, in plain serializable data.
 struct CompiledArtifact {
-  /// Registry name of the method the artifact was compiled by ("sr",
-  /// "rsd", "rr", "rrl", "krylov", ...).
-  std::string solver;
-  /// Content hash of the source model (see hash_model); 0 when the
-  /// producer did not know it (direct export outside the study layer).
-  std::uint64_t model_hash = 0;
-  /// Construction config, exactly as the solver cache keys it.
-  SolverConfig config;
+  /// The compilation this artifact holds the compiled state of.
+  SolverKey key;
 
   /// Provenance of a GENERATED model (markov/generator.hpp): the
   /// canonical spec the chain was expanded from, empty for explicit
-  /// models. Informational — identity is still (solver, model_hash,
-  /// config); hash_model derives model_hash from this very spec for
+  /// models. Informational — identity is still the key; hash_model
+  /// derives the key's model_hash from this very spec for
   /// generated models, so the content-addressed cache and remote artifact
   /// fetch work unchanged, and the spec here lets an operator read WHAT a
   /// cached blob solves without re-expanding it.
@@ -88,21 +107,12 @@ struct CompiledArtifact {
   }
 };
 
-/// Export `solver`'s compiled state stamped with the given identity. The
-/// identity fields are carried verbatim; the payload is whatever the
-/// solver's export_compiled() fills in (possibly nothing — see
+/// Export `solver`'s compiled state stamped with the key {model_hash,
+/// solver.name(), config}; the payload is whatever the solver's
+/// export_compiled() fills in (possibly nothing — see
 /// CompiledArtifact::has_payload).
 [[nodiscard]] CompiledArtifact export_artifact(const TransientSolver& solver,
                                                std::uint64_t model_hash,
                                                const SolverConfig& config);
-
-/// True iff the artifact's identity matches the requested compilation
-/// exactly (solver name, model content hash, every config field). The disk
-/// tier treats a mismatch as a miss: a stale or foreign artifact is
-/// ignored, never adopted.
-[[nodiscard]] bool artifact_matches(const CompiledArtifact& artifact,
-                                    const std::string& solver,
-                                    std::uint64_t model_hash,
-                                    const SolverConfig& config);
 
 }  // namespace rrl

@@ -214,15 +214,15 @@ class TransientSolver {
 
   /// Compile → execute split (core/compiled_artifact.hpp). Append this
   /// solver's compiled state — the deterministic model-derived part of the
-  /// work, re-usable across processes — to `artifact` (identity fields are
-  /// the caller's job; see export_artifact). The base default exports
+  /// work, re-usable across processes — to `artifact` (its key is the
+  /// caller's job; see export_artifact). The base default exports
   /// nothing: a method without a separable compile step round-trips as an
   /// empty artifact.
   virtual void export_compiled(CompiledArtifact& /*artifact*/) const {}
 
   /// Adopt compiled state previously exported from an identically
-  /// constructed solver (same model, method and config — callers verify
-  /// with artifact_matches; entries a solver cannot use are ignored).
+  /// constructed solver (same model, method and config — callers compare
+  /// the artifact's SolverKey; entries a solver cannot use are ignored).
   /// The artifact is handed over: a solver may move its arrays out (SR,
   /// RSD and Krylov adopt the DTMC without a copy). Because compilation is
   /// deterministic, an imported solver answers every request

@@ -2,24 +2,13 @@
 // compile → execute split (core/compiled_artifact.hpp) and of the study
 // subsystem's on-disk artifact tier (study/artifact_store.hpp).
 //
-// Layout (all integers and doubles in the writer's native byte order):
-//
-//   magic     "RRLART\n\0"   8 bytes
-//   version   u32            format revision (kArtifactFormatVersion)
-//   endian    u16 0x0102     read back as 0x0201 on a foreign-endian
-//                            machine, where the file is rejected rather
-//                            than byte-swapped: artifacts are a CACHE —
-//                            the reader recomputes, it never guesses
-//   length    u64            payload byte count
-//   payload   length bytes   solver name, model hash, config, DTMC CSR
-//                            arrays, schema series (raw IEEE-754 bits, so
-//                            a round trip is bit-exact — the foundation of
-//                            the "imported solver answers bit-identically"
-//                            guarantee)
-//   checksum  u64            lane_checksum over the payload
-//                            (support/lane_checksum.hpp: four 64-bit
-//                            lanes, word at a time; any one changed
-//                            word always changes it)
+// An artifact is one untyped envelope of the shared byte layer
+// (io/byte_codec.hpp: magic "RRLART\n\0", version kArtifactFormatVersion,
+// endian tag, u64 length, payload, lane_checksum). The payload holds, in
+// order: the key (solver name, model hash, config), the generated-model
+// provenance, the DTMC CSR arrays and the schema series — raw IEEE-754
+// bits, so a round trip is bit-exact (the foundation of the "imported
+// solver answers bit-identically" guarantee).
 //
 // Matrices travel as their canonical CSR arrays ONLY: the specialized
 // kernel layout (sparse/sell.hpp) is derived data and is never
@@ -27,18 +16,19 @@
 // portable across hosts with different SIMD capabilities and a
 // layout-heuristic change never invalidates a cached artifact.
 //
-// Every validation failure — bad magic, unknown version, foreign
-// endianness, short read, checksum mismatch, malformed CSR/schema
-// structure — throws contract_error. Callers that treat artifacts as a
-// cache (the artifact store) catch it and fall back to a cold compile;
-// nothing is ever adopted from a file that does not prove itself.
+// Every validation failure — an envelope that does not verify, malformed
+// CSR/schema structure, trailing bytes — throws contract_error. Callers
+// that treat artifacts as a cache (the artifact store) catch it and fall
+// back to a cold compile; nothing is ever adopted from bytes that do not
+// prove themselves.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/compiled_artifact.hpp"
+#include "io/byte_codec.hpp"
 
 namespace rrl {
 
@@ -51,14 +41,20 @@ namespace rrl {
 /// (cold compile), never to a misread.
 inline constexpr std::uint32_t kArtifactFormatVersion = 3;
 
-/// Serialize `artifact` to `out`. Throws contract_error if the stream
-/// fails.
-void write_artifact(std::ostream& out, const CompiledArtifact& artifact);
+/// The envelope an artifact is (io/byte_codec.hpp).
+inline constexpr EnvelopeFormat kArtifactEnvelope{
+    {'R', 'R', 'L', 'A', 'R', 'T', '\n', '\0'},
+    kArtifactFormatVersion,
+    /*type_count=*/0,
+    "artifact codec"};
 
-/// Parse an artifact written by write_artifact on a same-endianness
-/// machine with the same format version. Throws contract_error on any
-/// corruption or incompatibility (see the header comment).
-[[nodiscard]] CompiledArtifact read_artifact(std::istream& in);
+/// Serialize `artifact` into one envelope.
+[[nodiscard]] std::string encode_artifact(const CompiledArtifact& artifact);
+
+/// Parse bytes that are exactly one artifact envelope written by
+/// encode_artifact on a same-endianness machine with the same format
+/// version. Throws contract_error on any corruption or incompatibility.
+[[nodiscard]] CompiledArtifact decode_artifact(std::string_view bytes);
 
 /// File-path conveniences (throw contract_error, including on open
 /// failure and on a write that fails only when the file is closed).

@@ -102,6 +102,10 @@ ModelFile read_model(std::istream& in) {
       if (!line.next(num_states) || num_states <= 0) {
         parse_fail(line_no, "'states' needs a positive count");
       }
+      if (num_states > kMaxStates) {
+        parse_fail(line_no, "'states' may not exceed " +
+                                std::to_string(kMaxStates));
+      }
     } else if (keyword == "reward") {
       need_states();
       const index_t s = read_state("reward");

@@ -4,7 +4,8 @@
 // lets the CLI tool export the built-in generators). Line-oriented format,
 // whitespace-separated, '#' comments:
 //
-//   states <N>                # required, first non-comment line
+//   states <N>                # required, first non-comment line;
+//                             # 1 <= N <= kMaxStates
 //   transition <from> <to> <rate>
 //   reward <state> <value>    # default 0
 //   initial <state> <prob>    # default: unit mass on state 0
@@ -36,6 +37,7 @@
 // spec key (below) a lie.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -43,6 +45,11 @@
 #include "markov/ctmc.hpp"
 
 namespace rrl {
+
+/// The most states a model may have: a `states` line declaring more is
+/// refused before anything is sized from it, and a generator line that
+/// would expand beyond it is refused before expanding.
+inline constexpr std::int64_t kMaxStates = 10'000'000;
 
 /// A parsed model file: chain + measure data + optional solver hint.
 struct ModelFile {

@@ -18,8 +18,8 @@ namespace rrl {
 
 namespace {
 
-// Wire-level byte accounting, shared with the worker-side raw-fd helpers
-// in study_dispatch.cpp (same metric names: one fleet-wide funnel).
+// Wire-level byte accounting: every byte either end of the wire moves goes
+// through a FrameChannel, parent and worker alike.
 metrics::Counter& wire_bytes_in() {
   static auto& c = metrics::counter("rrl_wire_bytes_in_total");
   return c;
@@ -277,9 +277,15 @@ ChannelIo FrameChannel::read_some() {
     if (n == 0) return ChannelIo::kEof;
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return ChannelIo::kAgain;
-    if (errno == ECONNRESET) return ChannelIo::kEof;
     return ChannelIo::kError;
   }
+}
+
+void FrameChannel::close_read() {
+  if (read_fd_ < 0) return;
+  ::close(read_fd_);
+  if (write_fd_ == read_fd_) write_fd_ = -1;
+  read_fd_ = -1;
 }
 
 void FrameChannel::close() {

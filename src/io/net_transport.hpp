@@ -25,7 +25,9 @@
 //
 // The same FrameChannel fronts a fork/exec'd worker's stdio pipes (two
 // fds) and a remote worker's TCP socket (one fd), which is what makes the
-// dispatch poll loop transport-agnostic.
+// dispatch poll loop transport-agnostic. A worker's own end of the wire
+// is a FrameChannel too, over blocking fds: there send() writes
+// everything before it returns and read_some() waits for bytes.
 //
 // Security note: the transport is a trusted-network protocol — no
 // authentication, no encryption (frames are checksummed against
@@ -81,19 +83,21 @@ enum class ChannelIo {
   kOk,     ///< appended at least one byte to the inbox
   kAgain,  ///< nothing available right now (non-blocking fd)
   kEof,    ///< peer closed its end
-  kError,  ///< hard error; the peer is unusable
+  kError,  ///< hard error (a reset connection included); the peer is
+           ///< unusable
 };
 
-/// One peer's buffered framed byte stream over non-blocking fds — a TCP
-/// socket (read fd == write fd) or a stdio pipe pair. Owns the fds it is
-/// given: close() releases them, and exactly-once (a socket's single fd is
-/// never closed twice).
+/// One peer's buffered framed byte stream — a TCP socket (read fd ==
+/// write fd) or a stdio pipe pair, non-blocking in a poll loop or blocking
+/// on a worker's side. Owns the fds it is given: close() releases them,
+/// and exactly-once (a socket's single fd is never closed twice).
 class FrameChannel {
  public:
   FrameChannel() = default;
-  /// Wrap fds the caller already set non-blocking (see set_nonblocking).
-  /// `is_socket` selects send(MSG_NOSIGNAL) over write() so a dead peer
-  /// cannot raise SIGPIPE even outside a scoped-ignore region.
+  /// Wrap fds (set non-blocking by the caller for a poll loop, see
+  /// set_nonblocking). `is_socket` selects send(MSG_NOSIGNAL) over
+  /// write() so a dead peer cannot raise SIGPIPE even outside a
+  /// scoped-ignore region.
   FrameChannel(int read_fd, int write_fd, bool is_socket);
 
   FrameChannel(FrameChannel&& other) noexcept;
@@ -129,6 +133,11 @@ class FrameChannel {
 
   /// Close both fds (idempotent; a socket's shared fd closes once).
   void close();
+
+  /// Close the read fd only, so the peer's next write fails while this
+  /// end can still send — unless the fd is a socket's one fd, which
+  /// closes whole.
+  void close_read();
 
  private:
   int read_fd_ = -1;

@@ -2,19 +2,11 @@
 // the framed messages a `rrl_solve --serve` parent and its `--worker`
 // processes exchange over stdio pipes.
 //
-// Frame layout reuses the artifact codec's discipline (io/artifact_codec):
-//
-//   magic     "RRLWIR\n\0"   8 bytes
-//   version   u32            protocol revision (kWireProtocolVersion)
-//   endian    u16 0x0102     foreign-endian peers are rejected, never
-//                            byte-swapped (parent and workers are the
-//                            same binary on the same machine — a mismatch
-//                            means the pipe is not what we think it is)
-//   type      u16            WireType discriminator
-//   length    u64            payload byte count
-//   payload   length bytes   message-specific (below)
-//   checksum  u64            lane_checksum over the payload, as in
-//                            artifact frames
+// A frame is one typed envelope of the shared byte layer
+// (io/byte_codec.hpp: magic "RRLWIR\n\0", version kWireProtocolVersion,
+// endian tag, the u16 WireType, u64 length, payload, lane_checksum).
+// Foreign-endian peers are rejected, never byte-swapped: a mismatch means
+// the channel is not what we think it is.
 //
 // Messages (parent -> worker: assign, shutdown, artifact_data;
 // worker -> parent: hello, result, ping, artifact_request):
@@ -34,22 +26,24 @@
 //             re-queue the in-flight unit on timeout. Pipes don't carry
 //             pings — a local child's death is already an EOF.
 //   artifact_request
-//             worker -> parent: a solver-cache key (model hash + solver +
-//             config). The remote worker asks the parent's artifact store
-//             before cold-compiling — `--cache-dir` does not cross
-//             machines, but the wire does.
+//             worker -> parent: a SolverKey (core/compiled_artifact.hpp).
+//             The remote worker asks the parent's artifact store before
+//             cold-compiling — `--cache-dir` does not cross machines,
+//             but the wire does.
 //   artifact_data
-//             parent -> worker: the echoed key, a found flag, and (when
-//             found) an artifact blob in the artifact codec's format
-//             (io/artifact_codec.hpp). found=false means the worker
-//             compiles locally — a counted miss, never an error.
+//             parent -> worker: the echoed model hash and solver, a found
+//             flag, and (when found) an artifact blob in the artifact
+//             codec's format (io/artifact_codec.hpp). found=false means
+//             the worker compiles locally — a counted miss, never an
+//             error.
 //
 // decode_frame is incremental: pipes deliver byte streams, not messages,
 // so the caller accumulates reads in a buffer and asks after each read
-// whether a whole frame has arrived (nullopt = not yet). Corruption of a
-// COMPLETE frame — bad magic, foreign version/endianness, checksum
-// mismatch, malformed payload — throws contract_error: the dispatcher
-// treats the worker as lost rather than guessing.
+// whether a whole frame has arrived (nullopt = not yet). A header that
+// does not verify (bad magic, foreign version/endianness, unknown type,
+// oversized length), a complete frame whose checksum does not, and a
+// malformed payload throw contract_error: the dispatcher treats the
+// worker as lost rather than guessing.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +53,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/compiled_artifact.hpp"
+#include "io/byte_codec.hpp"
 #include "study/study_report.hpp"
 
 namespace rrl {
@@ -80,6 +76,13 @@ enum class WireType : std::uint16_t {
   kArtifactData = 7,     ///< parent -> worker: artifact blob or not-found
   kStatsReport = 8,      ///< worker -> parent: metrics snapshot
 };
+
+/// The envelope a frame is (io/byte_codec.hpp); its type is a WireType.
+inline constexpr EnvelopeFormat kWireEnvelope{
+    {'R', 'R', 'L', 'W', 'I', 'R', '\n', '\0'},
+    kWireProtocolVersion,
+    static_cast<std::uint16_t>(WireType::kStatsReport),
+    "wire codec"};
 
 struct WireFrame {
   WireType type = WireType::kHello;
@@ -122,18 +125,6 @@ struct WireResult {
   std::vector<ReportRow> rows;
 };
 
-/// A remote worker's solver-cache lookup: the full cache key (every
-/// SolverConfig field participates, exactly as study/solver_cache.hpp keys
-/// entries), asked of the parent's artifact store before cold-compiling.
-struct WireArtifactRequest {
-  std::uint64_t model_hash = 0;
-  std::string solver;
-  double epsilon = 0.0;
-  double rate_factor = 0.0;
-  std::int64_t regenerative = -1;
-  std::int64_t step_cap = -1;
-};
-
 /// The parent's answer: the echoed identity, whether the store had it,
 /// and (when found) the artifact serialized by io/artifact_codec — the
 /// same bytes the disk tier would hold, so a fetched warm start is
@@ -167,10 +158,11 @@ struct WireStatsReport {
 [[nodiscard]] WireAssign decode_assign(std::string_view payload);
 [[nodiscard]] std::string encode_result(const WireResult& result);
 [[nodiscard]] WireResult decode_result(std::string_view payload);
-[[nodiscard]] std::string encode_artifact_request(
-    const WireArtifactRequest& request);
-[[nodiscard]] WireArtifactRequest decode_artifact_request(
-    std::string_view payload);
+/// The artifact_request payload: a remote worker's solver-cache lookup,
+/// the whole SolverKey, asked of the parent's artifact store before
+/// cold-compiling. The regenerative index travels as an i64.
+[[nodiscard]] std::string encode_solver_key(const SolverKey& key);
+[[nodiscard]] SolverKey decode_solver_key(std::string_view payload);
 [[nodiscard]] std::string encode_artifact_data(const WireArtifactData& data);
 [[nodiscard]] WireArtifactData decode_artifact_data(std::string_view payload);
 [[nodiscard]] std::string encode_stats_report(const WireStatsReport& stats);

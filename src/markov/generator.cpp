@@ -20,9 +20,6 @@ namespace {
   throw contract_error("generator: " + message);
 }
 
-/// Hard expansion cap, matching the builder's default safety valve.
-constexpr std::int64_t kMaxStates = 10'000'000;
-
 std::string print_int(std::int64_t v) { return std::to_string(v); }
 
 std::string print_double(double v) {

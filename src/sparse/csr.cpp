@@ -156,7 +156,9 @@ CsrMatrix CsrMatrix::from_parts(index_t rows, index_t cols,
   for (index_t r = 0; r < rows; ++r) {
     const std::int64_t lo = row_ptr[static_cast<std::size_t>(r)];
     const std::int64_t hi = row_ptr[static_cast<std::size_t>(r) + 1];
-    RRL_EXPECTS(lo <= hi);
+    // lo >= 0 by induction from row_ptr[0] == 0; hi must not run past
+    // the entries before this row's columns are read.
+    RRL_EXPECTS(lo <= hi && hi <= row_ptr.back());
     for (std::int64_t k = lo; k < hi; ++k) {
       const index_t c = col_idx[static_cast<std::size_t>(k)];
       RRL_EXPECTS(c >= 0 && c < cols);

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 #include <vector>
 
@@ -67,25 +66,23 @@ std::string sanitized(const std::string& name) {
 
 ArtifactStore::ArtifactStore(std::string root) : root_(std::move(root)) {}
 
-std::string ArtifactStore::entry_path(std::uint64_t model_hash,
-                                      const std::string& solver,
-                                      const SolverConfig& config) const {
-  return (fs::path(root_) / hex64(model_hash) /
-          (sanitized(solver) + "-" + hex64(hash_config(config)) + ".rrla"))
+std::string ArtifactStore::entry_path(const SolverKey& key) const {
+  return (fs::path(root_) / hex64(key.model_hash) /
+          (sanitized(key.solver) + "-" + hex64(hash_config(key.config)) +
+           ".rrla"))
       .string();
 }
 
 std::optional<CompiledArtifact> ArtifactStore::load(
-    std::uint64_t model_hash, const std::string& solver,
-    const SolverConfig& config) const {
-  const std::string path = entry_path(model_hash, solver, config);
+    const SolverKey& key) const {
+  const std::string path = entry_path(key);
   std::error_code ec;
   if (!fs::exists(path, ec) || ec) return std::nullopt;
   try {
     const trace::Span span("artifact.load");
     CompiledArtifact artifact = read_artifact_file(path);
-    if (!artifact_matches(artifact, solver, model_hash, config)) {
-      throw contract_error("artifact identity mismatch (stale entry)");
+    if (artifact.key != key) {
+      throw contract_error("artifact key mismatch (stale entry)");
     }
     // Touch on use: gc()'s LRU eviction orders by mtime, so a verified
     // hit refreshes the entry's recency. Best effort — a read-only store
@@ -104,8 +101,7 @@ std::optional<CompiledArtifact> ArtifactStore::load(
 
 bool ArtifactStore::store(const CompiledArtifact& artifact) const {
   if (!artifact.has_payload()) return false;
-  const std::string path =
-      entry_path(artifact.model_hash, artifact.solver, artifact.config);
+  const std::string path = entry_path(artifact.key);
   const fs::path target(path);
   // Atomic publish: write a sibling temp file, then rename over the final
   // name. Writers racing on one key each get their OWN temp — the pid

@@ -17,9 +17,9 @@
 // compilations of one model live together and invalidate together when
 // the model changes — a changed model is a NEW address, never an
 // overwritten one) and the file name carries the solver plus a hash of
-// the exact SolverConfig. The full key is ALSO stored inside the artifact
-// and re-verified on load (artifact_matches), so hash collisions and
-// hand-copied files degrade to misses.
+// the exact SolverConfig. The whole SolverKey is ALSO stored inside the
+// artifact and compared on load, so hash collisions and hand-copied files
+// degrade to misses.
 //
 // Write discipline: store() serializes to a sibling temp file and
 // atomically renames it over the final path — concurrent shards writing
@@ -66,24 +66,20 @@ class ArtifactStore {
 
   [[nodiscard]] const std::string& root() const noexcept { return root_; }
 
-  /// The verified artifact for (model_hash, solver, config), or nullopt.
-  /// Never throws: a file that is absent, unreadable, corrupt, of a
-  /// foreign format/endianness, or whose embedded identity does not match
-  /// the requested key exactly is a miss.
+  /// The verified artifact for `key`, or nullopt. Never throws: a file
+  /// that is absent, unreadable, corrupt, of a foreign format/endianness,
+  /// or whose embedded key does not equal `key` is a miss.
   [[nodiscard]] std::optional<CompiledArtifact> load(
-      std::uint64_t model_hash, const std::string& solver,
-      const SolverConfig& config) const;
+      const SolverKey& key) const;
 
-  /// Persist `artifact` under its own identity (atomic rename-on-write).
+  /// Persist `artifact` under its own key (atomic rename-on-write).
   /// Returns false (and counts nothing) if the artifact has no payload;
   /// filesystem failures are swallowed — the store is a cache, losing a
   /// write costs a future recompile, not correctness.
   bool store(const CompiledArtifact& artifact) const;
 
   /// The file path a key resolves to (exposed for tests and tooling).
-  [[nodiscard]] std::string entry_path(std::uint64_t model_hash,
-                                       const std::string& solver,
-                                       const SolverConfig& config) const;
+  [[nodiscard]] std::string entry_path(const SolverKey& key) const;
 
   /// Sweep the store: remove leftover `.tmp*` files and entries that fail
   /// to parse (corrupt, truncated, foreign endianness). With cap_bytes >

@@ -63,7 +63,7 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
   // both do, via the file's hint / io-layer resolved_config), which also
   // makes "hint spelled out" and "hint from the file" key identically.
 
-  SolverCacheKey key{model->hash, solver_name, config};
+  SolverKey key{model->hash, solver_name, config};
 
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
@@ -80,7 +80,7 @@ std::shared_ptr<const TransientSolver> SolverCache::get_or_build(
   std::optional<CompiledArtifact> artifact;
   CacheTier resolved = CacheTier::kCompiled;
   if (store_ != nullptr && read_disk_) {
-    artifact = store_->load(key.model_hash, solver_name, config);
+    artifact = store_->load(key);
     if (artifact.has_value()) {
       resolved = CacheTier::kDisk;
       cache_counters().disk_hits.add(1);
@@ -156,16 +156,14 @@ std::size_t SolverCache::flush_to_store() {
     // that never grows after import, so the disk copy is current. Decided
     // before exporting, which would copy the whole DTMC to discard it.
     if (entry.imported && entry.imported_keys.empty()) continue;
-    // Identity under the REGISTRY name from the key (a custom-registered
+    // Keyed under the REGISTRY name from the cache key (a custom-registered
     // factory may wrap a class whose name() differs), so store and load
     // address the same file.
     CompiledArtifact artifact;
-    artifact.solver = key.solver;
-    artifact.model_hash = key.model_hash;
-    artifact.config = key.config;
+    artifact.key = key;
     // Generated-model provenance rides along (informational — identity
-    // stays (solver, hash, config); for generated models the hash IS the
-    // spec hash, so the stored spec names the blob's content readably).
+    // stays the key; for generated models the hash IS the spec hash, so
+    // the stored spec names the blob's content readably).
     artifact.model_spec = entry.model->file.spec_key;
     artifact.pre_lump_states = entry.model->file.pre_lump_states;
     entry.solver->export_compiled(artifact);
@@ -190,8 +188,7 @@ std::size_t SolverCache::flush_to_store() {
     // only ever grows toward the study's full horizon set instead of
     // oscillating between subsets.
     if (entry.imported) {
-      const auto on_disk =
-          store_->load(key.model_hash, key.solver, key.config);
+      const auto on_disk = store_->load(key);
       if (on_disk.has_value()) {
         for (const ArtifactSchemaEntry& e : on_disk->schemas) {
           const std::pair<double, double> k{e.t, e.eps};

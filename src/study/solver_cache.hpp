@@ -4,8 +4,9 @@
 // regenerative-state selection, randomized-DTMC construction, and (per
 // horizon, memoized inside RR/RRL) the schema — that the single-shot sweep
 // engine rebuilt for every scenario. The cache shares ONE immutable
-// compiled solver across all scenarios keyed to the same
-// (model content hash, solver name, SolverConfig): solvers are safe to
+// compiled solver across all scenarios keyed to the same SolverKey
+// (model content hash, solver name, SolverConfig;
+// core/compiled_artifact.hpp): solvers are safe to
 // drive from concurrent workers as long as each worker brings its own
 // SolveWorkspace, which the sweep engine guarantees, so sharing the
 // instance is free — and because solver construction and solve_grid() are
@@ -44,7 +45,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -53,22 +53,6 @@
 #include "study/model_repository.hpp"
 
 namespace rrl {
-
-/// Cache identity: model content + method + construction parameters
-/// (every SolverConfig field participates).
-struct SolverCacheKey {
-  std::uint64_t model_hash = 0;
-  std::string solver;
-  SolverConfig config;
-
-  [[nodiscard]] auto tie() const {
-    return std::tie(model_hash, solver, config.epsilon, config.rate_factor,
-                    config.regenerative, config.step_cap);
-  }
-  [[nodiscard]] bool operator<(const SolverCacheKey& o) const {
-    return tie() < o.tie();
-  }
-};
 
 /// Where a resolved solver came from — the provenance get_or_build reports
 /// per lookup (and the study report's `cache_tier` column under
@@ -107,7 +91,7 @@ enum class CacheTier {
 /// a counted miss, never an error. Called under the cache lock, so a
 /// fetcher must not re-enter the cache.
 using ArtifactFetcher =
-    std::function<std::optional<CompiledArtifact>(const SolverCacheKey&)>;
+    std::function<std::optional<CompiledArtifact>(const SolverKey&)>;
 
 class SolverCache {
  public:
@@ -167,9 +151,9 @@ class SolverCache {
   };
 
   mutable std::mutex mutex_;
-  std::map<SolverCacheKey, Entry> entries_;
+  std::map<SolverKey, Entry> entries_;
   /// Keys whose construction threw, with what it threw.
-  std::map<SolverCacheKey, std::exception_ptr> failures_;
+  std::map<SolverKey, std::exception_ptr> failures_;
   std::shared_ptr<const ArtifactStore> store_;
   bool read_disk_ = true;
   ArtifactFetcher fetcher_;

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <deque>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -50,60 +49,6 @@ struct DispatchCounters {
 DispatchCounters& dispatch_counters() {
   static DispatchCounters c;
   return c;
-}
-
-// A solver-cache key as an artifact_request spells it on the wire, and
-// back.
-WireArtifactRequest artifact_request(const SolverCacheKey& key) {
-  return {key.model_hash, key.solver, key.config.epsilon,
-          key.config.rate_factor, key.config.regenerative,
-          key.config.step_cap};
-}
-
-SolverCacheKey cache_key(const WireArtifactRequest& request) {
-  return {request.model_hash, request.solver,
-          SolverConfig{request.epsilon, request.rate_factor,
-                       static_cast<index_t>(request.regenerative),
-                       request.step_cap}};
-}
-
-// ---- fd helpers for the worker side (the parent side goes through
-// FrameChannel, io/net_transport.hpp).
-
-/// write() the whole buffer, riding out EINTR and short writes. False on
-/// any hard error (EPIPE after a peer death included — callers treat the
-/// peer as lost).
-bool write_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  // Same funnel as FrameChannel's counter (net_transport.cpp): workers
-  // write their half of the wire through raw fds.
-  static auto& bytes_out = metrics::counter("rrl_wire_bytes_out_total");
-  bytes_out.add(off);
-  return true;
-}
-
-/// One read() into the end of `buffer`, riding out EINTR. Returns the
-/// byte count (0 = EOF, -1 = hard error).
-ssize_t read_chunk(int fd, std::string& buffer) {
-  char chunk[65536];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n > 0) {
-      static auto& bytes_in = metrics::counter("rrl_wire_bytes_in_total");
-      bytes_in.add(static_cast<std::uint64_t>(n));
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-    return n;
-  }
 }
 
 /// Writing into a pipe or socket whose reader died raises SIGPIPE, which
@@ -454,20 +399,16 @@ DispatchReport dispatch_study(const StudyPlan& plan,
         dispatch_counters().heartbeats.add(1);
       } else if (frame->type == WireType::kArtifactRequest) {
         const trace::Span span("artifact.serve");
-        const SolverCacheKey key =
-            cache_key(decode_artifact_request(frame->payload));
+        const SolverKey key = decode_solver_key(frame->payload);
         ++report.artifact_requests;
         WireArtifactData data;
         data.model_hash = key.model_hash;
         data.solver = key.solver;
         if (options.artifact_store != nullptr) {
-          const auto artifact = options.artifact_store->load(
-              key.model_hash, key.solver, key.config);
+          const auto artifact = options.artifact_store->load(key);
           if (artifact.has_value()) {
-            std::ostringstream blob;
-            write_artifact(blob, *artifact);
             data.found = true;
-            data.blob = blob.str();
+            data.blob = encode_artifact(*artifact);
             ++report.artifact_hits;
           }
         }
@@ -721,22 +662,22 @@ DispatchReport dispatch_study(const StudyPlan& plan,
 
 namespace {
 
-/// The worker's half of the wire: one blocking read stream + one
-/// mutex-serialized write stream (the main thread's results and the
-/// heartbeat thread's pings interleave safely), plus a stash for frames
-/// that arrive while the artifact fetcher is waiting for its reply.
+/// The worker's half of the wire: one FrameChannel over blocking fds (a
+/// send writes everything, a read_some waits), whose writes are
+/// serialized by a mutex (the main thread's results and the heartbeat
+/// thread's pings interleave safely), plus a stash for frames that arrive
+/// while the artifact fetcher is waiting for its reply. Only the main
+/// thread reads.
 struct WorkerLink {
-  int in_fd;
-  int out_fd;
+  FrameChannel channel;
   std::mutex write_mutex;
-  std::string buffer;
   std::deque<WireFrame> pending;
   bool eof = false;     ///< parent closed the stream
   bool failed = false;  ///< hard read error or corrupt frame
 
   bool write_frame(const std::string& bytes) {
     const std::lock_guard<std::mutex> lock(write_mutex);
-    return write_all(out_fd, bytes);
+    return channel.send(bytes);
   }
 
   /// Next frame straight off the wire (blocking; skips the stash).
@@ -744,9 +685,10 @@ struct WorkerLink {
     for (;;) {
       std::size_t consumed = 0;
       try {
-        std::optional<WireFrame> frame = decode_frame(buffer, consumed);
+        std::optional<WireFrame> frame =
+            decode_frame(channel.inbox(), consumed);
         if (frame.has_value()) {
-          buffer.erase(0, consumed);
+          channel.inbox().erase(0, consumed);
           return frame;
         }
       } catch (const std::exception& e) {
@@ -755,14 +697,16 @@ struct WorkerLink {
         failed = true;
         return std::nullopt;
       }
-      const ssize_t n = read_chunk(in_fd, buffer);
-      if (n == 0) {
-        eof = true;
-        return std::nullopt;
-      }
-      if (n < 0) {
-        failed = true;
-        return std::nullopt;
+      switch (channel.read_some()) {
+        case ChannelIo::kOk:
+        case ChannelIo::kAgain:
+          break;
+        case ChannelIo::kEof:
+          eof = true;
+          return std::nullopt;
+        case ChannelIo::kError:
+          failed = true;
+          return std::nullopt;
       }
     }
   }
@@ -825,15 +769,14 @@ class Heartbeat {
 }  // namespace
 
 int run_worker_loop(const StudyPlan& plan, SolverCache& cache,
-                    const WorkerOptions& options, int in_fd, int out_fd) {
-  // Writing a hello/result after the PARENT died must surface as
-  // write_all's error return (clean exit 1), not a SIGPIPE kill that
-  // skips destructors — and must not take an in-process caller down.
+                    const WorkerOptions& options, FrameChannel channel) {
+  // Writing a hello/result after the PARENT died must surface as the
+  // channel's error return (clean exit 1), not a SIGPIPE kill that skips
+  // destructors — and must not take an in-process caller down.
   const ScopedIgnoreSigpipe sigpipe_guard;
 
   WorkerLink link;
-  link.in_fd = in_fd;
-  link.out_fd = out_fd;
+  link.channel = std::move(channel);
 
   if (options.fetch_artifacts) {
     // Last-chance artifact source: ask the parent's store over the wire
@@ -844,11 +787,10 @@ int run_worker_loop(const StudyPlan& plan, SolverCache& cache,
     // them) are stashed for the main loop. Every failure path — write
     // error, EOF, corrupt blob, identity mismatch — degrades to nullopt:
     // a counted miss and a local compile, never a wrong answer.
-    cache.set_fetcher([&link](const SolverCacheKey& key)
+    cache.set_fetcher([&link](const SolverKey& key)
                           -> std::optional<CompiledArtifact> {
-      if (!link.write_frame(
-              encode_frame(WireType::kArtifactRequest,
-                           encode_artifact_request(artifact_request(key))))) {
+      if (!link.write_frame(encode_frame(WireType::kArtifactRequest,
+                                         encode_solver_key(key)))) {
         return std::nullopt;
       }
       for (;;) {
@@ -866,12 +808,8 @@ int run_worker_loop(const StudyPlan& plan, SolverCache& cache,
         }
         if (!data.found) return std::nullopt;
         try {
-          std::istringstream in(data.blob);
-          CompiledArtifact artifact = read_artifact(in);
-          if (artifact_matches(artifact, key.solver, key.model_hash,
-                               key.config)) {
-            return artifact;
-          }
+          CompiledArtifact artifact = decode_artifact(data.blob);
+          if (artifact.key == key) return artifact;
         } catch (const std::exception&) {
           // fall through: a corrupt blob is a miss, not an error
         }
@@ -977,7 +915,8 @@ int run_worker_loop(const StudyPlan& plan, SolverCache& cache,
       // must bury us, not crash the parent. (Closing after the reply
       // would race the parent's next assign into the pipe buffer and
       // deadlock the fleet.)
-      ::close(in_fd);
+      const std::lock_guard<std::mutex> lock(link.write_mutex);
+      link.channel.close_read();
     }
 
     WireResult result;

@@ -65,6 +65,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/net_transport.hpp"
 #include "study/artifact_store.hpp"
 #include "study/solver_cache.hpp"
 #include "study/study_plan.hpp"
@@ -196,18 +197,19 @@ struct WorkerOptions {
   int mute_after_units = -1;
 };
 
-/// The worker loop behind `rrl_solve --worker` (stdio pipes to a parent
-/// on this machine) and `rrl_solve --connect` (a TCP socket to a remote
-/// parent; in_fd == out_fd): handshake on `out_fd`, then execute every
-/// unit assigned on `in_fd` (through the given cache, whose attached
-/// store — if any — is flushed after every unit so fleet peers sharing
-/// the cache-dir start warm) until shutdown or EOF. With
+/// The worker loop behind `rrl_solve --worker` (a channel over the stdio
+/// pipes to a parent on this machine) and `rrl_solve --connect` (over a
+/// TCP socket to a remote parent): handshake, then execute every unit
+/// assigned (through the given cache, whose attached store — if any — is
+/// flushed after every unit so fleet peers sharing the cache-dir start
+/// warm) until shutdown or EOF. The channel's fds are blocking and the
+/// loop owns them: they close when it returns. With
 /// options.fetch_artifacts the cache's last-chance fetcher is wired to an
-/// artifact_request round trip on the same fds. Returns a process exit
-/// code (0 = clean shutdown). The caller must keep the fds free of any
-/// other output — diagnostics go to stderr.
+/// artifact_request round trip on the same channel. Returns a process
+/// exit code (0 = clean shutdown). The caller must keep the fds free of
+/// any other output — diagnostics go to stderr.
 [[nodiscard]] int run_worker_loop(const StudyPlan& plan, SolverCache& cache,
                                   const WorkerOptions& options,
-                                  int in_fd = 0, int out_fd = 1);
+                                  FrameChannel channel);
 
 }  // namespace rrl

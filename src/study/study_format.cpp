@@ -6,6 +6,7 @@
 
 #include "io/field_scanner.hpp"
 #include "support/contracts.hpp"
+#include "support/thread_pool.hpp"
 
 namespace rrl {
 namespace {
@@ -141,6 +142,10 @@ StudySpec read_study(std::istream& in, const std::string& base_dir) {
     } else if (keyword == "jobs") {
       if (!line.next(spec.jobs) || spec.jobs < 1) {
         parse_fail(line_no, "'jobs' needs a positive count");
+      }
+      if (spec.jobs > kMaxJobs) {
+        parse_fail(line_no,
+                   "'jobs' may not exceed " + std::to_string(kMaxJobs));
       }
       reject_extras();
     } else {

@@ -14,7 +14,8 @@
 //   grid <lo>:<hi>:<count>    # one log-spaced time grid; repeatable
 //   times <t1> <t2> ...       # one explicit time grid; repeatable
 //   regenerative auto | <i>   # default: each model file's hint, else auto
-//   jobs <n>                  # default worker count (CLI --jobs overrides)
+//   jobs <n>                  # default worker count, 1..kMaxJobs (CLI
+//                             # --jobs overrides)
 //
 // Fields and numbers are read as in model files (io/field_scanner.hpp): a
 // number must fill its field, so `jobs 2x` or `times 5 1e` is an error.

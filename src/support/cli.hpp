@@ -78,6 +78,18 @@ class CliArgs {
     return value;
   }
 
+  /// A count: a whole number from 0 to `max` (a larger or negative one
+  /// is rejected, not narrowed to int).
+  [[nodiscard]] int get_count(const std::string& key, int fallback,
+                              int max) const {
+    const long value = get_long(key, fallback);
+    if (value < 0 || value > max) {
+      reject(key, get_string(key, ""),
+             ("a count from 0 to " + std::to_string(max)).c_str());
+    }
+    return static_cast<int>(value);
+  }
+
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const {
     const auto it = options_.find(key);
     if (it == options_.end()) return fallback;
@@ -130,20 +142,6 @@ class CliArgs {
     values.push_back(v);
   }
   return values;
-}
-
-/// Reads an environment variable as bool ("1", "true", "yes" => true).
-[[nodiscard]] inline bool env_flag(const char* name, bool fallback = false) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  const std::string s(v);
-  return s == "1" || s == "true" || s == "yes";
-}
-
-/// Reads an environment variable as double, with fallback.
-[[nodiscard]] inline double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback : std::strtod(v, nullptr);
 }
 
 }  // namespace rrl

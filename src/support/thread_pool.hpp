@@ -42,6 +42,12 @@
 
 namespace rrl {
 
+/// The most threads (a study's `jobs`, `--jobs`) or local worker
+/// processes (`--workers`) a study file or the command line may ask for:
+/// larger counts are refused where they are parsed, before any pool
+/// starts or process forks. Ample for one host.
+inline constexpr int kMaxJobs = 1024;
+
 class ThreadPool {
  public:
   /// A pool of `threads` workers INCLUDING the calling thread (so

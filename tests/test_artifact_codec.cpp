@@ -13,7 +13,6 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,9 +55,7 @@ Model multiproc_model() {
 }
 
 std::string serialized(const CompiledArtifact& artifact) {
-  std::ostringstream out(std::ios::binary);
-  write_artifact(out, artifact);
-  return out.str();
+  return encode_artifact(artifact);
 }
 
 /// The process-wide schema memo counter rrl_cache_schema_<name>_total.
@@ -67,8 +64,7 @@ std::uint64_t schema_counter(const std::string& name) {
 }
 
 CompiledArtifact deserialized(const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
-  return read_artifact(in);
+  return decode_artifact(bytes);
 }
 
 TEST(ArtifactCodec, RoundTripSolvesBitIdenticallyForAllSolvers) {
@@ -88,9 +84,10 @@ TEST(ArtifactCodec, RoundTripSolvesBitIdenticallyForAllSolvers) {
 
       const CompiledArtifact exported =
           export_artifact(*cold, /*model_hash=*/1234, config);
-      EXPECT_TRUE(artifact_matches(exported, name, 1234, config));
+      const SolverKey key{1234, name, config};
+      EXPECT_EQ(exported.key, key);
       CompiledArtifact imported = deserialized(serialized(exported));
-      EXPECT_TRUE(artifact_matches(imported, name, 1234, config));
+      EXPECT_EQ(imported.key, key);
 
       auto warm = make_solver(name, model.chain, model.rewards,
                               model.initial, config);
@@ -130,10 +127,10 @@ TEST(ArtifactCodec, FieldsSurviveExactly) {
   const CompiledArtifact a = export_artifact(*solver, 99, config);
   ASSERT_FALSE(a.schemas.empty());
   const CompiledArtifact b = deserialized(serialized(a));
-  EXPECT_EQ(b.solver, a.solver);
-  EXPECT_EQ(b.model_hash, a.model_hash);
-  EXPECT_EQ(b.config.epsilon, a.config.epsilon);
-  EXPECT_EQ(b.config.step_cap, a.config.step_cap);
+  EXPECT_EQ(b.key.solver, a.key.solver);
+  EXPECT_EQ(b.key.model_hash, a.key.model_hash);
+  EXPECT_EQ(b.key.config.epsilon, a.key.config.epsilon);
+  EXPECT_EQ(b.key.config.step_cap, a.key.config.step_cap);
   ASSERT_EQ(b.schemas.size(), a.schemas.size());
   for (std::size_t i = 0; i < a.schemas.size(); ++i) {
     EXPECT_EQ(b.schemas[i].t, a.schemas[i].t);
@@ -189,9 +186,8 @@ TEST(ArtifactCodec, RejectsEveryCorruptionClass) {
   std::swap(bad_endian[12], bad_endian[13]);
   EXPECT_THROW((void)deserialized(bad_endian), contract_error);
 
-  // Trailing garbage after the checksum is silently ignored by streams,
-  // but garbage INSIDE the framed payload is not: growing the declared
-  // length without bytes to back it is a truncation.
+  // Growing the declared payload length without bytes to back it is a
+  // truncation.
   std::string grown = bytes;
   grown[14] = static_cast<char>(grown[14] + 1);  // payload length field
   EXPECT_THROW((void)deserialized(grown), contract_error);
@@ -312,7 +308,7 @@ TEST(ArtifactCodec, WriteToAFullDeviceThrows) {
 
 TEST(ArtifactCodec, ImportIgnoresForeignSchemas) {
   // A schema for another regenerative state must not be adopted (the
-  // structural guard behind artifact_matches).
+  // structural guard behind the key comparison).
   const Model model = multiproc_model();
   SolverConfig config;
   config.epsilon = kEps;

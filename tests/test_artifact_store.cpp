@@ -75,9 +75,9 @@ TEST(ArtifactStore, StoreThenLoadRoundTrips) {
   const CounterDelta loads("rrl_artifact_loads_total");
   const CounterDelta invalid("rrl_artifact_invalid_total");
   EXPECT_TRUE(store.store(artifact));
-  EXPECT_TRUE(fs::exists(store.entry_path(42, "rrl", config)));
+  EXPECT_TRUE(fs::exists(store.entry_path({42, "rrl", config})));
 
-  const auto loaded = store.load(42, "rrl", config);
+  const auto loaded = store.load({42, "rrl", config});
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->schemas.size(), artifact.schemas.size());
   EXPECT_EQ(loaded->schemas[0].schema.main.a,
@@ -99,7 +99,7 @@ TEST(ArtifactStore, MissStaleAndCorruptAllDegradeToMisses) {
   // Absent: plain miss, neither a load nor an invalid entry.
   const CounterDelta loads("rrl_artifact_loads_total");
   const CounterDelta invalid("rrl_artifact_invalid_total");
-  EXPECT_FALSE(store.load(1, "rrl", config).has_value());
+  EXPECT_FALSE(store.load({1, "rrl", config}).has_value());
   EXPECT_EQ(loads(), 0u);
   EXPECT_EQ(invalid(), 0u);
 
@@ -109,25 +109,25 @@ TEST(ArtifactStore, MissStaleAndCorruptAllDegradeToMisses) {
   // Different config: a different address, so a miss (never a near-match).
   SolverConfig other = config;
   other.epsilon = 1e-10;
-  EXPECT_FALSE(store.load(1, "rrl", other).has_value());
+  EXPECT_FALSE(store.load({1, "rrl", other}).has_value());
 
   // A file whose EMBEDDED identity does not match its address (e.g.
   // hand-copied between model directories) is rejected as stale.
-  const std::string alias_path = store.entry_path(2, "rrl", config);
+  const std::string alias_path = store.entry_path({2, "rrl", config});
   fs::create_directories(fs::path(alias_path).parent_path());
-  fs::copy_file(store.entry_path(1, "rrl", config), alias_path);
-  EXPECT_FALSE(store.load(2, "rrl", config).has_value());
+  fs::copy_file(store.entry_path({1, "rrl", config}), alias_path);
+  EXPECT_FALSE(store.load({2, "rrl", config}).has_value());
   EXPECT_GE(invalid(), 1u);
 
   // Corrupt bytes: rejected, and a later store() heals the entry.
   {
-    std::ofstream out(store.entry_path(1, "rrl", config),
+    std::ofstream out(store.entry_path({1, "rrl", config}),
                       std::ios::binary | std::ios::trunc);
     out << "garbage";
   }
-  EXPECT_FALSE(store.load(1, "rrl", config).has_value());
+  EXPECT_FALSE(store.load({1, "rrl", config}).has_value());
   ASSERT_TRUE(store.store(artifact));
-  EXPECT_TRUE(store.load(1, "rrl", config).has_value());
+  EXPECT_TRUE(store.load({1, "rrl", config}).has_value());
 }
 
 std::uint64_t dtmc_builds() {
@@ -221,7 +221,7 @@ TEST(ArtifactStore, VersionTwoEntryIsAMissAndGcRemovesIt) {
   config.epsilon = 1e-8;
   config.regenerative = model.initial_state;
   ASSERT_TRUE(store.store(sample_artifact(model, config, 1)));
-  const std::string path = store.entry_path(1, "rrl", config);
+  const std::string path = store.entry_path({1, "rrl", config});
   std::string blob;
   {
     std::ifstream in(path, std::ios::binary);
@@ -240,7 +240,7 @@ TEST(ArtifactStore, VersionTwoEntryIsAMissAndGcRemovesIt) {
   }
 
   const CounterDelta invalid("rrl_artifact_invalid_total");
-  EXPECT_FALSE(store.load(1, "rrl", config).has_value());
+  EXPECT_FALSE(store.load({1, "rrl", config}).has_value());
   EXPECT_EQ(invalid(), 1u);
   const ArtifactGcStats gc = store.gc();
   EXPECT_EQ(gc.scanned, 1u);
@@ -259,11 +259,11 @@ TEST(ArtifactStoreGc, SweepRemovesTempAndInvalidEntries) {
   ASSERT_TRUE(store.store(sample_artifact(model, config, 2)));
 
   // A crashed writer's leftover temp and a corrupt entry.
-  const fs::path temp = fs::path(store.entry_path(1, "rrl", config))
+  const fs::path temp = fs::path(store.entry_path({1, "rrl", config}))
                             .parent_path() /
                         "rrl-deadbeef.rrla.tmp999-0";
   std::ofstream(temp) << "half-written";
-  const fs::path bad = fs::path(store.entry_path(2, "rrl", config))
+  const fs::path bad = fs::path(store.entry_path({2, "rrl", config}))
                            .parent_path() /
                        "rsd-deadbeef.rrla";
   std::ofstream(bad) << "garbage";
@@ -275,8 +275,8 @@ TEST(ArtifactStoreGc, SweepRemovesTempAndInvalidEntries) {
   EXPECT_EQ(gc.evicted, 0u);  // no cap: sweep only
   EXPECT_FALSE(fs::exists(temp));
   EXPECT_FALSE(fs::exists(bad));
-  EXPECT_TRUE(store.load(1, "rrl", config).has_value());
-  EXPECT_TRUE(store.load(2, "rrl", config).has_value());
+  EXPECT_TRUE(store.load({1, "rrl", config}).has_value());
+  EXPECT_TRUE(store.load({2, "rrl", config}).has_value());
 
   // A missing root is an empty sweep, not an error.
   const ArtifactGcStats none =
@@ -295,7 +295,7 @@ TEST(ArtifactStoreGc, CapEvictsLeastRecentlyUsedFirst) {
     ASSERT_TRUE(store.store(sample_artifact(model, config, hash)));
   }
   const auto set_age = [&](std::uint64_t hash, int hours_old) {
-    fs::last_write_time(store.entry_path(hash, "rrl", config),
+    fs::last_write_time(store.entry_path({hash, "rrl", config}),
                         fs::file_time_type::clock::now() -
                             std::chrono::hours(hours_old));
   };
@@ -315,15 +315,15 @@ TEST(ArtifactStoreGc, CapEvictsLeastRecentlyUsedFirst) {
   // eviction stops the moment the store fits.
   const ArtifactGcStats over = store.gc(total - 1);
   EXPECT_EQ(over.evicted, 1u);
-  EXPECT_FALSE(fs::exists(store.entry_path(1, "rrl", config)));
-  EXPECT_TRUE(fs::exists(store.entry_path(2, "rrl", config)));
-  EXPECT_TRUE(fs::exists(store.entry_path(3, "rrl", config)));
+  EXPECT_FALSE(fs::exists(store.entry_path({1, "rrl", config})));
+  EXPECT_TRUE(fs::exists(store.entry_path({2, "rrl", config})));
+  EXPECT_TRUE(fs::exists(store.entry_path({3, "rrl", config})));
   EXPECT_LE(over.bytes_after, total - 1);
 
   // A verified load REFRESHES recency: after using entry 2, entry 3 is
   // the oldest and is evicted next.
   set_age(2, 30);
-  ASSERT_TRUE(store.load(2, "rrl", config).has_value());  // touch
+  ASSERT_TRUE(store.load({2, "rrl", config}).has_value());  // touch
   const ArtifactGcStats next = store.gc(1);
   EXPECT_EQ(next.evicted, 2u);  // both remaining go under a 1-byte cap...
   // ...in LRU order: had the cap allowed one survivor it would have been
@@ -332,12 +332,12 @@ TEST(ArtifactStoreGc, CapEvictsLeastRecentlyUsedFirst) {
   ASSERT_TRUE(store.store(sample_artifact(model, config, 5)));
   set_age(4, 20);
   set_age(5, 10);
-  ASSERT_TRUE(store.load(4, "rrl", config).has_value());  // 4 now newest
+  ASSERT_TRUE(store.load({4, "rrl", config}).has_value());  // 4 now newest
   const std::uint64_t pair_total = store.gc().bytes_before;
   const ArtifactGcStats lru = store.gc(pair_total - 1);
   EXPECT_EQ(lru.evicted, 1u);
-  EXPECT_TRUE(fs::exists(store.entry_path(4, "rrl", config)));
-  EXPECT_FALSE(fs::exists(store.entry_path(5, "rrl", config)));
+  EXPECT_TRUE(fs::exists(store.entry_path({4, "rrl", config})));
+  EXPECT_FALSE(fs::exists(store.entry_path({5, "rrl", config})));
 }
 
 TEST(ArtifactStore, WarmStudyReproducesColdReportByteForByte) {

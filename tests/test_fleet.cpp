@@ -434,9 +434,9 @@ TEST(Fleet, FetcherHookWarmStartsBitIdenticallyAndCountsBothWays) {
   // "fetch", exactly once, and answer bit-identically to the cold run.
   SolverCache fetched;
   std::size_t calls = 0;
-  fetched.set_fetcher([&](const SolverCacheKey& key) {
+  fetched.set_fetcher([&](const SolverKey& key) {
     ++calls;
-    return store->load(key.model_hash, key.solver, key.config);
+    return store->load(key);
   });
   CacheTier tier = CacheTier::kNone;
   const CounterDelta fetch_hits("rrl_cache_fetch_hits_total");
@@ -465,7 +465,7 @@ TEST(Fleet, FetcherHookWarmStartsBitIdenticallyAndCountsBothWays) {
   // an error.
   SolverCache empty_handed;
   empty_handed.set_fetcher(
-      [](const SolverCacheKey&) -> std::optional<CompiledArtifact> {
+      [](const SolverKey&) -> std::optional<CompiledArtifact> {
         return std::nullopt;
       });
   tier = CacheTier::kNone;

@@ -125,6 +125,25 @@ TEST(ModelFormat, ErrorsCarryLineNumbers) {
   expect_error("states 2\ntransition 0 1 1\ninitial 0 0.4\n", "sums to");
 }
 
+TEST(ModelFormat, StateCountAboveTheCapIsRejected) {
+  // One past kMaxStates is refused at its line, before anything is sized
+  // from it: a few bytes of `states` would otherwise ask for hundreds of
+  // megabytes before the first transition is read.
+  for (const std::string& count :
+       {std::to_string(kMaxStates + 1), std::string("2000000000")}) {
+    std::istringstream in("states " + count + "\ntransition 0 1 1.0\n");
+    try {
+      (void)read_model(in);
+      FAIL() << "accepted states " << count;
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 1: 'states' may not exceed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(kMaxStates, 10'000'000);
+}
+
 // The parsed model as text: the state count, every stored rate, every
 // reward and initial entry that is not +0.0, and the regenerative hint.
 // %.17g names a double exactly, so equal dumps mean equal bits.

@@ -17,7 +17,6 @@
 #include <latch>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -384,9 +383,7 @@ TEST(SchemaCacheCuts, TighterKeyWaitsForTheFlightThenLooserKeyCuts) {
 }
 
 std::string artifact_bytes(const CompiledArtifact& artifact) {
-  std::ostringstream out(std::ios::binary);
-  write_artifact(out, artifact);
-  return out.str();
+  return encode_artifact(artifact);
 }
 
 TEST(SchemaCacheCuts, CutFilledCacheExportsFreshBuildBytes) {

@@ -137,6 +137,26 @@ TEST(StudyFormat, RejectsMalformedInput) {
   }
 }
 
+TEST(StudyFormat, JobsAboveTheCapIsRejected) {
+  // Refused at parse time, before any ThreadPool starts its threads.
+  const auto parse = [](int jobs) {
+    std::istringstream in("model a\ntimes 1\njobs " + std::to_string(jobs) +
+                          "\n");
+    return read_study(in);
+  };
+  EXPECT_EQ(parse(kMaxJobs).jobs, kMaxJobs);
+  for (const int jobs : {kMaxJobs + 1, 100000}) {
+    try {
+      (void)parse(jobs);
+      FAIL() << "accepted jobs " << jobs;
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'jobs' may not exceed 1024"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // What read_study makes of `text`: its axes as text, every double as
 // %.17g (which names it exactly), or the error text.
 std::string study_outcome(const std::string& text) {

@@ -9,6 +9,7 @@
 #include "support/contracts.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
+#include "support/thread_pool.hpp"
 
 namespace rrl {
 namespace {
@@ -66,6 +67,30 @@ TEST(Cli, NumbersMustFillTheirValue) {
     FAIL() << "--jobs 4x was accepted";
   } catch (const contract_error& e) {
     EXPECT_STREQ(e.what(), "--jobs needs a whole number, got '4x'");
+  }
+}
+
+TEST(Cli, CountsAboveTheCapAreRejected) {
+  // rrl_solve reads --jobs and --workers through get_count with kMaxJobs,
+  // so an over-limit count fails here, before any pool starts or worker
+  // forks, and nothing narrows a long to int.
+  const char* argv[] = {"prog",          "--jobs=100000",   "--workers",
+                        "1025",          "--max=1024",      "--zero=0",
+                        "--neg=-1",      "--wide=4294967297", "--bad=4x"};
+  const CliArgs args(9, argv);
+  for (const char* key : {"jobs", "workers", "neg", "wide", "bad"}) {
+    EXPECT_THROW((void)args.get_count(key, 1, kMaxJobs), contract_error)
+        << key;
+  }
+  EXPECT_EQ(args.get_count("max", 1, kMaxJobs), kMaxJobs);
+  EXPECT_EQ(args.get_count("zero", 1, kMaxJobs), 0);
+  EXPECT_EQ(args.get_count("absent", 2, kMaxJobs), 2);
+  try {
+    (void)args.get_count("workers", 2, kMaxJobs);
+    FAIL() << "--workers 1025 was accepted";
+  } catch (const contract_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "--workers needs a count from 0 to 1024, got '1025'");
   }
 }
 

@@ -141,21 +141,21 @@ TEST(WireCodec, FleetFrameTypesRoundTrip) {
   EXPECT_EQ(frame->type, WireType::kPing);
   EXPECT_TRUE(frame->payload.empty());
 
-  WireArtifactRequest request;
+  SolverKey request;
   request.model_hash = 0x0123456789abcdefULL;
   request.solver = "rrl";
-  request.epsilon = 1e-10;
-  request.rate_factor = 1.0625;
-  request.regenerative = 7;
-  request.step_cap = 123456;
-  const WireArtifactRequest request2 =
-      decode_artifact_request(encode_artifact_request(request));
+  request.config.epsilon = 1e-10;
+  request.config.rate_factor = 1.0625;
+  request.config.regenerative = 7;
+  request.config.step_cap = 123456;
+  const SolverKey request2 =
+      decode_solver_key(encode_solver_key(request));
   EXPECT_EQ(request2.model_hash, request.model_hash);
   EXPECT_EQ(request2.solver, request.solver);
-  EXPECT_EQ(request2.epsilon, request.epsilon);
-  EXPECT_EQ(request2.rate_factor, request.rate_factor);
-  EXPECT_EQ(request2.regenerative, request.regenerative);
-  EXPECT_EQ(request2.step_cap, request.step_cap);
+  EXPECT_EQ(request2.config.epsilon, request.config.epsilon);
+  EXPECT_EQ(request2.config.rate_factor, request.config.rate_factor);
+  EXPECT_EQ(request2.config.regenerative, request.config.regenerative);
+  EXPECT_EQ(request2.config.step_cap, request.config.step_cap);
 
   WireArtifactData data;
   data.model_hash = request.model_hash;
@@ -218,7 +218,7 @@ TEST(WireCodec, EveryFrameSplitAtEveryByteOffsetDecodesIdentically) {
   stream += encode_frame(WireType::kPing, {});
   stream += encode_frame(WireType::kAssign, encode_assign({3, 24, 8}));
   stream += encode_frame(WireType::kArtifactRequest,
-                         encode_artifact_request({42, "rr", 1e-8, 0, 0, -1}));
+                         encode_solver_key({42, "rr", {1e-8, 0, 0, -1}}));
   stream += encode_frame(WireType::kArtifactData, encode_artifact_data(data));
   stream += encode_frame(WireType::kResult, encode_result(result));
   stream += encode_frame(WireType::kShutdown, {});

@@ -128,11 +128,12 @@ index_t regenerative_index(const CliArgs& args) {
 // testing).
 // --jobs 0 / --workers 0 mean "one per hardware thread". Explicit only:
 // an absent flag keeps each mode's own default (a study file's jobs
-// line, serve's 2 local workers, ...).
-int resolve_count(const CliArgs& args, const char* flag, long fallback) {
-  const long value = args.get_long(flag, fallback);
+// line, serve's 2 local workers, ...). A count above kMaxJobs is refused
+// here, before any pool starts or worker forks.
+int resolve_count(const CliArgs& args, const char* flag, int fallback) {
+  const int value = args.get_count(flag, fallback, kMaxJobs);
   if (value == 0 && args.has(flag)) return ThreadPool::hardware_threads();
-  return static_cast<int>(value);
+  return value;
 }
 
 std::shared_ptr<ArtifactStore> attach_disk_tier(const CliArgs& args,
@@ -407,43 +408,20 @@ int run_batch(const CliArgs& args,
   return run.sweep.failed() == 0 ? 0 : 1;
 }
 
-// Hidden worker mode (--worker, spawned by --serve): re-read and re-plan
-// the study, then execute whatever units the parent assigns over the
-// stdio wire protocol. Everything human-readable goes to stderr — stdout
-// carries frames only.
-int run_worker_mode(const CliArgs& args) {
-  const StudySpec spec = read_study_file(args.get_string("study", ""));
-  ModelRepository repository;
-  const StudyPlan plan = build_study_plan(spec, repository);
-
-  SolverCache cache;
-  const std::shared_ptr<ArtifactStore> store =
-      attach_disk_tier(args, cache);
-  WorkerOptions options;
-  options.jobs = resolve_count(args, "jobs", spec.jobs);
-  options.use_cache = !args.get_bool("no-cache", false);
-  options.die_after_units =
-      static_cast<int>(args.get_long("test-die-after", -1));
-  options.die_delay_ms =
-      static_cast<int>(args.get_long("test-die-delay-ms", 0));
-  options.deaf_after_units =
-      static_cast<int>(args.get_long("test-deaf-after", -1));
-  options.mute_after_units =
-      static_cast<int>(args.get_long("test-mute-after", -1));
-  return run_worker_loop(plan, cache, options);
-}
-
-// Remote worker mode (--connect host:port): same worker loop as --worker,
-// but over one TCP socket to a parent on another machine — with a
-// heartbeat thread (the parent's hang detection) and the parent-served
-// artifact fetch enabled (its --cache-dir cannot be reached from here).
-// The study file must describe the same study the parent planned (shared
-// filesystem or a copied file; the fingerprint handshake verifies it).
-int run_connect_mode(const CliArgs& args) {
-  const HostPort target = parse_host_port(args.get_string("connect", ""));
+// Worker modes. --worker (hidden, spawned by --serve) talks to its parent
+// over the stdio pipes, so everything human-readable goes to stderr —
+// stdout carries frames only. --connect host:port talks over one TCP
+// socket to a parent on another machine, with a heartbeat thread (the
+// parent's hang detection) and the parent-served artifact fetch (its
+// --cache-dir cannot be reached from here). Both re-read and re-plan the
+// study, which must describe the one the parent planned (shared
+// filesystem or a copied file; the fingerprint handshake verifies it),
+// then execute whatever units the parent assigns.
+int run_worker_mode(const CliArgs& args, bool remote) {
   const std::string study_path = args.get_string("study", "");
   if (study_path.empty()) {
-    std::fprintf(stderr, "error: --connect needs --study <file.study>\n");
+    std::fprintf(stderr, "error: --%s needs --study <file.study>\n",
+                 remote ? "connect" : "worker");
     return 2;
   }
   const StudySpec spec = read_study_file(study_path);
@@ -456,9 +434,6 @@ int run_connect_mode(const CliArgs& args) {
   WorkerOptions options;
   options.jobs = resolve_count(args, "jobs", spec.jobs);
   options.use_cache = !args.get_bool("no-cache", false);
-  options.heartbeat_ms =
-      static_cast<int>(args.get_long("heartbeat-ms", 1000));
-  options.fetch_artifacts = !args.get_bool("no-fetch", false);
   options.die_after_units =
       static_cast<int>(args.get_long("test-die-after", -1));
   options.die_delay_ms =
@@ -467,13 +442,20 @@ int run_connect_mode(const CliArgs& args) {
       static_cast<int>(args.get_long("test-deaf-after", -1));
   options.mute_after_units =
       static_cast<int>(args.get_long("test-mute-after", -1));
-
+  if (!remote) {
+    return run_worker_loop(
+        plan, cache, options,
+        FrameChannel(STDIN_FILENO, STDOUT_FILENO, /*is_socket=*/false));
+  }
+  options.heartbeat_ms =
+      static_cast<int>(args.get_long("heartbeat-ms", 1000));
+  options.fetch_artifacts = !args.get_bool("no-fetch", false);
+  const HostPort target = parse_host_port(args.get_string("connect", ""));
   const int fd = tcp_connect(target.host, target.port);
   std::fprintf(stderr, "worker: connected to %s:%d\n", target.host.c_str(),
                target.port);
-  const int rc = run_worker_loop(plan, cache, options, fd, fd);
-  ::close(fd);
-  return rc;
+  return run_worker_loop(plan, cache, options,
+                         FrameChannel(fd, fd, /*is_socket=*/true));
 }
 
 // Serve mode: the work-stealing multi-process orchestrator. Plans the
@@ -898,8 +880,8 @@ int run_cli(const CliArgs& args, char** argv) {
                           args.get_string("output", "model.rrlm"));
     }
     if (args.has("cache-gc")) return run_cache_gc_mode(args);
-    if (args.has("worker")) return run_worker_mode(args);
-    if (args.has("connect")) return run_connect_mode(args);
+    if (args.has("worker")) return run_worker_mode(args, /*remote=*/false);
+    if (args.has("connect")) return run_worker_mode(args, /*remote=*/true);
     if (args.has("serve")) return run_serve_mode(args, argv[0]);
     if (args.has("merge")) return run_merge_mode(args);
     if (args.has("study")) return run_study_mode(args);
